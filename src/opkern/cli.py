@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -32,17 +31,15 @@ class UsageError(Exception):
     pass
 
 
-def worker_cap() -> int:
-    """Worker count cap from OPKERN_THREADS (default: hardware parallelism).
-
-    Core computations are deterministic regardless of this value; it only
-    bounds internal parallelism.
-    """
-    raw = os.environ.get("OPKERN_THREADS", "")
+def seed_arg(text: str) -> int:
+    """argparse type for --seed: an integer in [0, 2**64)."""
     try:
-        return max(1, int(raw))
+        seed = int(text)
     except ValueError:
-        return os.cpu_count() or 1
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"seed {seed} outside [0, 2**64)")
+    return seed
 
 
 def parse_sites(text: str) -> list[np.ndarray]:
@@ -288,14 +285,11 @@ def build_parser() -> _TrackingParser:
     parser = _TrackingParser(prog="opkern")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--kernel", help="kernel spec string")
         p.add_argument("--sites", help="grid(a,b,n) or inline JSON list")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=["csv", "json", "bin"], default="csv")
         p.add_argument("--config", help="key=value config file; flags win")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gram", help="assemble a Gram matrix and certify PSD")
     common(p)
@@ -311,12 +305,15 @@ def build_parser() -> _TrackingParser:
     p = sub.add_parser("verify", help="run the identity suite")
     common(p)
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=seed_arg, default=0)
     p.add_argument("--raw", help="CSV file overriding the Gram data")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sample", help="draw seeded Gaussian process paths")
     common(p)
     p.add_argument("--count", "-N", type=int, default=1000, dest="count")
+    p.add_argument("--seed", type=seed_arg, default=0)
+    p.add_argument("--format", choices=["csv", "bin"], default="csv")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("expand", help="orthonormal expansion of the Gram")

@@ -24,16 +24,22 @@ __all__ = [
     "batch_from_binary",
 ]
 
-BINARY_MAGIC = b"OPKGP1"
+BINARY_MAGIC = b"OPKGP2"  # stream v2; v1 files share the layout
+_READABLE_MAGICS = (b"OPKGP1", BINARY_MAGIC)
 MC_SIGMA_FACTOR = 4.0
+# Raw Philox words drawn per chunk of paths: keeps the scratch arrays of
+# sample_paths at a few hundred kB whatever the batch size.
+CHUNK_WORDS = 1 << 15
 
 
 @dataclass
 class SampleBatch:
     """N seeded zero-mean Gaussian paths over the context sites.
 
-    ``paths`` has shape (N, n, d); regeneration with the same
-    (context, seed, count) is bitwise identical.
+    ``paths`` has shape (N, n, d); path p is L z_p with z_p drawn from
+    path p's own counter blocks of the Philox stream keyed by ``seed``
+    (stream v2, see ``sample_paths``).  Regeneration is bitwise identical,
+    and a larger ``count`` extends a smaller one.
     """
 
     context: RkhsContext
@@ -56,32 +62,75 @@ class CovErrorReport:
     pass_: bool
 
 
-def _path_normals(seed: int, path_index: int, size: int) -> np.ndarray:
-    """Counter-based stream: one Philox generator per (seed, path) pair."""
-    bits = np.random.Philox(key=np.array([seed, path_index], dtype=np.uint64))
-    return np.random.Generator(bits).standard_normal(size)
+def _path_words(nd: int) -> int:
+    """Raw words per path: nd rounded up to whole 4-word Philox blocks."""
+    return -(-nd // 4) * 4
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """((x >> 11) + 0.5) * 2**-53: the top 53 bits of each word, centred in
+    their cell, so never 0."""
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
+
+
+def _normals(seed: int, first: int, count: int, nd: int) -> np.ndarray:
+    """Standard normals of paths first..first+count-1, shape (count, nd).
+
+    Path p owns the raw words [p*w, (p+1)*w) of the stream
+    Philox(key=seed), w = nd rounded up to a multiple of 4, so every path
+    starts on a counter block.  Each word pair (x, y) gives the Box-Muller
+    normals r cos(2 pi v), r sin(2 pi v) with u, v the uniforms of x, y and
+    r = sqrt(-2 ln u).  The cosine and sine come from h = tan(pi v) as
+    (1 - h^2, 2h) / (1 + h^2): one vectorised tan in place of cos and sin.
+    The first nd of the w normals are kept.
+    """
+    w = _path_words(nd)
+    words = np.random.Philox(key=seed, counter=first * w // 4).random_raw(count * w)
+    pairs = words.reshape(-1, 2)
+    r = np.sqrt(-2.0 * np.log(_uniforms(pairs[:, 0])))
+    h = np.tan(np.pi * _uniforms(pairs[:, 1]))
+    h2 = h * h
+    s = r / (1.0 + h2)
+    z = np.empty(pairs.shape)
+    np.multiply(1.0 - h2, s, out=z[:, 0])
+    np.multiply(2.0 * h, s, out=z[:, 1])
+    return z.reshape(count, w)[:, :nd]
 
 
 def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
     """Draw ``count`` paths as L z with L L^T = G + eps*I.
 
     Factorizes the context Gram on first use (raising on indefinite
-    matrices).  Each path has its own derived RNG stream, so the batch is
-    reproducible regardless of execution order.
+    matrices).  Stream v2: one Philox stream keyed by ``seed`` in
+    [0, 2**64), its own counter blocks per path, Box-Muller normals (see
+    ``_normals``), one ``Z @ L.T`` per chunk of about CHUNK_WORDS normals.
+    Every chunk, the last included, has the full row count: BLAS rounding
+    can depend on the row count (one row takes the matrix-vector path),
+    and a fixed shape keeps path p independent of ``count``, so a longer
+    batch extends a shorter one bitwise.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    seed = int(seed)
     gram = ctx.gram
     if gram.factor is None:
         factorize(gram)
     L = gram.factor
     nd = gram.size
+    per_chunk = max(1, CHUNK_WORDS // _path_words(nd))
     paths = np.empty((count, nd))
-    for p in range(count):
-        paths[p] = L @ _path_normals(seed, p, nd)
+    for start in range(0, count, per_chunk):
+        block = _normals(seed, start, per_chunk, nd) @ L.T
+        stop = min(start + per_chunk, count)
+        paths[start:stop] = block[: stop - start]
     return SampleBatch(
         context=ctx,
-        seed=int(seed),
+        seed=seed,
         count=int(count),
         paths=paths.reshape(count, gram.n, gram.d),
     )
@@ -146,8 +195,8 @@ def batch_to_csv(batch: SampleBatch, path) -> None:
 
 
 def batch_to_binary(batch: SampleBatch, path) -> None:
-    """Compact layout: magic OPKGP1, little-endian u64 seed, u32 N/n/d,
-    then N*n*d float64 values."""
+    """Compact layout: magic OPKGP2 (stream v2), little-endian u64 seed,
+    u32 N/n/d, then N*n*d float64 values."""
     n, d = batch.context.n, batch.context.d
     with open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
@@ -156,10 +205,13 @@ def batch_to_binary(batch: SampleBatch, path) -> None:
 
 
 def batch_from_binary(path):
-    """Read back (seed, paths) from the binary layout; shape (N, n, d)."""
+    """Read back (seed, paths) from the binary layout; shape (N, n, d).
+
+    Reads OPKGP2 and the identically laid out OPKGP1 (stream v1) files.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(6)
-        if magic != BINARY_MAGIC:
+        if magic not in _READABLE_MAGICS:
             raise ValueError(f"bad magic {magic!r}")
         seed, count, n, d = struct.unpack("<QIII", fh.read(20))
         data = np.frombuffer(fh.read(), dtype="<f8")

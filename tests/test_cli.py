@@ -59,6 +59,11 @@ class TestGramCommand:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--format", "csv"], ["--seed", "1"]])
+    def test_flags_without_effect_rejected(self, tmp_path, flag):
+        args = ["gram", "--kernel", "diagexp3", "--sites", "grid(0,1,2)"]
+        assert main(args + flag + ["--out", str(tmp_path)]) == 1
+
     def test_raw_non_psd_exit_two(self, tmp_path):
         raw = tmp_path / "raw.csv"
         raw.write_text("0.0,1.0\n1.0,0.0\n")
@@ -177,6 +182,12 @@ class TestVerifyCommand:
         assert code == 3
         assert "factorization_consistency" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_usage_error(self, tmp_path, seed, capsys):
+        args = ["verify", "--kernel", self.KERNEL, "--sites", "grid(0,2,5)", "--trials", "5"]
+        assert main(args + ["--seed", seed, "--out", str(tmp_path)]) == 1
+        assert "seed" in capsys.readouterr().err
+
     def test_zero_trials_usage(self, tmp_path):
         code = main(
             [
@@ -249,7 +260,24 @@ class TestSampleCommand:
                 str(tmp_path),
             ]
         )
-        assert (tmp_path / "batch.bin").read_bytes()[:6] == b"OPKGP1"
+        assert (tmp_path / "batch.bin").read_bytes()[:6] == b"OPKGP2"
+
+    def test_unknown_format_usage_error(self, tmp_path):
+        args = self.ARGS + ["--count", "10", "--format", "json", "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert not (tmp_path / "batch.bin").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
+    def test_seed_out_of_range_usage_error(self, tmp_path, seed, capsys):
+        args = self.ARGS[:-2] + ["--count", "10", "--seed", seed, "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert "seed" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, tmp_path):
+        args = self.ARGS[:-2] + ["--count", "10", "--seed", str(2**64 - 1), "--out", str(tmp_path)]
+        main(args)
+        payload = validate(tmp_path / "cov_report.json", "cov_report.json")
+        assert payload["seed"] == 2**64 - 1
 
 
 class TestExpandCommand:

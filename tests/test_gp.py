@@ -1,7 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opkern.gp import (
+    CHUNK_WORDS,
+    _normals,
     batch_from_binary,
     batch_to_binary,
     batch_to_csv,
@@ -18,6 +24,33 @@ GAUSS1 = "gauss(sigma=1,ell=1,dim=1)"
 @pytest.fixture
 def two_site_ctx():
     return make_context(make_kernel(GAUSS1), [[0], [1]])
+
+
+def path_words(nd):
+    return -(-nd // 4) * 4
+
+
+def ref_normals(seed, p, nd):
+    """Per-path reference for stream v2: one Philox keyed by the seed,
+    advanced to path p's first counter block, Box-Muller on its w words
+    with the cosine and sine of 2 pi v taken from h = tan(pi v)."""
+    w = path_words(nd)
+    bits = np.random.Philox(key=seed)
+    bits.advance(p * w // 4)
+    x = bits.random_raw(w)
+    u = ((x[0::2] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    v = ((x[1::2] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u))
+    h = np.tan(np.pi * v)
+    s = r / (1.0 + h * h)
+    z = np.empty(w)
+    z[0::2] = (1.0 - h * h) * s
+    z[1::2] = 2.0 * h * s
+    # the half-angle form is Box-Muller: a few ulp of r from cos and sin
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(z[0::2] - r * np.cos(2 * np.pi * v)) <= 16 * eps * r)
+    assert np.all(np.abs(z[1::2] - r * np.sin(2 * np.pi * v)) <= 16 * eps * r)
+    return z[:nd]
 
 
 class TestSamplePaths:
@@ -57,6 +90,85 @@ class TestSamplePaths:
         b1 = sample_paths(two_site_ctx, 50, seed=5)
         b2 = sample_paths(two_site_ctx, 100, seed=5)
         assert np.array_equal(b1.paths, b2.paths[:50])
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_range(self, two_site_ctx, seed):
+        with pytest.raises(ValueError, match="seed"):
+            sample_paths(two_site_ctx, 3, seed=seed)
+
+    @pytest.mark.parametrize("n,dim", [(2, 1), (20, 3)])
+    def test_prefix_stability_across_chunks(self, n, dim):
+        # short batches end in a short or one-row chunk; BLAS rounds such
+        # products differently unless every chunk has the full shape
+        ctx = make_context(
+            make_kernel(f"gauss(sigma=1,ell=1,dim={dim})"),
+            [[x] for x in np.linspace(0, 3, n)],
+        )
+        per_chunk = CHUNK_WORDS // path_words(n * dim)
+        longest = sample_paths(ctx, 2 * per_chunk + 3, seed=8).paths
+        for count in (1, 2, 5, per_chunk - 1, per_chunk + 1):
+            batch = sample_paths(ctx, count, seed=8)
+            assert np.array_equal(batch.paths, longest[:count])
+
+
+class TestStreamV2:
+    """The chunked sampler against the per-path scalar reference."""
+
+    GOLDEN_SEED0 = [
+        0.15853383451844044,
+        2.982879282617075,
+        -1.9256919819171863,
+        -0.8249255452762637,
+        -0.20250327969123177,
+        1.1557642251763287,
+        0.3302045044676293,
+        -0.028982948293703896,
+    ]
+
+    def test_golden_normals_seed0(self):
+        # paths 0 and 1 at nd = 4; a tolerance of a few ulp admits libm
+        # differences across platforms, not a changed stream
+        z = _normals(0, 0, 2, 4).ravel()
+        np.testing.assert_allclose(z, self.GOLDEN_SEED0, rtol=1e-14, atol=0)
+
+    def test_raw_normal_moments(self):
+        # 1e6 normals; each bound is five standard errors
+        z = _normals(0, 0, 1000, 1000).ravel()
+        n = z.size
+        assert abs(z.mean()) <= 5 / np.sqrt(n)
+        assert abs(np.mean(z**2) - 1) <= 5 * np.sqrt(2 / n)
+        assert abs(np.mean(z**4) - 3) <= 5 * np.sqrt(96 / n)
+        # the two normals of a Box-Muller pair are independent
+        assert abs(np.mean(z[0::2] * z[1::2])) <= 5 / np.sqrt(n / 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        dim=st.integers(1, 3),
+        offset=st.integers(-1, 2),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_paths_match_per_path_reference(self, n, dim, offset, seed):
+        ctx = make_context(
+            make_kernel(f"gauss(sigma=1,ell=1,dim={dim})"),
+            [[x] for x in np.linspace(0, 2, n)],
+        )
+        nd = n * dim
+        per_chunk = CHUNK_WORDS // path_words(nd)
+        count = per_chunk + offset  # the last chunk is short or one path long
+        batch = sample_paths(ctx, count, seed=seed)
+        L = ctx.gram.factor
+        flat = batch.paths.reshape(count, nd)
+        # the product rounds differently from a matrix-vector product, so
+        # paths meet L @ ref within the float64 dot-product error bound
+        eps = np.finfo(np.float64).eps
+        for p in {p for p in (0, per_chunk - 1, per_chunk, count - 1) if p < count}:
+            z = ref_normals(seed, p, nd)
+            assert np.array_equal(_normals(seed, p, 1, nd)[0], z)
+            bound = 2 * nd * eps * (np.abs(L) @ np.abs(z))
+            assert np.all(np.abs(flat[p] - L @ z) <= bound)
+        chunk = _normals(seed, 0, per_chunk, nd)
+        assert np.array_equal(chunk[per_chunk - 1], ref_normals(seed, per_chunk - 1, nd))
 
 
 class TestEmpiricalCovariance:
@@ -141,6 +253,20 @@ class TestExport:
         bad.write_bytes(b"NOTGP1" + b"\0" * 20)
         with pytest.raises(ValueError, match="magic"):
             batch_from_binary(bad)
+
+    def test_unknown_version_refused(self, tmp_path):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"OPKGP3" + struct.pack("<QIII", 0, 1, 1, 1) + b"\0" * 8)
+        with pytest.raises(ValueError, match="magic"):
+            batch_from_binary(bad)
+
+    def test_reads_v1_file(self, tmp_path):
+        values = np.arange(6, dtype="<f8")
+        path = tmp_path / "v1.bin"
+        path.write_bytes(b"OPKGP1" + struct.pack("<QIII", 11, 3, 2, 1) + values.tobytes())
+        seed, paths = batch_from_binary(path)
+        assert seed == 11
+        np.testing.assert_array_equal(paths, values.reshape(3, 2, 1))
 
     def test_csv_header(self, two_site_ctx, tmp_path):
         batch = sample_paths(two_site_ctx, 3, seed=2)
