@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,12 +20,15 @@ import numpy as np
 from . import gram as gram_mod
 from . import gp as gp_mod
 from . import rkhs as rkhs_mod
-from .kernels import KernelSpecError, make_kernel
+from .kernels import KernelSpecError, as_sites, make_kernel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_IDENTITY = 3
+
+FORMATS = ("csv", "bin")
+RESERVED = {"command", "config", "func"}  # dests a config file may not set
 
 
 class UsageError(Exception):
@@ -42,9 +46,9 @@ def seed_arg(text: str) -> int:
     return seed
 
 
-def parse_sites(text: str) -> list[np.ndarray]:
+def parse_sites(text: str) -> np.ndarray:
     """Sites as ``grid(a,b,n)`` or an inline list ``[0,0.5,1]`` /
-    ``[[x,y],...]``."""
+    ``[[x,y],...]``; returns an (n, k) array, one site per row."""
     text = text.strip()
     if text.startswith("grid"):
         inner = text[4:].strip()
@@ -53,25 +57,28 @@ def parse_sites(text: str) -> list[np.ndarray]:
         parts = inner[1:-1].split(",")
         if len(parts) != 3:
             raise UsageError("grid takes exactly (a, b, n)")
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if n < 1:
-            raise UsageError("grid needs n >= 1")
-        return [np.array([x]) for x in np.linspace(a, b, n)]
+        try:
+            a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise UsageError(f"grid needs numbers a, b and an integer n: {text!r}") from None
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise UsageError("grid ends must be finite")
+        if not 1 <= n <= gram_mod.DEFAULT_SIZE_CAP:
+            raise UsageError(f"grid needs 1 <= n <= {gram_mod.DEFAULT_SIZE_CAP}")
+        return np.linspace(a, b, n)[:, None]
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"cannot parse site list: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise UsageError("site list must be a nonempty list")
-    sites = []
     for item in data:
-        if isinstance(item, (int, float)):
-            sites.append(np.array([float(item)]))
-        elif isinstance(item, list) and item:
-            sites.append(np.array([float(v) for v in item]))
-        else:
+        if not (isinstance(item, (int, float)) or (isinstance(item, list) and item)):
             raise UsageError(f"bad site entry: {item!r}")
-    return sites
+    try:
+        return as_sites(data)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad site list: {exc}") from None
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -95,43 +102,13 @@ def load_raw_matrix(path: str) -> np.ndarray:
         for row in csv.reader(fh):
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            rows.append([float(v) for v in row])
-    mat = np.array(rows)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise UsageError(f"raw matrix in {path}: {exc}") from None
+    if not rows or any(len(r) != len(rows) for r in rows):
         raise UsageError(f"raw matrix in {path} is not square")
-    return mat
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    if not args.config:
-        return
-    conf = load_config(args.config)
-    for key, value in conf.items():
-        if not hasattr(args, key):
-            raise UsageError(f"unknown config key '{key}'")
-        if key in args._explicit:
-            continue  # flags win on conflict
-        current = getattr(args, key)
-        if isinstance(current, int) and not isinstance(current, bool):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
-        setattr(args, key, value)
-
-
-class _TrackingParser(argparse.ArgumentParser):
-    """Records which destinations were set explicitly on the command line."""
-
-    def parse_args(self, argv=None, namespace=None):
-        args = super().parse_args(argv, namespace)
-        explicit = set()
-        seen = list(sys.argv[1:] if argv is None else argv)
-        # conservative: any dest whose flag string appears verbatim in argv
-        for text in seen:
-            if text.startswith("--"):
-                explicit.add(text[2:].split("=", 1)[0].replace("-", "_"))
-        args._explicit = explicit
-        return args
+    return np.array(rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -166,19 +143,21 @@ def cmd_gram(args) -> int:
 
 def cmd_spectrum(args) -> int:
     kernel = make_kernel(args.kernel)
-    counts = [int(c) for c in args.counts.split(",") if c.strip()]
+    try:
+        counts = [int(c) for c in args.counts.split(",") if c.strip()]
+        dom = [float(v) for v in args.domain.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--counts/--domain: {exc}") from None
     if not counts:
         raise UsageError("--counts must list at least one grid size")
-    dom = [float(v) for v in args.domain.split(",")]
-    if len(dom) != 2:
-        raise UsageError("--domain takes 'a,b'")
+    if len(dom) != 2 or not all(map(math.isfinite, dom)):
+        raise UsageError("--domain takes finite 'a,b'")
     reports = gram_mod.spectral_decay_profile(kernel, counts, (dom[0], dom[1]))
     out = Path(args.out)
     for count, report in zip(counts, reports):
-        grid = np.linspace(dom[0], dom[1], count)
-        g = gram_mod.assemble_gram(kernel, [np.array([x]) for x in grid])
-        g.spectrum = report
-        _write_json(out / f"spectrum_{count}.json", gram_mod.spectrum_to_json_dict(g))
+        sites = np.linspace(dom[0], dom[1], count)[:, None]
+        doc = gram_mod.report_to_json_dict(report, sites, kernel.dim_h)
+        _write_json(out / f"spectrum_{count}.json", doc)
     print(f"spectrum: wrote {len(reports)} report(s) to {out}")
     return EXIT_OK
 
@@ -189,11 +168,7 @@ def cmd_verify(args) -> int:
     kernel = make_kernel(args.kernel)
     sites = parse_sites(args.sites)
     raw = load_raw_matrix(args.raw) if args.raw else None
-    try:
-        ctx = rkhs_mod.make_context(kernel, sites, raw_data=raw)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    ctx = rkhs_mod.make_context(kernel, sites, raw_data=raw)
     report = rkhs_mod.verify_identities(ctx, trials=args.trials, seed=args.seed)
     out = Path(args.out)
     _write_json(out / "identities.json", report.to_json_dict())
@@ -210,14 +185,11 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
+    if args.format not in FORMATS:  # argparse leaves config defaults unchecked
+        raise UsageError(f"--format must be one of {', '.join(FORMATS)}")
     kernel = make_kernel(args.kernel)
-    sites = parse_sites(args.sites)
-    try:
-        ctx = rkhs_mod.make_context(kernel, sites)
-        batch = gp_mod.sample_paths(ctx, args.count, args.seed)
-    except (ValueError, gram_mod.IndefiniteMatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    ctx = rkhs_mod.make_context(kernel, parse_sites(args.sites))
+    batch = gp_mod.sample_paths(ctx, args.count, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
@@ -247,14 +219,8 @@ def cmd_sample(args) -> int:
 def cmd_expand(args) -> int:
     if not (0.0 < args.trunc_tol < 1.0):
         raise UsageError("--trunc-tol must lie in (0, 1)")
-    kernel = make_kernel(args.kernel)
-    sites = parse_sites(args.sites)
-    try:
-        ctx = rkhs_mod.make_context(kernel, sites)
-        basis = rkhs_mod.onb_expansion(ctx, args.trunc_tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ctx = rkhs_mod.make_context(make_kernel(args.kernel), parse_sites(args.sites))
+    basis = rkhs_mod.onb_expansion(ctx, args.trunc_tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "onb.csv", "w", newline="") as fh:
@@ -281,8 +247,9 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _TrackingParser:
-    parser = _TrackingParser(prog="opkern")
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
+    parser = argparse.ArgumentParser(prog="opkern")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -313,7 +280,7 @@ def build_parser() -> _TrackingParser:
     common(p)
     p.add_argument("--count", "-N", type=int, default=1000, dest="count")
     p.add_argument("--seed", type=seed_arg, default=0)
-    p.add_argument("--format", choices=["csv", "bin"], default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("expand", help="orthonormal expansion of the Gram")
@@ -321,26 +288,40 @@ def build_parser() -> _TrackingParser:
     p.add_argument("--trunc-tol", type=float, default=1e-12, dest="trunc_tol")
     p.set_defaults(func=cmd_expand)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv; a --config file's keys become the subcommand's defaults,
+    so argparse converts them with each option's type and flags win."""
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        config = load_config(args.config)
+        unknown = sorted(set(config) - (set(vars(args)) - RESERVED))
+        if unknown:
+            raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+        commands[args.command].set_defaults(**config)
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand; every failure becomes an exit code, never a
+    traceback."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        _apply_config(args)
+        args = _parse(argv)
         if args.kernel is None:
             raise UsageError("--kernel is required")
         if args.command not in ("spectrum",) and args.sites is None:
             raise UsageError("--sites is required")
         return args.func(args)
-    except (UsageError, KernelSpecError) as exc:
+    except SystemExit as exc:  # argparse has printed its message
+        return EXIT_USAGE if exc.code else EXIT_OK
+    except (UsageError, KernelSpecError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except gram_mod.GramError as exc:
+    except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

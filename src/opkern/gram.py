@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import OperatorKernel, as_site
+from .kernels import OperatorKernel, as_sites
 
 __all__ = [
     "GramError",
@@ -22,6 +22,7 @@ __all__ = [
     "spectral_decay_profile",
     "gram_to_csv",
     "spectrum_to_json_dict",
+    "report_to_json_dict",
 ]
 
 DEFAULT_SIZE_CAP = 5000
@@ -88,7 +89,7 @@ class BlockGram:
 
     n: int
     d: int
-    sites: list[np.ndarray]
+    sites: np.ndarray  # (n, k): row i is site s_i
     data: np.ndarray
     factor: np.ndarray | None = None
     jitter_used: float = 0.0
@@ -108,25 +109,21 @@ def assemble_gram(
 ) -> BlockGram:
     """Assemble the block Gram matrix of a square kernel on the given sites.
 
-    The result is symmetrized by averaging to kill roundoff asymmetry.
+    All sites must have the same number of coordinates.  The result is
+    symmetrized by averaging to kill roundoff asymmetry.
     """
     if not kernel.is_square:
         raise GramError("block Gram requires a square kernel")
-    site_list = [as_site(s) for s in sites]
-    if not site_list:
+    sites = list(sites)
+    if not sites:
         raise GramError("site list must be nonempty")
-    n, d = len(site_list), kernel.dim_h
+    n, d = len(sites), kernel.dim_h
     if n * d > size_cap:
         raise GramError(f"Gram size {n * d} exceeds cap {size_cap}")
-    G = np.empty((n * d, n * d))
-    for i, si in enumerate(site_list):
-        for j in range(i, n):
-            blk = kernel.eval(si, site_list[j])
-            G[i * d : (i + 1) * d, j * d : (j + 1) * d] = blk
-            if j != i:
-                G[j * d : (j + 1) * d, i * d : (i + 1) * d] = blk.T
+    S = as_sites(sites)
+    G = kernel.blocks(S, S).transpose(0, 2, 1, 3).reshape(n * d, n * d)
     G = 0.5 * (G + G.T)
-    return BlockGram(n=n, d=d, sites=site_list, data=G)
+    return BlockGram(n=n, d=d, sites=S, data=G)
 
 
 def psd_check(gram: BlockGram) -> SpectrumReport:
@@ -187,13 +184,13 @@ def spectral_decay_profile(
         raise GramError("site counts must be positive")
     if sorted(counts) != counts:
         raise GramError("site_counts must be increasing")
+    if counts[-1] * kernel.dim_h > DEFAULT_SIZE_CAP:
+        raise GramError(f"Gram size exceeds cap {DEFAULT_SIZE_CAP}")
     a, b = float(domain[0]), float(domain[1])
-    reports = []
-    for c in counts:
-        grid = np.linspace(a, b, c)
-        g = assemble_gram(kernel, [np.array([x]) for x in grid])
-        reports.append(psd_check(g))
-    return reports
+    return [
+        psd_check(assemble_gram(kernel, np.linspace(a, b, c)[:, None]))
+        for c in counts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +212,18 @@ def gram_to_csv(gram: BlockGram, path) -> None:
 def spectrum_to_json_dict(gram: BlockGram) -> dict:
     """JSON-ready spectrum report for a Gram (runs psd_check if needed)."""
     report = gram.spectrum or psd_check(gram)
+    return report_to_json_dict(report, gram.sites, gram.d, gram.jitter_used)
+
+
+def report_to_json_dict(
+    report: SpectrumReport, sites, d: int, jitter_used: float = 0.0
+) -> dict:
+    """JSON-ready spectrum report of the Gram of a d x d kernel on sites."""
     return {
-        "n": gram.n,
-        "d": gram.d,
-        "sites": [list(map(float, s)) for s in gram.sites],
-        "jitter_used": gram.jitter_used,
+        "n": len(sites),
+        "d": d,
+        "sites": [list(map(float, s)) for s in sites],
+        "jitter_used": jitter_used,
         "eigenvalues": [float(v) for v in report.eigenvalues],
         "min_eig": report.min_eig,
         "psd": report.psd,

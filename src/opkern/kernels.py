@@ -4,14 +4,15 @@ increments, and the two-space diagnostic form).
 
 Sites are 1-D float arrays of domain coordinates; vectors in the ambient
 space H are 1-D float arrays of length ``d``; operator values are dense
-``d_out x d_in`` float matrices.  All scalars are real.
+``d_out x d_in`` float matrices.  All scalars are real.  Every spec is a
+closed form in r = |s-t|: its ``values(r2)`` maps an array of squared
+distances to the operator values, shape ``r2.shape + (d_out, d_in)``.
 """
 
 from __future__ import annotations
 
-import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "render_spec",
     "make_kernel",
     "as_site",
+    "as_sites",
     "as_hvec",
     "evaluate",
     "induced_scalar",
@@ -80,12 +82,15 @@ def as_hvec(a, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _site_distance(s: np.ndarray, t: np.ndarray) -> float:
-    if s.shape != t.shape:
-        raise ValueError(
-            f"site dimension mismatch: {s.shape[0]} vs {t.shape[0]}"
-        )
-    return float(np.linalg.norm(s - t))
+def as_sites(sites) -> np.ndarray:
+    """Stack a sequence of sites into an (n, k) array; all must have k coords."""
+    rows = [as_site(s) for s in sites]
+    for row in rows[1:]:
+        if row.size != rows[0].size:
+            raise ValueError(
+                f"site dimension mismatch: {rows[0].size} vs {row.size}"
+            )
+    return np.stack(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +119,10 @@ class GaussianSpec:
     def dim_h(self) -> int:
         return self.dim
 
+    def values(self, r2: np.ndarray) -> np.ndarray:
+        val = self.sigma**2 * np.exp(-r2 / (2.0 * self.ell**2))
+        return val[..., None, None] * np.eye(self.dim)
+
     def render(self) -> str:
         return (
             f"gauss(dim={self.dim},ell={_fmt(self.ell)},"
@@ -130,6 +139,13 @@ class DiagExp3Spec:
     @property
     def dim_h(self) -> int:
         return 3
+
+    def values(self, r2: np.ndarray) -> np.ndarray:
+        out = np.zeros(np.shape(r2) + (3, 3))
+        out[..., 0, 0] = 1.0
+        out[..., 1, 1] = np.exp(-np.sqrt(r2))
+        out[..., 2, 2] = np.exp(-r2)
+        return out
 
     def render(self) -> str:
         return "diagexp3"
@@ -151,6 +167,11 @@ class Rational2Spec:
     @property
     def dim_h(self) -> int:
         return 2
+
+    def values(self, r2: np.ndarray) -> np.ndarray:
+        f = 1.0 / (1.0 + np.sqrt(r2))
+        g = 1.0 / (1.0 + r2)
+        return np.stack([np.stack([f, g], -1), np.stack([g, f], -1)], -2)
 
     def render(self) -> str:
         return "rational2"
@@ -184,13 +205,20 @@ class SeparableSpec:
     def dim_h(self) -> int:
         return len(self.B)
 
+    def values(self, r2: np.ndarray) -> np.ndarray:
+        return self.base.values(r2) * np.asarray(self.B, dtype=float)
+
     def render(self) -> str:
         return f"separable(B={_fmt_matrix(self.B)},base={self.base.render()})"
 
 
 @dataclass(frozen=True)
 class NormalizedSpec:
-    """C(s)^(-1/2) K(s,t) C(t)^(-1/2) with C(s) = K(s,s) of the inner kernel."""
+    """C^(-1/2) K(s,t) C^(-1/2) with C = K(s,s) of the inner kernel.
+
+    Every builtin inner kernel is a function of |s-t|, so K(s,s) is the same
+    at every site: C^(-1/2) is computed once, at distance 0, and cached.
+    """
 
     inner: "KernelSpec"
 
@@ -203,6 +231,18 @@ class NormalizedSpec:
     @property
     def dim_h(self) -> int:
         return self.inner.dim_h
+
+    @cached_property
+    def _inv_sqrt(self) -> np.ndarray:
+        C = self.inner.values(np.zeros(()))
+        eigval, eigvec = np.linalg.eigh(0.5 * (C + C.T))
+        if eigval.min() < 1e-12 * max(eigval.max(), 0.0) or eigval.max() <= 0:
+            raise ValueError("normalized kernel: K(s,s) not invertible")
+        return (eigvec / np.sqrt(eigval)) @ eigvec.T
+
+    def values(self, r2: np.ndarray) -> np.ndarray:
+        W = self._inv_sqrt
+        return W @ self.inner.values(r2) @ W
 
     def render(self) -> str:
         return f"normalized(inner={self.inner.render()})"
@@ -240,6 +280,9 @@ class TwoSpaceSpec:
     def dim_h(self) -> int:
         # rectangular kernels report the output-space dimension
         return self.d2
+
+    def values(self, r2: np.ndarray) -> np.ndarray:
+        return self.base.values(r2) * np.asarray(self.M, dtype=float)
 
     def render(self) -> str:
         return (
@@ -467,9 +510,10 @@ def render_spec(spec: KernelSpec) -> str:
 class OperatorKernel:
     """Evaluable form of a KernelSpec.
 
-    Evaluation is pure and symmetric (eval(s,t) == eval(t,s)^T) for every
-    square builtin variant.  The only interior mutation is the normalized
-    variant's per-site memo of C(s)^(-1/2), guarded by a lock.
+    Every value comes from one path: ``blocks`` forms the pairwise squared
+    distances of two site arrays and the spec turns them into all blocks at
+    once; ``eval`` is its one-pair case.  Evaluation is pure and symmetric
+    (eval(s,t) == eval(t,s)^T) for every square builtin variant.
     """
 
     def __init__(self, spec: KernelSpec):
@@ -479,14 +523,6 @@ class OperatorKernel:
             self.dim_out, self.dim_in = spec.d2, spec.d1
         else:
             self.dim_out = self.dim_in = spec.dim_h
-        self._inner: OperatorKernel | None = None
-        self._base: OperatorKernel | None = None
-        if isinstance(spec, NormalizedSpec):
-            self._inner = OperatorKernel(spec.inner)
-            self._memo: dict[bytes, np.ndarray] = {}
-            self._lock = threading.Lock()
-        if isinstance(spec, (SeparableSpec, TwoSpaceSpec)):
-            self._base = OperatorKernel(spec.base)
 
     @property
     def is_square(self) -> bool:
@@ -495,49 +531,18 @@ class OperatorKernel:
     def __call__(self, s, t) -> np.ndarray:
         return self.eval(as_site(s), as_site(t))
 
-    def eval(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        if isinstance(spec, GaussianSpec):
-            r2 = float(np.sum((s - t) ** 2))
-            val = spec.sigma**2 * math.exp(-r2 / (2.0 * spec.ell**2))
-            return val * np.eye(spec.dim)
-        if isinstance(spec, DiagExp3Spec):
-            r = _site_distance(s, t)
-            return np.diag([1.0, math.exp(-r), math.exp(-r * r)])
-        if isinstance(spec, Rational2Spec):
-            r = _site_distance(s, t)
-            f = 1.0 / (1.0 + r)
-            g = 1.0 / (1.0 + r * r)
-            return np.array([[f, g], [g, f]])
-        if isinstance(spec, SeparableSpec):
-            scalar = float(self._base.eval(s, t)[0, 0])
-            return scalar * np.asarray(spec.B, dtype=float)
-        if isinstance(spec, NormalizedSpec):
-            ws = self._inv_sqrt_at(s)
-            wt = self._inv_sqrt_at(t)
-            return ws @ self._inner.eval(s, t) @ wt
-        if isinstance(spec, TwoSpaceSpec):
-            scalar = float(self._base.eval(s, t)[0, 0])
-            return scalar * np.asarray(spec.M, dtype=float)
-        raise TypeError(f"unknown spec type {type(spec)!r}")
-
-    def _inv_sqrt_at(self, s: np.ndarray) -> np.ndarray:
-        key = s.tobytes()
-        with self._lock:
-            cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        C = self._inner.eval(s, s)
-        C = 0.5 * (C + C.T)
-        eigval, eigvec = np.linalg.eigh(C)
-        if eigval.min() < 1e-12 * max(eigval.max(), 0.0) or eigval.max() <= 0:
+    def blocks(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """K(S[i], T[j]) for (n, k) and (m, k) site arrays, shape
+        (n, m, dim_out, dim_in)."""
+        if S.shape[1] != T.shape[1]:
             raise ValueError(
-                f"normalized kernel: K(s,s) not invertible at site {s.tolist()}"
+                f"site dimension mismatch: {S.shape[1]} vs {T.shape[1]}"
             )
-        W = (eigvec / np.sqrt(eigval)) @ eigvec.T
-        with self._lock:
-            self._memo[key] = W
-        return W
+        diff = S[:, None, :] - T[None, :, :]
+        return self.spec.values(np.einsum("ijk,ijk->ij", diff, diff))
+
+    def eval(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return self.blocks(s[None], t[None])[0, 0]
 
 
 def make_kernel(spec_or_text) -> OperatorKernel:

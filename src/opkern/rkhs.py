@@ -49,7 +49,7 @@ class RkhsContext:
     """A frozen (kernel, sites) pair with its PSD-certified Gram."""
 
     kernel: OperatorKernel
-    sites: list[np.ndarray]
+    sites: np.ndarray  # (n, k): row i is site s_i
     gram: BlockGram
     null_tol: float = DEFAULT_NULL_TOL
 
@@ -198,11 +198,8 @@ def evaluate_element(x: RkhsElement, t, a) -> float:
     """Pointwise evaluation sum_j a^T K(t, s_j) c_j; t may be off-grid."""
     ctx = x.context
     a = as_hvec(a, ctx.d)
-    t = as_site(t)
-    total = 0.0
-    for j, sj in enumerate(ctx.sites):
-        total += float(a @ ctx.kernel.eval(t, sj) @ x.block(j))
-    return total
+    K = ctx.kernel.blocks(as_site(t)[None], ctx.sites)[0]
+    return float(a @ np.einsum("jab,jb->a", K, x.coeffs.reshape(ctx.n, ctx.d)))
 
 
 def feature_embed(ctx: RkhsContext, i: int, a) -> RkhsElement:
@@ -373,18 +370,9 @@ def verify_identities(
 
     # Structural check against fresh kernel evaluations: catches injected
     # Gram corruption that every G-internal identity would miss.
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            worst = max(
-                worst,
-                float(
-                    np.abs(
-                        ctx.gram.block(i, j) - kernel.eval(ctx.sites[i], ctx.sites[j])
-                    ).max()
-                ),
-            )
-    record("factorization_consistency", worst / scale)
+    blocks = G.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+    drift = np.abs(blocks - kernel.blocks(ctx.sites, ctx.sites)).max()
+    record("factorization_consistency", float(drift) / scale)
 
     normalized = _is_normalized(ctx)
     for i in range(n):
@@ -393,18 +381,13 @@ def verify_identities(
         sym_defect = float(np.abs(Sigma - Sigma.T).max()) / scale
         neg = max(0.0, -float(lam.min())) / max(float(lam.max()), 1.0)
         record("covariance_selfadjoint_psd", max(sym_defect, neg))
-        # factorization: G block (i,j) = V_i^* V_j on the basis
-        for j in range(n):
-            basis_img = np.column_stack(
-                [
-                    feature_adjoint(ctx, i, feature_embed(ctx, j, e))
-                    for e in np.eye(d)
-                ]
-            )
-            record(
-                "factorization",
-                float(np.abs(basis_img - ctx.gram.block(i, j)).max()) / scale,
-            )
+
+    # factorization: V_i^* V_j e is block i of G (e_j (x) e), so the image of
+    # one basis section under every V_i^* is a column of G
+    for j in range(n):
+        for k, e in enumerate(np.eye(d)):
+            img = G @ feature_embed(ctx, j, e).coeffs
+            record("factorization", float(np.abs(img - G[:, j * d + k]).max()) / scale)
 
     op_norms = [
         float(np.linalg.eigvalsh(covariance(ctx, i)).max()) for i in range(n)

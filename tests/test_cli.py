@@ -5,7 +5,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from opkern.cli import main, parse_sites
+from opkern import gram as gram_mod
+from opkern.cli import UsageError, main, parse_sites
 from opkern.gram import assemble_gram, gram_to_csv
 from opkern.kernels import make_kernel
 
@@ -33,6 +34,13 @@ class TestParseSites:
     def test_inline_vectors(self):
         sites = parse_sites("[[0,1],[2,3]]")
         assert sites[0].shape == (2,)
+
+    @pytest.mark.parametrize(
+        "text", ["[[0],[1,2]]", "grid(0,1,x)", "grid(a,1,3)", "grid(0,1,2.5)", "grid(0,1,6000)", "[NaN]"]
+    )
+    def test_bad_sites_usage_error(self, text):
+        with pytest.raises(UsageError):
+            parse_sites(text)
 
 
 class TestGramCommand:
@@ -63,6 +71,18 @@ class TestGramCommand:
     def test_flags_without_effect_rejected(self, tmp_path, flag):
         args = ["gram", "--kernel", "diagexp3", "--sites", "grid(0,1,2)"]
         assert main(args + flag + ["--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("sites", ["grid(0,1,x)", "[[0],[1,2]]"])
+    def test_bad_sites_exit_one(self, tmp_path, sites, capsys):
+        args = ["gram", "--kernel", "gauss(sigma=1,ell=1)", "--sites", sites]
+        assert main(args + ["--out", str(tmp_path)]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_singular_normalized_exit_two(self, tmp_path, capsys):
+        kernel = "normalized(inner=separable(B=[[1,0],[0,0]],base=gauss(sigma=1,ell=1)))"
+        args = ["gram", "--kernel", kernel, "--sites", "[0,1]", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "not invertible" in capsys.readouterr().err
 
     def test_raw_non_psd_exit_two(self, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -103,6 +123,19 @@ class TestSpectrumCommand:
             payload = validate(tmp_path / f"spectrum_{count}.json", "spectrum.json")
             ev = payload["eigenvalues"]
             assert all(a >= b for a, b in zip(ev, ev[1:]))
+
+    def test_each_gram_assembled_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = gram_mod.assemble_gram
+        monkeypatch.setattr(
+            gram_mod, "assemble_gram", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        args = ["spectrum", "--kernel", "diagexp3", "--counts", "5,10,20"]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        assert len(calls) == 3
+        payload = validate(tmp_path / "spectrum_10.json", "spectrum.json")
+        assert payload["n"] == 10 and payload["d"] == 3
+        assert payload["sites"][-1] == [1.0]
 
     def test_empty_counts(self, tmp_path):
         code = main(
@@ -346,6 +379,36 @@ class TestConfigFile:
         assert code == 0
         assert (out / "gram.csv").exists()
         assert not (tmp_path / "should_not_be_used").exists()
+
+    SAMPLE = ["sample", "--kernel", "gauss(sigma=1,ell=1)", "--sites", "grid(0,1,2)"]
+
+    def test_config_seed_goes_through_its_type(self, tmp_path, capsys):
+        conf = tmp_path / "job.conf"
+        conf.write_text("seed = -1\n")
+        args = ["verify", "--kernel", "diagexp3", "--sites", "grid(0,1,3)", "--trials", "3"]
+        assert main(args + ["--config", str(conf), "--out", str(tmp_path)]) == 1
+        assert "seed" in capsys.readouterr().err
+
+    def test_config_format_checked(self, tmp_path):
+        conf = tmp_path / "job.conf"
+        conf.write_text("format = json\n")
+        args = self.SAMPLE + ["-N", "10", "--config", str(conf), "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert not (tmp_path / "batch.bin").exists()
+
+    def test_short_flag_wins_over_config(self, tmp_path):
+        conf = tmp_path / "job.conf"
+        conf.write_text("count = 7\n")
+        args = self.SAMPLE + ["-N", "3000", "--config", str(conf), "--out", str(tmp_path)]
+        main(args)
+        assert validate(tmp_path / "cov_report.json", "cov_report.json")["count"] == 3000
+
+    @pytest.mark.parametrize("key", ["func", "command", "nonsense"])
+    def test_unknown_config_key(self, tmp_path, key):
+        conf = tmp_path / "job.conf"
+        conf.write_text(f"{key} = 1\n")
+        args = self.SAMPLE + ["--config", str(conf), "--out", str(tmp_path)]
+        assert main(args) == 1
 
 
 class TestDeterminism:
