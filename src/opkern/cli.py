@@ -95,8 +95,9 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-def load_raw_matrix(path: str) -> np.ndarray:
-    """Square matrix from CSV; rows starting with '#' are skipped."""
+def load_raw_matrix(path: str, size: int) -> np.ndarray:
+    """size x size matrix from CSV, averaged with its transpose so that it
+    is exactly symmetric; rows starting with '#' are skipped."""
     rows = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -108,7 +109,10 @@ def load_raw_matrix(path: str) -> np.ndarray:
                 raise UsageError(f"raw matrix in {path}: {exc}") from None
     if not rows or any(len(r) != len(rows) for r in rows):
         raise UsageError(f"raw matrix in {path} is not square")
-    return np.array(rows)
+    raw = np.array(rows)
+    if raw.shape != (size, size):
+        raise UsageError(f"raw matrix shape {raw.shape} != expected {(size, size)}")
+    return 0.5 * (raw + raw.T)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -121,12 +125,7 @@ def _build_gram(args):
     sites = parse_sites(args.sites)
     g = gram_mod.assemble_gram(kernel, sites)
     if args.raw:
-        raw = load_raw_matrix(args.raw)
-        if raw.shape != g.data.shape:
-            raise UsageError(
-                f"raw matrix shape {raw.shape} != expected {g.data.shape}"
-            )
-        g.data = 0.5 * (raw + raw.T)
+        g.data = load_raw_matrix(args.raw, g.size)
     return kernel, sites, g
 
 
@@ -167,7 +166,7 @@ def cmd_verify(args) -> int:
         raise UsageError("--trials must be >= 1")
     kernel = make_kernel(args.kernel)
     sites = parse_sites(args.sites)
-    raw = load_raw_matrix(args.raw) if args.raw else None
+    raw = load_raw_matrix(args.raw, len(sites) * kernel.dim_h) if args.raw else None
     ctx = rkhs_mod.make_context(kernel, sites, raw_data=raw)
     report = rkhs_mod.verify_identities(ctx, trials=args.trials, seed=args.seed)
     out = Path(args.out)
@@ -220,30 +219,27 @@ def cmd_expand(args) -> int:
     if not (0.0 < args.trunc_tol < 1.0):
         raise UsageError("--trunc-tol must lie in (0, 1)")
     ctx = rkhs_mod.make_context(make_kernel(args.kernel), parse_sites(args.sites))
-    basis = rkhs_mod.onb_expansion(ctx, args.trunc_tol)
+    C = np.array([el.coeffs for el in rkhs_mod.onb_expansion(ctx, args.trunc_tol)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "onb.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["# basis", len(basis), "n", ctx.n, "d", ctx.d])
-        for el in basis:
-            writer.writerow([repr(float(v)) for v in el.coeffs])
+        writer.writerow(["# basis", len(C), "n", ctx.n, "d", ctx.d])
+        for row in C:
+            writer.writerow([repr(float(v)) for v in row])
     # reconstruction error of the induced scalar kernel on grid pairs
     G = ctx.gram.data
-    recon = np.zeros_like(G)
-    for el in basis:
-        vals = G @ el.coeffs
-        recon += np.outer(vals, vals)
-    err = float(np.abs(recon - G).max())
+    V = G @ C.T
+    err = float(np.abs(V @ V.T - G).max())
     _write_json(
         out / "reconstruction.json",
         {
-            "basis_size": len(basis),
+            "basis_size": len(C),
             "trunc_tol": args.trunc_tol,
             "max_error": err,
         },
     )
-    print(f"expand: basis={len(basis)} reconstruction_error={err:.3e}")
+    print(f"expand: basis={len(C)} reconstruction_error={err:.3e}")
     return EXIT_OK
 
 

@@ -4,8 +4,7 @@ ladder, and spectral-decay diagnostics, plus CSV/JSON export."""
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,8 @@ class IndefiniteMatrixError(GramError):
 
 @dataclass
 class SpectrumReport:
-    """Full symmetric spectrum of a Gram matrix plus decay diagnostics."""
+    """Full symmetric eigendecomposition of a Gram matrix plus decay
+    diagnostics; the one decomposition every spectral consumer reads."""
 
     eigenvalues: np.ndarray  # sorted nonincreasing
     lambda_max: float
@@ -49,13 +49,16 @@ class SpectrumReport:
     psd: bool
     effective_rank: dict[float, int]
     trace: float
+    eigenvectors: np.ndarray  # column k belongs to eigenvalues[k]
 
     @classmethod
     def from_matrix(cls, data: np.ndarray) -> "SpectrumReport":
         if not np.all(np.isfinite(data)):
             raise GramError("matrix has non-finite entries")
-        eig = np.linalg.eigvalsh(0.5 * (data + data.T))
-        eig = np.sort(eig)[::-1]
+        if not np.array_equal(data, data.T):
+            raise GramError("matrix is not symmetric")
+        eig, vecs = np.linalg.eigh(data)  # ascending
+        eig, vecs = eig[::-1], vecs[:, ::-1]
         lam_max = float(eig[0])
         min_eig = float(eig[-1])
         psd = min_eig >= -PSD_EIG_TOL * max(lam_max, 1.0)
@@ -63,7 +66,7 @@ class SpectrumReport:
         eff = {
             tol: effective_rank(eig, tol, trace) for tol in EFFECTIVE_RANK_TOLS
         }
-        return cls(eig, lam_max, min_eig, psd, eff, trace)
+        return cls(eig, lam_max, min_eig, psd, eff, trace, vecs)
 
 
 def effective_rank(eigenvalues: np.ndarray, tol: float, trace=None) -> int:
@@ -110,7 +113,8 @@ def assemble_gram(
     """Assemble the block Gram matrix of a square kernel on the given sites.
 
     All sites must have the same number of coordinates.  The result is
-    symmetrized by averaging to kill roundoff asymmetry.
+    symmetrized by averaging with its transpose, so it is exactly symmetric
+    as ``psd_check`` requires.
     """
     if not kernel.is_square:
         raise GramError("block Gram requires a square kernel")
@@ -127,7 +131,10 @@ def assemble_gram(
 
 
 def psd_check(gram: BlockGram) -> SpectrumReport:
-    """Full eigendecomposition with a relative PSD certificate; cached."""
+    """Full eigendecomposition with a relative PSD certificate; cached.
+
+    The data must be exactly symmetric; the eigenpairs are kept on the
+    report for the orthonormal expansion."""
     report = SpectrumReport.from_matrix(gram.data)
     gram.spectrum = report
     return report
@@ -153,14 +160,17 @@ def factorize(gram: BlockGram) -> BlockGram:
     """
     G = gram.data
     scale = 1.0 + float(np.abs(G).max())
-    eye = np.eye(gram.size)
     for eps in _jitter_ladder(gram):
-        target = G + eps * eye
+        target = G + 0.0  # G + eps*I entry for entry (-0.0 too), no nd x nd eye
+        target.flat[:: gram.size + 1] += eps
         try:
             L = np.linalg.cholesky(target)
         except np.linalg.LinAlgError:
             continue
-        if float(np.abs(L @ L.T - target).max()) <= RECON_TOL * scale:
+        R = L @ L.T
+        R -= target
+        np.abs(R, out=R)
+        if float(R.max()) <= RECON_TOL * scale:
             gram.factor = L
             gram.jitter_used = eps
             return gram

@@ -11,8 +11,7 @@ identity-verification suite.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -265,25 +264,22 @@ def chain_apply(fam: TransformFamily, indices, x: RkhsElement) -> RkhsElement:
 
 
 def onb_expansion(ctx: RkhsContext, trunc_tol: float) -> list[RkhsElement]:
-    """G-orthonormal basis elements from the Gram eigenpairs.
+    """G-orthonormal basis elements from the Gram eigenpairs of psd_check.
 
     Eigenpairs (lam, u) with lam > trunc_tol * lam_max yield elements with
     coefficients u / sqrt(lam); the pointwise products of the returned
     family reproduce the induced scalar kernel on grid pairs up to the
-    truncated tail.
+    truncated tail.  The elements are the rows of one (k, nd) array.
     """
     report = ctx.gram.spectrum or psd_check(ctx.gram)
-    lam_max = report.lambda_max
-    eigval, eigvec = np.linalg.eigh(ctx.gram.data)
-    order = np.argsort(eigval)[::-1]
-    basis = []
-    for k in order:
-        lam = eigval[k]
-        if lam > trunc_tol * lam_max:
-            basis.append(RkhsElement(ctx, eigvec[:, k] / np.sqrt(lam)))
-    if not basis:
+    lam = report.eigenvalues  # nonincreasing, so the kept pairs lead
+    k = int(np.count_nonzero(lam > trunc_tol * report.lambda_max))
+    if k == 0:
         raise ValueError("expansion is empty: all eigenvalues truncated")
-    return basis
+    coeffs = np.divide(
+        report.eigenvectors[:, :k].T, np.sqrt(lam[:k])[:, None], order="C"
+    )
+    return [RkhsElement(ctx, row) for row in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +330,6 @@ def _dense_w_projection(fam: TransformFamily, i: int) -> np.ndarray:
     return S.T @ (B @ B.T) @ S @ ctx.gram.data
 
 
-def _is_normalized(ctx: RkhsContext, tol: float = 1e-10) -> bool:
-    eye = np.eye(ctx.d)
-    return all(
-        float(np.abs(ctx.gram.block(i, i) - eye).max()) <= tol
-        for i in range(ctx.n)
-    )
-
-
 def verify_identities(
     ctx: RkhsContext,
     fam: TransformFamily | None = None,
@@ -374,13 +362,16 @@ def verify_identities(
     drift = np.abs(blocks - kernel.blocks(ctx.sites, ctx.sites)).max()
     record("factorization_consistency", float(drift) / scale)
 
-    normalized = _is_normalized(ctx)
-    for i in range(n):
-        Sigma = covariance(ctx, i)
-        lam = np.linalg.eigvalsh(0.5 * (Sigma + Sigma.T))
-        sym_defect = float(np.abs(Sigma - Sigma.T).max()) / scale
-        neg = max(0.0, -float(lam.min())) / max(float(lam.max()), 1.0)
-        record("covariance_selfadjoint_psd", max(sym_defect, neg))
+    # the covariances K(s_i, s_i), decomposed once for the PSD record and
+    # the operator norms
+    cov = blocks[np.arange(n), np.arange(n)]
+    normalized = float(np.abs(cov - np.eye(d)).max()) <= 1e-10
+    lam = np.linalg.eigvalsh(cov)  # ascending per site
+    sym_defect = np.abs(cov - cov.transpose(0, 2, 1)).max(axis=(1, 2)) / scale
+    neg = np.maximum(0.0, -lam[:, 0]) / np.maximum(lam[:, -1], 1.0)
+    record("covariance_selfadjoint_psd", float(np.maximum(sym_defect, neg).max()))
+    op_norms = lam[:, -1].tolist()
+    w_unitary = normalized and fam is not None and fam.is_unitary()
 
     # factorization: V_i^* V_j e is block i of G (e_j (x) e), so the image of
     # one basis section under every V_i^* is a column of G
@@ -388,10 +379,6 @@ def verify_identities(
         for k, e in enumerate(np.eye(d)):
             img = G @ feature_embed(ctx, j, e).coeffs
             record("factorization", float(np.abs(img - G[:, j * d + k]).max()) / scale)
-
-    op_norms = [
-        float(np.linalg.eigvalsh(covariance(ctx, i)).max()) for i in range(n)
-    ]
 
     for _ in range(trials):
         i = int(rng.integers(n))
@@ -471,7 +458,7 @@ def verify_identities(
                 float(np.abs(chained.coeffs - M @ x.coeffs).max())
                 / (1.0 + float(np.abs(M @ x.coeffs).max())),
             )
-            if normalized and fam.is_unitary():
+            if w_unitary:
                 unit = a / np.linalg.norm(a) if np.linalg.norm(a) > 0 else a
                 wu = transformed_embed(fam, i, unit)
                 record(

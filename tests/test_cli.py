@@ -102,6 +102,23 @@ class TestGramCommand:
         )
         assert code == 2
 
+    def test_raw_symmetrized_exactly(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("1.0,0.5,0.1\n0.4,1.0,0.2\n0.1,0.2,1.0\n")
+        args = ["gram", "--kernel", "gauss(sigma=1,ell=1)", "--sites", "[0,1,2]"]
+        assert main(args + ["--raw", str(raw), "--out", str(tmp_path)]) == 0
+        data = np.loadtxt(tmp_path / "gram.csv", delimiter=",", comments="#")
+        assert data[0, 1] == 0.45
+        assert np.array_equal(data, data.T)
+
+    @pytest.mark.parametrize("command", ["gram", "verify"])
+    def test_raw_wrong_shape_usage_error(self, tmp_path, command, capsys):
+        raw = tmp_path / "raw.csv"
+        np.savetxt(raw, np.eye(3), delimiter=",")
+        args = [command, "--kernel", "gauss(sigma=1,ell=1)", "--sites", "[0,1]"]
+        assert main(args + ["--raw", str(raw), "--out", str(tmp_path)]) == 1
+        assert "raw matrix shape (3, 3) != expected (2, 2)" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     def test_three_reports(self, tmp_path):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opkern.gram import (
     BlockGram,
@@ -37,6 +39,21 @@ def raw_gram(data):
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
     return BlockGram(n=n, d=1, sites=[np.array([float(i)]) for i in range(n)], data=data)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Exactly symmetric n x n matrices, n in 1-12, scaled by 1e-3 to 1e3:
+    PSD of any rank (X X^T) or indefinite (A + A^T)."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        X = rng.standard_normal((n, draw(st.integers(1, n))))
+        A = X @ X.T
+    else:
+        A = rng.standard_normal((n, n))
+    return scale * 0.5 * (A + A.T)
 
 
 class TestAssemble:
@@ -114,6 +131,25 @@ class TestPsdCheck:
         with pytest.raises(GramError, match="non-finite"):
             psd_check(raw_gram([[np.nan]]))
 
+    @pytest.mark.parametrize("off", [0.4, np.nextafter(0.5, 1.0)])
+    def test_asymmetric_rejected(self, off):
+        with pytest.raises(GramError, match="not symmetric"):
+            psd_check(raw_gram([[1.0, 0.5], [off, 1.0]]))
+
+    @given(data=symmetric_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_eigenpairs_match_oracle(self, data):
+        report = psd_check(raw_gram(data))
+        oracle = np.linalg.eigvalsh(data)[::-1]
+        big = max(float(np.abs(oracle).max()), 1.0)
+        assert np.all(np.diff(report.eigenvalues) <= 0.0)
+        assert np.abs(report.eigenvalues - oracle).max() <= 1e-12 * big
+        V = report.eigenvectors
+        assert V.shape == data.shape
+        diag = V.T @ data @ V
+        assert np.abs(diag - np.diag(report.eigenvalues)).max() <= 1e-10 * big
+        assert np.abs(V.T @ V - np.eye(len(data))).max() <= 1e-10
+
 
 class TestFactorize:
     def test_identity(self):
@@ -134,6 +170,25 @@ class TestFactorize:
     def test_indefinite_raises(self):
         with pytest.raises(IndefiniteMatrixError):
             factorize(raw_gram([[0.0, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "data", [[[1.0, -0.0], [-0.0, 2.0]], np.ones((3, 3)), [[4.0, 2.0], [2.0, 1.0]]]
+    )
+    def test_factor_is_cholesky_of_jittered_gram(self, data):
+        # bitwise, signed zeros included: sampled paths depend on every bit
+        g = factorize(raw_gram(data))
+        ref = np.linalg.cholesky(g.data + g.jitter_used * np.eye(g.size))
+        assert np.array_equal(g.factor, ref)
+        assert np.array_equal(np.signbit(g.factor), np.signbit(ref))
+
+    def test_wrong_factor_rejected(self, monkeypatch):
+        # the residual check guards against a factor LAPACK got wrong: a
+        # factor 0.9x too small leaves |L L^T - G| = 0.19 G on every rung
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: 0.9 * cholesky(a))
+        g = assemble_gram(make_kernel(GAUSS1), [[0.0], [1.0], [2.5]])
+        with pytest.raises(IndefiniteMatrixError):
+            factorize(g)
 
     def test_reconstruction_invariant(self):
         rng = np.random.default_rng(5)

@@ -1,11 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from opkern.gram import assemble_gram
+from opkern.gram import assemble_gram, factorize
 from opkern.kernels import make_kernel
 from opkern.rkhs import (
+    RkhsContext,
     RkhsElement,
     TransformFamily,
     chain_apply,
@@ -63,6 +65,13 @@ class TestContext:
         k = make_kernel(GAUSS1)
         with pytest.raises(ValueError, match="not PSD"):
             make_context(k, [[0], [1]], raw_data=[[0.0, 1.0], [1.0, 0.0]])
+
+    def test_raw_data_symmetrized_exactly(self):
+        k = make_kernel(GAUSS1)
+        raw = assemble_gram(k, [[0], [1], [2]]).data.copy()
+        raw[0, 1] += 1e-3
+        ctx = make_context(k, [[0], [1], [2]], raw_data=raw)
+        assert np.array_equal(ctx.gram.data, ctx.gram.data.T)
 
     def test_element_equality_mod_null_space(self):
         # rank-deficient Gram: duplicated site makes sections (0,a), (1,a)
@@ -305,6 +314,34 @@ class TestOnbExpansion:
         gram_of_basis = U.T @ G @ U
         assert np.abs(gram_of_basis - np.eye(len(basis))).max() <= 1e-10
 
+    def test_one_decomposition_per_gram(self, monkeypatch):
+        # make_context -> factorize -> onb_expansion decomposes the nd x nd
+        # Gram once: psd_check's eigh serves the certificate and the basis
+        sites = np.linspace(0.0, 6.0, 12)[:, None]
+        k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
+        nd = 24
+        calls = Counter()
+        for name in ("eigh", "eigvalsh", "cholesky"):
+
+            def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
+                if np.shape(a) == (nd, nd):
+                    calls[_name] += 1
+                return _fn(a, *args, **kw)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        ctx = make_context(k, sites)
+        factorize(ctx.gram)
+        basis = onb_expansion(ctx, 1e-12)
+        assert ctx.gram.jitter_used == 0.0
+        assert calls == {"eigh": 1, "cholesky": 1}
+        assert len(basis) == nd
+
+    def test_elements_share_one_array(self, norm_ctx):
+        basis = onb_expansion(norm_ctx, 1e-12)
+        rows = basis[0].coeffs.base
+        assert rows is not None and rows.flags.c_contiguous
+        assert all(b.coeffs.base is rows for b in basis)
+
     def test_all_truncated(self, gauss_ctx):
         with pytest.raises(ValueError, match="truncated"):
             onb_expansion(gauss_ctx, 2.0)
@@ -331,6 +368,30 @@ class TestVerifyIdentities:
         assert report.all_pass
         assert "w_isometry" in report.results
         assert "w_projection_idempotent" in report.results
+
+    def test_separable_kernel_all_pass(self):
+        # K(s,s) = B is not a multiple of I, so the norm bound needs the
+        # largest eigenvalue of each covariance, not any other
+        k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
+        ctx = make_context(k, [[0.0], [0.4], [1.1], [2.0]])
+        report = verify_identities(ctx, trials=60, seed=5)
+        assert report.all_pass
+        assert "norm_bound" in report.results
+
+    def test_covariance_psd_record_matches_per_site_loop(self):
+        # a context built around psd_check, with one indefinite diagonal block
+        k = make_kernel("rational2")
+        g = assemble_gram(k, [[0.0], [1.0], [3.0]])
+        g.data[2:4, 2:4] = [[1.0, 2.0], [2.0, 1.0]]
+        ctx = RkhsContext(kernel=k, sites=g.sites, gram=g)
+        worst = 0.0
+        for i in range(g.n):
+            lam = np.linalg.eigvalsh(g.block(i, i))
+            worst = max(worst, max(0.0, -float(lam.min())) / max(float(lam.max()), 1.0))
+        record = verify_identities(ctx, trials=5, seed=0).results["covariance_selfadjoint_psd"]
+        assert worst == pytest.approx(1.0 / 3.0)
+        assert record["max_residual"] == worst
+        assert not record["pass"]
 
     def test_corrupted_gram_caught(self):
         k = make_kernel(GAUSS1)
