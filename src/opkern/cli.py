@@ -125,7 +125,7 @@ def _build_gram(args):
     sites = parse_sites(args.sites)
     g = gram_mod.assemble_gram(kernel, sites)
     if args.raw:
-        g.data = load_raw_matrix(args.raw, g.size)
+        g = g.with_data(load_raw_matrix(args.raw, g.size))
     return kernel, sites, g
 
 
@@ -223,10 +223,8 @@ def cmd_expand(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "onb.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["# basis", len(C), "n", ctx.n, "d", ctx.d])
-        for row in C:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(["# basis", len(C), "n", ctx.n, "d", ctx.d])
+        gram_mod.write_csv_rows(fh, C)
     # reconstruction error of the induced scalar kernel on grid pairs
     G = ctx.gram.data
     V = G @ C.T

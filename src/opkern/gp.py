@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import factorize
+from .gram import factorize, write_csv_rows
 from .rkhs import RkhsContext
 
 __all__ = [
@@ -179,8 +179,7 @@ def covariance_error_report(batch: SampleBatch) -> CovErrorReport:
 def batch_to_csv(batch: SampleBatch, path) -> None:
     """One row per path, n*d columns; header embeds seed and context hash."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+        csv.writer(fh).writerow(
             [
                 "# seed",
                 batch.seed,
@@ -190,8 +189,7 @@ def batch_to_csv(batch: SampleBatch, path) -> None:
                 batch.context.context_hash(),
             ]
         )
-        for row in batch.paths.reshape(batch.count, -1):
-            writer.writerow([repr(float(v)) for v in row])
+        write_csv_rows(fh, batch.paths.reshape(batch.count, -1))
 
 
 def batch_to_binary(batch: SampleBatch, path) -> None:

@@ -19,6 +19,7 @@ __all__ = [
     "psd_check",
     "factorize",
     "spectral_decay_profile",
+    "write_csv_rows",
     "gram_to_csv",
     "spectrum_to_json_dict",
     "report_to_json_dict",
@@ -27,6 +28,7 @@ __all__ = [
 DEFAULT_SIZE_CAP = 5000
 RECON_TOL = 1e-8
 PSD_EIG_TOL = 1e-10
+DRIFT_TOL = 1e-12
 EFFECTIVE_RANK_TOLS = (1e-2, 1e-4, 1e-6, 1e-8)
 
 
@@ -40,8 +42,17 @@ class IndefiniteMatrixError(GramError):
 
 @dataclass
 class SpectrumReport:
-    """Full symmetric eigendecomposition of a Gram matrix plus decay
-    diagnostics; the one decomposition every spectral consumer reads."""
+    """Symmetric eigendecomposition of a Gram matrix plus decay diagnostics;
+    the one decomposition every spectral consumer reads.
+
+    Dense path (``basis`` None): ``eigenvectors`` is (nd, nd) and column k
+    belongs to ``eigenvalues[k]``.  Channel path: ``eigenvectors`` is the
+    (d, n, n) stack of channel eigenvectors, and ``eigenvalues[k]`` belongs
+    to kron(u, basis[:, m]) with u = eigenvectors[m, :, j] and
+    (m, j) = divmod(order[k], n).  ``drift`` bounds the distance of the
+    Gram's eigenvalues from ``eigenvalues`` (Weyl), and the PSD verdict
+    reads ``min_eig - drift``.
+    """
 
     eigenvalues: np.ndarray  # sorted nonincreasing
     lambda_max: float
@@ -49,24 +60,71 @@ class SpectrumReport:
     psd: bool
     effective_rank: dict[float, int]
     trace: float
-    eigenvectors: np.ndarray  # column k belongs to eigenvalues[k]
+    eigenvectors: np.ndarray
+    basis: np.ndarray | None = None
+    order: np.ndarray | None = None
+    drift: float = 0.0
 
     @classmethod
-    def from_matrix(cls, data: np.ndarray) -> "SpectrumReport":
-        if not np.all(np.isfinite(data)):
-            raise GramError("matrix has non-finite entries")
-        if not np.array_equal(data, data.T):
-            raise GramError("matrix is not symmetric")
-        eig, vecs = np.linalg.eigh(data)  # ascending
-        eig, vecs = eig[::-1], vecs[:, ::-1]
+    def _build(cls, eig, vecs, basis=None, order=None, drift=0.0) -> "SpectrumReport":
         lam_max = float(eig[0])
         min_eig = float(eig[-1])
-        psd = min_eig >= -PSD_EIG_TOL * max(lam_max, 1.0)
+        psd = min_eig - drift >= -PSD_EIG_TOL * max(lam_max, 1.0)
         trace = float(eig.sum())
         eff = {
             tol: effective_rank(eig, tol, trace) for tol in EFFECTIVE_RANK_TOLS
         }
-        return cls(eig, lam_max, min_eig, psd, eff, trace, vecs)
+        return cls(eig, lam_max, min_eig, psd, eff, trace, vecs, basis, order, drift)
+
+    @classmethod
+    def from_matrix(cls, data: np.ndarray) -> "SpectrumReport":
+        """One dense eigh of the Gram."""
+        _check_symmetric(data)
+        eig, vecs = np.linalg.eigh(data)  # ascending
+        return cls._build(eig[::-1], vecs[:, ::-1])
+
+    @classmethod
+    def from_channels(
+        cls, data: np.ndarray, channels: np.ndarray, basis: np.ndarray
+    ) -> "SpectrumReport | None":
+        """One stacked eigh of the (d, n, n) channel Grams K_m of a Gram
+        G = sum_m K_m (x) q_m q_m^T, q_m = basis[:, m].
+
+        The certificate is tied to G itself: the Frobenius distance of G
+        from that sum is the drift.  Returns None when the drift exceeds
+        DRIFT_TOL * max(lambda_max, 1), where G is not the channels' sum
+        (rounding in a kernel's dense values can put it there, e.g. a
+        normalized kernel over an ill-conditioned K(s,s)).
+        """
+        _check_symmetric(data)
+        lam, vecs = np.linalg.eigh(channels)  # (d, n) ascending per channel
+        order = np.argsort(-lam.ravel(), kind="stable")
+        eig = lam.ravel()[order]
+        d, n = lam.shape
+        outer = basis.T[:, :, None] * basis.T[:, None, :]  # (m, a, b)
+        R = np.tensordot(channels, outer, (0, 0))  # (i, j, a, b)
+        R -= data.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+        drift = float(np.linalg.norm(R.ravel()))
+        if not drift <= DRIFT_TOL * max(float(eig[0]), 1.0):
+            return None
+        return cls._build(eig, vecs, basis, order, drift)
+
+    def leading_vectors(self, k: int) -> np.ndarray:
+        """(k, nd) rows: the unit eigenvectors of eigenvalues[:k]."""
+        if self.basis is None:
+            return self.eigenvectors[:, :k].T
+        d, n, _ = self.eigenvectors.shape
+        m, j = np.divmod(self.order[:k], n)
+        u = self.eigenvectors[m, :, j]  # (k, n)
+        q = self.basis.T[m]  # (k, d)
+        return (u[:, :, None] * q[:, None, :]).reshape(k, n * d)
+
+
+def _check_symmetric(data: np.ndarray) -> None:
+    if not np.all(np.isfinite(data)):
+        raise GramError("matrix has non-finite entries")
+    if not np.array_equal(data, data.T):
+        raise GramError("matrix is not symmetric")
 
 
 def effective_rank(eigenvalues: np.ndarray, tol: float, trace=None) -> int:
@@ -88,6 +146,9 @@ class BlockGram:
 
     ``factor`` (when present) is lower triangular with
     L L^T = data + jitter_used * I up to the reconstruction tolerance.
+    A kernel Gram with d > 1 also carries its (d, n, n) channel Grams and
+    the kernel's basis Q (see ``kernels``), from which ``psd_check``
+    certifies it; a Gram without them is certified from ``data`` alone.
     """
 
     n: int
@@ -97,6 +158,13 @@ class BlockGram:
     factor: np.ndarray | None = None
     jitter_used: float = 0.0
     spectrum: SpectrumReport | None = None
+    channels: np.ndarray | None = None  # (d, n, n): channel m's scalar Gram
+    basis: np.ndarray | None = None  # (d, d): column m belongs to channel m
+
+    def with_data(self, data: np.ndarray) -> "BlockGram":
+        """A fresh Gram on the same sites holding ``data`` (a raw or
+        injected matrix): no channels, factor or spectrum carry over."""
+        return BlockGram(n=self.n, d=self.d, sites=self.sites, data=data)
 
     def block(self, i: int, j: int) -> np.ndarray:
         d = self.d
@@ -114,7 +182,8 @@ def assemble_gram(
 
     All sites must have the same number of coordinates.  The result is
     symmetrized by averaging with its transpose, so it is exactly symmetric
-    as ``psd_check`` requires.
+    as ``psd_check`` requires.  For d > 1 the channel Grams come from the
+    same squared distances.
     """
     if not kernel.is_square:
         raise GramError("block Gram requires a square kernel")
@@ -125,17 +194,28 @@ def assemble_gram(
     if n * d > size_cap:
         raise GramError(f"Gram size {n * d} exceeds cap {size_cap}")
     S = as_sites(sites)
-    G = kernel.blocks(S, S).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    r2 = kernel.sq_dists(S, S)
+    spec = kernel.spec
+    G = spec.values(r2).transpose(0, 2, 1, 3).reshape(n * d, n * d)
     G = 0.5 * (G + G.T)
-    return BlockGram(n=n, d=d, sites=S, data=G)
+    if d == 1:  # G is its own channel Gram: nothing to split
+        return BlockGram(n=n, d=d, sites=S, data=G)
+    channels = np.ascontiguousarray(np.moveaxis(spec.channels(r2), -1, 0))
+    return BlockGram(n=n, d=d, sites=S, data=G, channels=channels, basis=spec.basis)
 
 
 def psd_check(gram: BlockGram) -> SpectrumReport:
-    """Full eigendecomposition with a relative PSD certificate; cached.
+    """Eigendecomposition with a relative PSD certificate; cached.
 
-    The data must be exactly symmetric; the eigenpairs are kept on the
-    report for the orthonormal expansion."""
-    report = SpectrumReport.from_matrix(gram.data)
+    The data must be exactly symmetric.  A Gram with channel Grams takes
+    d stacked n x n eigensolves; a raw or d = 1 Gram, or one its channels
+    do not reproduce, takes one nd x nd eigensolve (see SpectrumReport).  The
+    eigenpairs are kept on the report for the orthonormal expansion."""
+    report = None
+    if gram.channels is not None:
+        report = SpectrumReport.from_channels(gram.data, gram.channels, gram.basis)
+    if report is None:
+        report = SpectrumReport.from_matrix(gram.data)
     gram.spectrum = report
     return report
 
@@ -207,16 +287,22 @@ def spectral_decay_profile(
 # Export
 
 
+def write_csv_rows(fh, matrix: np.ndarray) -> None:
+    """One CSV line per row of a 2-D float array, each value as repr(float):
+    the bytes csv.writer writes for those strings (none needs quoting),
+    without its per-value calls.  Rows are converted one at a time, so no
+    list of every value is held."""
+    fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in matrix)
+
+
 def gram_to_csv(gram: BlockGram, path) -> None:
     """Row-major CSV with a header row carrying n, d and the site list."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         sites_repr = ";".join(
             ",".join(repr(float(v)) for v in s) for s in gram.sites
         )
-        writer.writerow(["# n", gram.n, "d", gram.d, "sites", sites_repr])
-        for row in gram.data:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(["# n", gram.n, "d", gram.d, "sites", sites_repr])
+        write_csv_rows(fh, gram.data)
 
 
 def spectrum_to_json_dict(gram: BlockGram) -> dict:

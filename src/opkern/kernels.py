@@ -7,6 +7,11 @@ space H are 1-D float arrays of length ``d``; operator values are dense
 ``d_out x d_in`` float matrices.  All scalars are real.  Every spec is a
 closed form in r = |s-t|: its ``values(r2)`` maps an array of squared
 distances to the operator values, shape ``r2.shape + (d_out, d_in)``.
+
+Every square spec is also diagonal in one fixed orthogonal basis Q:
+K(r) = Q diag(k_1(r), ..., k_d(r)) Q^T.  It declares Q in closed form as
+``basis`` (column m belongs to channel m) and the channel values k_m as
+``channels(r2)``, shape ``r2.shape + (d,)``.
 """
 
 from __future__ import annotations
@@ -119,9 +124,16 @@ class GaussianSpec:
     def dim_h(self) -> int:
         return self.dim
 
-    def values(self, r2: np.ndarray) -> np.ndarray:
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return np.eye(self.dim)
+
+    def channels(self, r2: np.ndarray) -> np.ndarray:
         val = self.sigma**2 * np.exp(-r2 / (2.0 * self.ell**2))
-        return val[..., None, None] * np.eye(self.dim)
+        return np.repeat(val[..., None], self.dim, -1)
+
+    def values(self, r2: np.ndarray) -> np.ndarray:
+        return self.channels(r2)[..., None] * np.eye(self.dim)
 
     def render(self) -> str:
         return (
@@ -140,12 +152,17 @@ class DiagExp3Spec:
     def dim_h(self) -> int:
         return 3
 
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return np.eye(3)
+
+    def channels(self, r2: np.ndarray) -> np.ndarray:
+        return np.stack([np.ones(np.shape(r2)), np.exp(-np.sqrt(r2)), np.exp(-r2)], -1)
+
     def values(self, r2: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.shape(r2) + (3, 3))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = np.exp(-np.sqrt(r2))
-        out[..., 2, 2] = np.exp(-r2)
-        return out
+        # every channel value is finite and >= 0, so the products with the
+        # identity are exactly the channel values and exact zeros
+        return self.channels(r2)[..., None] * np.eye(3)
 
     def render(self) -> str:
         return "diagexp3"
@@ -168,10 +185,21 @@ class Rational2Spec:
     def dim_h(self) -> int:
         return 2
 
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+    @staticmethod
+    def _ab(r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return 1.0 / (1.0 + np.sqrt(r2)), 1.0 / (1.0 + r2)
+
+    def channels(self, r2: np.ndarray) -> np.ndarray:
+        a, b = self._ab(r2)
+        return np.stack([a + b, a - b], -1)
+
     def values(self, r2: np.ndarray) -> np.ndarray:
-        f = 1.0 / (1.0 + np.sqrt(r2))
-        g = 1.0 / (1.0 + r2)
-        return np.stack([np.stack([f, g], -1), np.stack([g, f], -1)], -2)
+        a, b = self._ab(r2)
+        return np.stack([np.stack([a, b], -1), np.stack([b, a], -1)], -2)
 
     def render(self) -> str:
         return "rational2"
@@ -195,7 +223,7 @@ class SeparableSpec:
         scale = 1.0 + float(np.abs(B).max(initial=0.0))
         if float(np.abs(B - B.T).max()) > SYM_TOL * scale:
             raise SpecDomainError("separable B must be symmetric")
-        eigs = np.linalg.eigvalsh(0.5 * (B + B.T))
+        eigs = self._eigh[0]
         if eigs.min() < -1e-10 * max(eigs.max(), 1.0):
             raise SpecDomainError("separable B must be positive semi-definite")
         if self.base.dim_h != 1:
@@ -204,6 +232,18 @@ class SeparableSpec:
     @property
     def dim_h(self) -> int:
         return len(self.B)
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        B = np.asarray(self.B, dtype=float)
+        return np.linalg.eigh(0.5 * (B + B.T))
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._eigh[1]
+
+    def channels(self, r2: np.ndarray) -> np.ndarray:
+        return self.base.channels(r2) * self._eigh[0]
 
     def values(self, r2: np.ndarray) -> np.ndarray:
         return self.base.values(r2) * np.asarray(self.B, dtype=float)
@@ -218,6 +258,8 @@ class NormalizedSpec:
 
     Every builtin inner kernel is a function of |s-t|, so K(s,s) is the same
     at every site: C^(-1/2) is computed once, at distance 0, and cached.
+    C = Q diag(c) Q^T in the inner basis Q, so the channels are the inner
+    channels divided by c, their values at distance 0.
     """
 
     inner: "KernelSpec"
@@ -236,9 +278,19 @@ class NormalizedSpec:
     def _inv_sqrt(self) -> np.ndarray:
         C = self.inner.values(np.zeros(()))
         eigval, eigvec = np.linalg.eigh(0.5 * (C + C.T))
-        if eigval.min() < 1e-12 * max(eigval.max(), 0.0) or eigval.max() <= 0:
-            raise ValueError("normalized kernel: K(s,s) not invertible")
+        _check_invertible(eigval)
         return (eigvec / np.sqrt(eigval)) @ eigvec.T
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.inner.basis
+
+    @cached_property
+    def _channels_at_zero(self) -> np.ndarray:
+        return _check_invertible(self.inner.channels(np.zeros(())))
+
+    def channels(self, r2: np.ndarray) -> np.ndarray:
+        return self.inner.channels(r2) / self._channels_at_zero
 
     def values(self, r2: np.ndarray) -> np.ndarray:
         W = self._inv_sqrt
@@ -246,6 +298,13 @@ class NormalizedSpec:
 
     def render(self) -> str:
         return f"normalized(inner={self.inner.render()})"
+
+
+def _check_invertible(eigval: np.ndarray) -> np.ndarray:
+    """The eigenvalues of K(s,s), if they make it invertible."""
+    if eigval.min() < 1e-12 * max(eigval.max(), 0.0) or eigval.max() <= 0:
+        raise ValueError("normalized kernel: K(s,s) not invertible")
+    return eigval
 
 
 @dataclass(frozen=True)
@@ -531,15 +590,21 @@ class OperatorKernel:
     def __call__(self, s, t) -> np.ndarray:
         return self.eval(as_site(s), as_site(t))
 
-    def blocks(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """K(S[i], T[j]) for (n, k) and (m, k) site arrays, shape
-        (n, m, dim_out, dim_in)."""
+    @staticmethod
+    def sq_dists(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """|S[i] - T[j]|^2 for (n, k) and (m, k) site arrays, shape (n, m);
+        exactly symmetric when S is T."""
         if S.shape[1] != T.shape[1]:
             raise ValueError(
                 f"site dimension mismatch: {S.shape[1]} vs {T.shape[1]}"
             )
         diff = S[:, None, :] - T[None, :, :]
-        return self.spec.values(np.einsum("ijk,ijk->ij", diff, diff))
+        return np.einsum("ijk,ijk->ij", diff, diff)
+
+    def blocks(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """K(S[i], T[j]) for (n, k) and (m, k) site arrays, shape
+        (n, m, dim_out, dim_in)."""
+        return self.spec.values(self.sq_dists(S, T))
 
     def eval(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         return self.blocks(s[None], t[None])[0, 0]

@@ -150,7 +150,7 @@ def make_context(
             raise ValueError(
                 f"raw Gram shape {raw.shape} != expected {gram.data.shape}"
             )
-        gram.data = 0.5 * (raw + raw.T)
+        gram = gram.with_data(0.5 * (raw + raw.T))
     report = psd_check(gram)
     if not report.psd:
         raise ValueError(
@@ -277,7 +277,7 @@ def onb_expansion(ctx: RkhsContext, trunc_tol: float) -> list[RkhsElement]:
     if k == 0:
         raise ValueError("expansion is empty: all eigenvalues truncated")
     coeffs = np.divide(
-        report.eigenvectors[:, :k].T, np.sqrt(lam[:k])[:, None], order="C"
+        report.leading_vectors(k), np.sqrt(lam[:k])[:, None], order="C"
     )
     return [RkhsElement(ctx, row) for row in coeffs]
 

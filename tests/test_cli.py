@@ -111,6 +111,15 @@ class TestGramCommand:
         assert data[0, 1] == 0.45
         assert np.array_equal(data, data.T)
 
+    def test_raw_spectrum_is_the_raw_matrix(self, tmp_path):
+        # the kernel's channel Grams must not stand in for the raw matrix
+        raw = tmp_path / "raw.csv"
+        np.savetxt(raw, np.diag([0.5, 3.0, 1.0, 2.0]), delimiter=",")
+        args = ["gram", "--kernel", "gauss(sigma=1,ell=1,dim=2)", "--sites", "[0,1]"]
+        assert main(args + ["--raw", str(raw), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        assert payload["eigenvalues"] == [3.0, 2.0, 1.0, 0.5]
+
     @pytest.mark.parametrize("command", ["gram", "verify"])
     def test_raw_wrong_shape_usage_error(self, tmp_path, command, capsys):
         raw = tmp_path / "raw.csv"

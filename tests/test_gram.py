@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opkern.gram import (
+    PSD_EIG_TOL,
     BlockGram,
     GramError,
     IndefiniteMatrixError,
@@ -18,8 +20,10 @@ from opkern.gram import (
     psd_check,
     spectral_decay_profile,
     spectrum_to_json_dict,
+    write_csv_rows,
 )
 from opkern.kernels import make_kernel
+from opkern.rkhs import RkhsContext, onb_expansion
 
 GAUSS1 = "gauss(sigma=1,ell=1,dim=1)"
 
@@ -32,6 +36,16 @@ PSD_KERNELS = [
     "diagexp3",
     "separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))",
     "normalized(inner=gauss(sigma=3,ell=1,dim=2))",
+]
+
+
+# every square spec of the zoo, nested normalized/separable forms included
+SQUARE_KERNELS = PSD_KERNELS + [
+    "gauss(sigma=1.5,ell=1,dim=8)",
+    "rational2",
+    "separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7)))",
+    "normalized(inner=separable(B=[[2,1],[1,3]],base=gauss(sigma=1,ell=0.8)))",
+    "normalized(inner=normalized(inner=diagexp3))",
 ]
 
 
@@ -149,6 +163,107 @@ class TestPsdCheck:
         diag = V.T @ data @ V
         assert np.abs(diag - np.diag(report.eigenvalues)).max() <= 1e-10 * big
         assert np.abs(V.T @ V - np.eye(len(data))).max() <= 1e-10
+
+
+class TestChannelPath:
+    """psd_check on kernel Grams (stacked channel eigh) against the dense
+    eigendecomposition of the same matrix as the oracle."""
+
+    @given(
+        text=st.sampled_from(SQUARE_KERNELS),
+        n=st.integers(1, 12),
+        dim=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        unit=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense(self, text, n, dim, seed, unit):
+        rng = np.random.default_rng(seed)
+        if unit:  # pairwise distances 0 or 1 (rational2's PSD sets), repeats
+            sites = rng.integers(0, 2, size=(n, 1)).astype(float)
+        else:
+            sites = rng.uniform(-3, 3, size=(n, dim))
+        k = make_kernel(text)
+        g = assemble_gram(k, sites)
+        report = psd_check(g)
+        oracle = SpectrumReport.from_matrix(g.data)
+        big = max(oracle.lambda_max, 1.0)
+        # the channel path certified it (a scalar Gram is its own channel)
+        assert (report.basis is not None) == (g.d > 1)
+        assert report.drift <= 1e-12 * big
+        assert np.all(np.diff(report.eigenvalues) <= 0.0)
+        assert np.abs(report.eigenvalues - oracle.eigenvalues).max() <= 1e-12 * big
+        if abs(oracle.min_eig + PSD_EIG_TOL * big) > 1e-12 * big:
+            assert report.psd == oracle.psd
+        if not report.psd:
+            return
+        ctx = RkhsContext(k, g.sites, g)
+        # G-orthonormal expansion; the defect grows like eps * lam_max / lam
+        # over the kept eigenvalues lam, so this check keeps lam >= 1e-4 lam_max
+        C = np.array([el.coeffs for el in onb_expansion(ctx, 1e-4)])
+        assert np.abs(C @ g.data @ C.T - np.eye(len(C))).max() <= 1e-10
+        # criterion 7's reconstruction of G on the full expansion
+        V = g.data @ np.array([el.coeffs for el in onb_expansion(ctx, 1e-12)]).T
+        assert np.abs(V @ V.T - g.data).max() <= 1e-8
+        # the kept eigenspaces equal the dense ones: eigenvalues repeat (8-fold
+        # for gauss dim=8), so compare projectors where a clear gap splits
+        m = len(C)
+        eig = oracle.eigenvalues
+        if m == len(eig) or eig[m - 1] - eig[m] >= 1e-4 * big:
+            U, W = report.leading_vectors(m), oracle.leading_vectors(m)
+            assert np.abs(U.T @ U - W.T @ W).max() <= 1e-8
+
+    def test_leading_vectors_are_eigenvectors(self):
+        text = "separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=gauss(sigma=1,ell=1))"
+        g = assemble_gram(make_kernel(text), [[0.0], [0.4], [1.5]])
+        report = psd_check(g)
+        U = report.leading_vectors(g.size)
+        big = report.lambda_max
+        assert np.abs(U @ U.T - np.eye(g.size)).max() <= 1e-12
+        assert np.abs(U @ g.data @ U.T - np.diag(report.eigenvalues)).max() <= 1e-12 * big
+
+    def test_verdict_allows_for_drift(self):
+        # the channel spectrum bounds G's only up to the drift (Weyl): a
+        # smallest channel eigenvalue just inside the PSD margin fails once
+        # the drift could carry G's past it
+        K = np.diag([1.0, -PSD_EIG_TOL + 1e-13])[None]
+        for off, psd in [(0.0, True), (5e-13, False)]:
+            data = K[0] + np.array([[0.0, off], [off, 0.0]])
+            g = BlockGram(n=2, d=1, sites=np.zeros((2, 1)), data=data,
+                          channels=K, basis=np.eye(1))
+            report = psd_check(g)
+            assert report.basis is not None
+            assert report.drift == pytest.approx(math.sqrt(2) * off)
+            assert report.psd is psd
+
+    def test_replaced_data_is_certified_itself(self):
+        # channel Grams that no longer match the data cannot certify it:
+        # the drift guard sends it to the dense eigensolve
+        g = assemble_gram(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]])
+        g.data = np.diag([1.0, 1.0, 1.0, -1.0])
+        report = psd_check(g)
+        assert report.basis is None
+        assert not report.psd and report.min_eig == -1.0
+
+    def test_ill_conditioned_normalized_falls_back_to_dense(self):
+        # C^(-1/2) K C^(-1/2) from eigh(C) carries rounding of order
+        # cond(C) * eps that the closed-form channels lack: at cond 1e6 G
+        # drifts from their sum by 1.6e-11 * lam_max, so G is certified
+        # densely, and still PSD as a dense certificate finds it
+        c, s_ = math.cos(0.3), math.sin(0.3)
+        Q = np.array([[c, -s_], [s_, c]])
+        B = Q @ np.diag([1.0, 1e-6]) @ Q.T
+        B = 0.5 * (B + B.T)
+        lit = "[" + ",".join(
+            "[" + ",".join(repr(float(v)) for v in row) + "]" for row in B
+        ) + "]"
+        k = make_kernel(f"normalized(inner=separable(B={lit},base=gauss(sigma=1,ell=1)))")
+        g = assemble_gram(k, np.linspace(0.0, 3.0, 40)[:, None])
+        report = psd_check(g)
+        oracle = SpectrumReport.from_matrix(g.data)
+        assert report.basis is None
+        assert np.array_equal(report.eigenvalues, oracle.eigenvalues)
+        assert report.psd
 
 
 class TestFactorize:
@@ -271,6 +386,27 @@ class TestExport:
             for line in path.read_text().splitlines()[1:]
         ]
         np.testing.assert_allclose(np.array(rows), g.data)
+
+    def test_csv_rows_byte_identical_to_csv_writer(self, tmp_path):
+        # the per-value csv.writer loop the row writer replaces
+        rng = np.random.default_rng(9)
+        special = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e300,
+                   -1e300, 1e-300, -1e-300, np.inf, -np.inf, np.nan, 1 / 3, 0.1]
+        mats = [
+            np.concatenate([special, rng.standard_normal(35)]).reshape(5, 10),
+            np.array(special).reshape(-1, 1),
+            np.array([special]),
+            rng.standard_normal((20, 7)) * 10.0 ** rng.integers(-300, 300, (20, 7)),
+        ]
+        for M in mats:
+            old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+            with open(old, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                for row in M:
+                    writer.writerow([repr(float(v)) for v in row])
+            with open(new, "w", newline="") as fh:
+                write_csv_rows(fh, M)
+            assert new.read_bytes() == old.read_bytes()
 
     def test_json_report_shape(self, tmp_path):
         g = assemble_gram(make_kernel(GAUSS1), [[0], [1]])

@@ -1,4 +1,5 @@
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from opkern.gram import assemble_gram
 from opkern.kernels import (
     DiagExp3Spec,
     GaussianSpec,
+    KernelSpec,
     KernelSpecError,
     NormalizedSpec,
     OperatorKernel,
@@ -133,6 +135,36 @@ class TestBlocks:
         )
         with pytest.raises(ValueError, match="not invertible"):
             k.blocks(np.zeros((1, 1)), np.ones((2, 1)))
+
+
+class TestChannels:
+    def test_every_square_spec_declares_basis_and_channels(self):
+        # a square spec without them would fall back to the dense eigensolve
+        square = set(typing.get_args(KernelSpec)) - {TwoSpaceSpec}
+        for cls in square:
+            assert "basis" in dir(cls), cls.__name__
+            assert callable(getattr(cls, "channels", None)), cls.__name__
+        covered = {type(parse_kernel_spec(t)) for t in ALL_SQUARE_SPECS + NESTED_SPECS}
+        assert covered == square
+
+    @pytest.mark.parametrize("text", ALL_SQUARE_SPECS + NESTED_SPECS)
+    def test_basis_diagonalizes_values(self, text):
+        # K(r) = Q diag(channels(r)) Q^T with Q orthogonal
+        spec = parse_kernel_spec(text)
+        r2 = np.linspace(0.0, 4.0, 41).reshape(-1, 1) ** 2
+        Q, ch = spec.basis, spec.channels(r2)
+        d = spec.dim_h
+        assert Q.shape == (d, d) and ch.shape == r2.shape + (d,)
+        assert np.abs(Q.T @ Q - np.eye(d)).max() <= 1e-15
+        K = np.einsum("am,...m,bm->...ab", Q, ch, Q)
+        assert np.abs(K - spec.values(r2)).max() <= 1e-14
+
+    def test_singular_normalized_channels(self):
+        spec = parse_kernel_spec(
+            "normalized(inner=separable(B=[[1,0],[0,0]],base=gauss(sigma=1,ell=1)))"
+        )
+        with pytest.raises(ValueError, match="not invertible"):
+            spec.channels(np.zeros(2))
 
 
 class TestParse:

@@ -66,6 +66,14 @@ class TestContext:
         with pytest.raises(ValueError, match="not PSD"):
             make_context(k, [[0], [1]], raw_data=[[0.0, 1.0], [1.0, 0.0]])
 
+    def test_indefinite_raw_rejected_under_channel_kernel(self):
+        # the raw matrix replaces the kernel Gram whole: the kernel's channel
+        # Grams (PSD here) must not certify it
+        k = make_kernel("gauss(sigma=1,ell=1,dim=2)")
+        raw = np.diag([1.0, 1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="not PSD"):
+            make_context(k, [[0], [1]], raw_data=raw)
+
     def test_raw_data_symmetrized_exactly(self):
         k = make_kernel(GAUSS1)
         raw = assemble_gram(k, [[0], [1], [2]]).data.copy()
@@ -314,27 +322,50 @@ class TestOnbExpansion:
         gram_of_basis = U.T @ G @ U
         assert np.abs(gram_of_basis - np.eye(len(basis))).max() <= 1e-10
 
-    def test_one_decomposition_per_gram(self, monkeypatch):
-        # make_context -> factorize -> onb_expansion decomposes the nd x nd
-        # Gram once: psd_check's eigh serves the certificate and the basis
-        sites = np.linspace(0.0, 6.0, 12)[:, None]
-        k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
-        nd = 24
-        calls = Counter()
+    @staticmethod
+    def _count_decompositions(monkeypatch, nd):
+        """Count nd x nd eigh/eigvalsh/cholesky calls, and eigh calls by
+        the shape of their argument."""
+        calls, eigh_shapes = Counter(), Counter()
         for name in ("eigh", "eigvalsh", "cholesky"):
 
             def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
                 if np.shape(a) == (nd, nd):
                     calls[_name] += 1
+                if _name == "eigh":
+                    eigh_shapes[np.shape(a)] += 1
                 return _fn(a, *args, **kw)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        return calls, eigh_shapes
+
+    def test_channel_path_decompositions(self, monkeypatch):
+        # make_context -> factorize -> onb_expansion: psd_check's one
+        # stacked (d, n, n) eigh serves the certificate and the basis, and
+        # no nd x nd eigensolve runs; factorize stays one dense Cholesky
+        sites = np.linspace(0.0, 6.0, 12)[:, None]
+        k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
+        calls, eigh_shapes = self._count_decompositions(monkeypatch, 24)
         ctx = make_context(k, sites)
         factorize(ctx.gram)
         basis = onb_expansion(ctx, 1e-12)
         assert ctx.gram.jitter_used == 0.0
+        assert calls == {"cholesky": 1}
+        assert eigh_shapes == {(2, 12, 12): 1}
+        assert len(basis) == 24
+
+    def test_raw_data_path_decompositions(self, monkeypatch):
+        # a raw Gram has no channels: one dense eigh, one dense Cholesky
+        sites = np.linspace(0.0, 6.0, 12)[:, None]
+        k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
+        raw = assemble_gram(k, sites).data
+        calls, _ = self._count_decompositions(monkeypatch, 24)
+        ctx = make_context(k, sites, raw_data=raw)
+        factorize(ctx.gram)
+        basis = onb_expansion(ctx, 1e-12)
+        assert ctx.gram.channels is None
         assert calls == {"eigh": 1, "cholesky": 1}
-        assert len(basis) == nd
+        assert len(basis) == 24
 
     def test_elements_share_one_array(self, norm_ctx):
         basis = onb_expansion(norm_ctx, 1e-12)
