@@ -123,14 +123,15 @@ def _write_json(path: Path, payload: dict) -> None:
 def _build_gram(args):
     kernel = make_kernel(args.kernel)
     sites = parse_sites(args.sites)
-    g = gram_mod.assemble_gram(kernel, sites)
-    if args.raw:
-        g = g.with_data(load_raw_matrix(args.raw, g.size))
-    return kernel, sites, g
+    if not args.raw:
+        return gram_mod.assemble_gram(kernel, sites)
+    sites = gram_mod.gram_sites(kernel, sites)
+    raw = load_raw_matrix(args.raw, len(sites) * kernel.dim_h)
+    return gram_mod.raw_gram(kernel, sites, raw)
 
 
 def cmd_gram(args) -> int:
-    kernel, _, g = _build_gram(args)
+    g = _build_gram(args)
     report = gram_mod.psd_check(g)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -24,8 +24,8 @@ __all__ = [
     "batch_from_binary",
 ]
 
-BINARY_MAGIC = b"OPKGP2"  # stream v2; v1 files share the layout
-_READABLE_MAGICS = (b"OPKGP1", BINARY_MAGIC)
+BINARY_MAGIC = b"OPKGP3"  # stream v3; v1 and v2 files share the layout
+_READABLE_MAGICS = (b"OPKGP1", b"OPKGP2", BINARY_MAGIC)
 MC_SIGMA_FACTOR = 4.0
 # Raw Philox words drawn per chunk of paths: keeps the scratch arrays of
 # sample_paths at a few hundred kB whatever the batch size.
@@ -36,10 +36,11 @@ CHUNK_WORDS = 1 << 15
 class SampleBatch:
     """N seeded zero-mean Gaussian paths over the context sites.
 
-    ``paths`` has shape (N, n, d); path p is L z_p with z_p drawn from
-    path p's own counter blocks of the Philox stream keyed by ``seed``
-    (stream v2, see ``sample_paths``).  Regeneration is bitwise identical,
-    and a larger ``count`` extends a smaller one.
+    ``paths`` has shape (N, n, d); path p is L z_p with L the Gram's factor
+    (see ``factorize``) and z_p drawn from path p's own counter blocks of
+    the Philox stream keyed by ``seed`` (stream v3, see ``sample_paths``).
+    Regeneration is bitwise identical, and a larger ``count`` extends a
+    smaller one.
     """
 
     context: RkhsContext
@@ -104,9 +105,12 @@ def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
     """Draw ``count`` paths as L z with L L^T = G + eps*I.
 
     Factorizes the context Gram on first use (raising on indefinite
-    matrices).  Stream v2: one Philox stream keyed by ``seed`` in
+    matrices).  Stream v3: one Philox stream keyed by ``seed`` in
     [0, 2**64), its own counter blocks per path, Box-Muller normals (see
-    ``_normals``), one ``Z @ L.T`` per chunk of about CHUNK_WORDS normals.
+    ``_normals``), one ``Z @ L.T`` per chunk of about CHUNK_WORDS normals,
+    with L the factor ``factorize`` gives: the channel factor for a Gram
+    certified from its channels, else the dense Cholesky factor.  Stream v2
+    drew the same normals but always took the dense Cholesky factor.
     Every chunk, the last included, has the full row count: BLAS rounding
     can depend on the row count (one row takes the matrix-vector path),
     and a fixed shape keeps path p independent of ``count``, so a longer
@@ -193,7 +197,7 @@ def batch_to_csv(batch: SampleBatch, path) -> None:
 
 
 def batch_to_binary(batch: SampleBatch, path) -> None:
-    """Compact layout: magic OPKGP2 (stream v2), little-endian u64 seed,
+    """Compact layout: magic OPKGP3 (stream v3), little-endian u64 seed,
     u32 N/n/d, then N*n*d float64 values."""
     n, d = batch.context.n, batch.context.d
     with open(path, "wb") as fh:
@@ -205,7 +209,8 @@ def batch_to_binary(batch: SampleBatch, path) -> None:
 def batch_from_binary(path):
     """Read back (seed, paths) from the binary layout; shape (N, n, d).
 
-    Reads OPKGP2 and the identically laid out OPKGP1 (stream v1) files.
+    Reads OPKGP3 and the identically laid out OPKGP2 (stream v2) and
+    OPKGP1 (stream v1) files.
     """
     with open(path, "rb") as fh:
         magic = fh.read(6)

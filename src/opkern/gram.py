@@ -15,7 +15,9 @@ __all__ = [
     "IndefiniteMatrixError",
     "SpectrumReport",
     "BlockGram",
+    "gram_sites",
     "assemble_gram",
+    "raw_gram",
     "psd_check",
     "factorize",
     "spectral_decay_profile",
@@ -144,11 +146,14 @@ def effective_rank(eigenvalues: np.ndarray, tol: float, trace=None) -> int:
 class BlockGram:
     """The n*d x n*d matrix with block (i,j) = K(s_i, s_j).
 
-    ``factor`` (when present) is lower triangular with
-    L L^T = data + jitter_used * I up to the reconstruction tolerance.
+    ``factor`` (when present) is a square root L of data + jitter_used * I:
+    L L^T matches it up to the reconstruction tolerance, and
+    ``factor_residual`` is the accepted rung's measure of that distance
+    (see ``factorize``).  L is lower triangular on the dense path.
     A kernel Gram with d > 1 also carries its (d, n, n) channel Grams and
     the kernel's basis Q (see ``kernels``), from which ``psd_check``
-    certifies it; a Gram without them is certified from ``data`` alone.
+    certifies it and ``factorize`` factors it; a Gram without them is
+    certified and factored from ``data`` alone.
     """
 
     n: int
@@ -157,14 +162,10 @@ class BlockGram:
     data: np.ndarray
     factor: np.ndarray | None = None
     jitter_used: float = 0.0
+    factor_residual: float = 0.0
     spectrum: SpectrumReport | None = None
     channels: np.ndarray | None = None  # (d, n, n): channel m's scalar Gram
     basis: np.ndarray | None = None  # (d, d): column m belongs to channel m
-
-    def with_data(self, data: np.ndarray) -> "BlockGram":
-        """A fresh Gram on the same sites holding ``data`` (a raw or
-        injected matrix): no channels, factor or spectrum carry over."""
-        return BlockGram(n=self.n, d=self.d, sites=self.sites, data=data)
 
     def block(self, i: int, j: int) -> np.ndarray:
         d = self.d
@@ -173,6 +174,23 @@ class BlockGram:
     @property
     def size(self) -> int:
         return self.n * self.d
+
+
+def gram_sites(
+    kernel: OperatorKernel, sites, size_cap: int = DEFAULT_SIZE_CAP
+) -> np.ndarray:
+    """The (n, k) site array of a block Gram of ``kernel`` on ``sites``,
+    once the kernel is square, the sites are nonempty with equal numbers of
+    coordinates, and n*d is within ``size_cap``."""
+    if not kernel.is_square:
+        raise GramError("block Gram requires a square kernel")
+    sites = list(sites)
+    if not sites:
+        raise GramError("site list must be nonempty")
+    n, d = len(sites), kernel.dim_h
+    if n * d > size_cap:
+        raise GramError(f"Gram size {n * d} exceeds cap {size_cap}")
+    return as_sites(sites)
 
 
 def assemble_gram(
@@ -185,15 +203,8 @@ def assemble_gram(
     as ``psd_check`` requires.  For d > 1 the channel Grams come from the
     same squared distances.
     """
-    if not kernel.is_square:
-        raise GramError("block Gram requires a square kernel")
-    sites = list(sites)
-    if not sites:
-        raise GramError("site list must be nonempty")
-    n, d = len(sites), kernel.dim_h
-    if n * d > size_cap:
-        raise GramError(f"Gram size {n * d} exceeds cap {size_cap}")
-    S = as_sites(sites)
+    S = gram_sites(kernel, sites, size_cap)
+    n, d = len(S), kernel.dim_h
     r2 = kernel.sq_dists(S, S)
     spec = kernel.spec
     G = spec.values(r2).transpose(0, 2, 1, 3).reshape(n * d, n * d)
@@ -202,6 +213,19 @@ def assemble_gram(
         return BlockGram(n=n, d=d, sites=S, data=G)
     channels = np.ascontiguousarray(np.moveaxis(spec.channels(r2), -1, 0))
     return BlockGram(n=n, d=d, sites=S, data=G, channels=channels, basis=spec.basis)
+
+
+def raw_gram(kernel: OperatorKernel, sites, data) -> BlockGram:
+    """A Gram of ``kernel``'s shape on ``sites`` holding an externally
+    supplied matrix (raw-matrix workflows, fault injection), averaged with
+    its transpose.  It has no channels: it is certified and factored from
+    the matrix alone."""
+    S = gram_sites(kernel, sites)
+    n, d = len(S), kernel.dim_h
+    raw = np.asarray(data, dtype=float)
+    if raw.shape != (n * d, n * d):
+        raise GramError(f"raw Gram shape {raw.shape} != expected {(n * d, n * d)}")
+    return BlockGram(n=n, d=d, sites=S, data=0.5 * (raw + raw.T))
 
 
 def psd_check(gram: BlockGram) -> SpectrumReport:
@@ -232,27 +256,59 @@ def _jitter_ladder(gram: BlockGram):
         eps *= 10.0
 
 
-def factorize(gram: BlockGram) -> BlockGram:
-    """Cholesky with a jitter ladder from 0 up to 1e-6 * tr(G)/(nd).
+def _jittered_cholesky(A: np.ndarray, eps: float):
+    """Cholesky L of A + eps*I, for one (N, N) matrix or a (d, N, N)
+    stack, and its residual max |L L^T - (A + eps*I)|."""
+    N = A.shape[-1]
+    target = A + 0.0  # A + eps*I entry for entry (-0.0 too), no N x N eye
+    target.reshape(-1, N * N)[:, :: N + 1] += eps
+    L = np.linalg.cholesky(target)
+    R = L @ np.swapaxes(L, -1, -2)
+    R -= target
+    np.abs(R, out=R)
+    return L, float(R.max())
 
-    On success stores the lower factor and the jitter actually used; raises
-    IndefiniteMatrixError when the whole ladder fails.
+
+def _channel_factor(L: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The (nd, nd) factor F[(i,a),(j,m)] = Q[a,m] L_m[i,j] of the stacked
+    channel factors L (d, n, n) and the basis Q."""
+    d, n, _ = L.shape
+    F = L.transpose(1, 2, 0)[:, None] * basis[None, :, None]  # (i, a, j, m)
+    return F.reshape(n * d, n * d)
+
+
+def factorize(gram: BlockGram) -> BlockGram:
+    """Factor G + eps*I with a jitter ladder from 0 up to 1e-6 * tr(G)/(nd).
+
+    A Gram certified from its channels (its ``psd_check`` report, run here
+    if missing, has a basis) is factored by channel: G + eps*I =
+    sum_m (K_m + eps*I) (x) q_m q_m^T, as sum_m q_m q_m^T = I, so a rung is
+    one stacked Cholesky L_m of the (d, n, n) channel Grams and the factor
+    is F[(i,a),(j,m)] = Q[a,m] L_m[i,j].  The rung is accepted when
+    max_m |L_m L_m^T - (K_m + eps*I)| + drift is within the reconstruction
+    tolerance; it bounds |F F^T - (G + eps*I)| entrywise, since
+    sum_m |Q[a,m] Q[b,m]| <= 1 (Cauchy-Schwarz over the rows of Q).  Any
+    other Gram (raw, d = 1, or certified densely) takes one dense Cholesky
+    per rung, accepted by its residual; that factor is lower triangular.
+
+    On success stores the factor, the jitter used and the accepted residual
+    (or bound); raises IndefiniteMatrixError when the whole ladder fails.
     """
-    G = gram.data
-    scale = 1.0 + float(np.abs(G).max())
+    if gram.spectrum is None and gram.channels is not None:
+        psd_check(gram)
+    by_channel = gram.spectrum is not None and gram.spectrum.basis is not None
+    A, drift = (gram.channels, gram.spectrum.drift) if by_channel else (gram.data, 0.0)
+    scale = 1.0 + float(np.abs(gram.data).max())
     for eps in _jitter_ladder(gram):
-        target = G + 0.0  # G + eps*I entry for entry (-0.0 too), no nd x nd eye
-        target.flat[:: gram.size + 1] += eps
         try:
-            L = np.linalg.cholesky(target)
+            L, residual = _jittered_cholesky(A, eps)
         except np.linalg.LinAlgError:
             continue
-        R = L @ L.T
-        R -= target
-        np.abs(R, out=R)
-        if float(R.max()) <= RECON_TOL * scale:
-            gram.factor = L
+        residual += drift
+        if residual <= RECON_TOL * scale:
+            gram.factor = _channel_factor(L, gram.basis) if by_channel else L
             gram.jitter_used = eps
+            gram.factor_residual = residual
             return gram
     raise IndefiniteMatrixError(
         "matrix not factorizable within the jitter ladder (indefinite)"

@@ -257,9 +257,9 @@ class NormalizedSpec:
     """C^(-1/2) K(s,t) C^(-1/2) with C = K(s,s) of the inner kernel.
 
     Every builtin inner kernel is a function of |s-t|, so K(s,s) is the same
-    at every site: C^(-1/2) is computed once, at distance 0, and cached.
-    C = Q diag(c) Q^T in the inner basis Q, so the channels are the inner
-    channels divided by c, their values at distance 0.
+    at every site.  C = Q diag(c) Q^T in the inner basis Q, so the channels
+    are the inner channels divided by c, their values at distance 0 (cached),
+    and the values are Q diag(channels) Q^T.
     """
 
     inner: "KernelSpec"
@@ -274,13 +274,6 @@ class NormalizedSpec:
     def dim_h(self) -> int:
         return self.inner.dim_h
 
-    @cached_property
-    def _inv_sqrt(self) -> np.ndarray:
-        C = self.inner.values(np.zeros(()))
-        eigval, eigvec = np.linalg.eigh(0.5 * (C + C.T))
-        _check_invertible(eigval)
-        return (eigvec / np.sqrt(eigval)) @ eigvec.T
-
     @property
     def basis(self) -> np.ndarray:
         return self.inner.basis
@@ -293,8 +286,10 @@ class NormalizedSpec:
         return self.inner.channels(r2) / self._channels_at_zero
 
     def values(self, r2: np.ndarray) -> np.ndarray:
-        W = self._inv_sqrt
-        return W @ self.inner.values(r2) @ W
+        # Q diag(channels) Q^T: C^(-1/2) from a dense eigh(C) would carry
+        # rounding of order cond(C) * eps that the closed form lacks
+        Q = self.basis
+        return np.tensordot(self.channels(r2)[..., None, :] * Q, Q, (-1, -1))
 
     def render(self) -> str:
         return f"normalized(inner={self.inner.render()})"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import BlockGram, assemble_gram, psd_check
+from .gram import BlockGram, assemble_gram, psd_check, raw_gram
 from .kernels import OperatorKernel, as_hvec, as_site, continuity_increment, render_spec
 
 __all__ = [
@@ -143,14 +143,10 @@ def make_context(
     ``raw_data`` substitutes an externally supplied Gram matrix (for fault
     injection and raw-matrix workflows); it still must pass the PSD check.
     """
-    gram = assemble_gram(kernel, sites)
-    if raw_data is not None:
-        raw = np.asarray(raw_data, dtype=float)
-        if raw.shape != gram.data.shape:
-            raise ValueError(
-                f"raw Gram shape {raw.shape} != expected {gram.data.shape}"
-            )
-        gram = gram.with_data(0.5 * (raw + raw.T))
+    if raw_data is None:
+        gram = assemble_gram(kernel, sites)
+    else:
+        gram = raw_gram(kernel, sites, raw_data)
     report = psd_check(gram)
     if not report.psd:
         raise ValueError(

@@ -8,7 +8,7 @@ import pytest
 from opkern import gram as gram_mod
 from opkern.cli import UsageError, main, parse_sites
 from opkern.gram import assemble_gram, gram_to_csv
-from opkern.kernels import make_kernel
+from opkern.kernels import OperatorKernel, make_kernel
 
 
 def schema(name):
@@ -119,6 +119,17 @@ class TestGramCommand:
         assert main(args + ["--raw", str(raw), "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         assert payload["eigenvalues"] == [3.0, 2.0, 1.0, 0.5]
+
+    def test_raw_evaluates_no_kernel(self, tmp_path, monkeypatch):
+        # the raw matrix replaces the Gram whole, so no kernel Gram is built
+        def fail(S, T):
+            raise AssertionError("kernel Gram assembled")
+
+        monkeypatch.setattr(OperatorKernel, "sq_dists", staticmethod(fail))
+        raw = tmp_path / "raw.csv"
+        np.savetxt(raw, np.eye(4), delimiter=",")
+        args = ["gram", "--kernel", "gauss(sigma=1,ell=1,dim=2)", "--sites", "[0,1]"]
+        assert main(args + ["--raw", str(raw), "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("command", ["gram", "verify"])
     def test_raw_wrong_shape_usage_error(self, tmp_path, command, capsys):
@@ -319,7 +330,7 @@ class TestSampleCommand:
                 str(tmp_path),
             ]
         )
-        assert (tmp_path / "batch.bin").read_bytes()[:6] == b"OPKGP2"
+        assert (tmp_path / "batch.bin").read_bytes()[:6] == b"OPKGP3"
 
     def test_unknown_format_usage_error(self, tmp_path):
         args = self.ARGS + ["--count", "10", "--format", "json", "--out", str(tmp_path)]

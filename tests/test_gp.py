@@ -31,7 +31,8 @@ def path_words(nd):
 
 
 def ref_normals(seed, p, nd):
-    """Per-path reference for stream v2: one Philox keyed by the seed,
+    """Per-path reference for the normals of streams v2 and v3 (v3 keeps
+    v2's normals and changes only the factor): one Philox keyed by the seed,
     advanced to path p's first counter block, Box-Muller on its w words
     with the cosine and sine of 2 pi v taken from h = tan(pi v)."""
     w = path_words(nd)
@@ -219,6 +220,15 @@ class TestCovarianceErrorReport:
             ("rational2", [[0], [1]]),  # PSD only at unit-distance sites
             ("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))", [[0], [1]]),
             ("normalized(inner=gauss(sigma=3,ell=1,dim=1))", [[0], [0.5], [1.2]]),
+            # channel factors with a rotated basis, nested specs, 8 channels,
+            # and a near-singular Gram that needs jitter
+            ("normalized(inner=separable(B=[[2,1],[1,3]],base=gauss(sigma=1,ell=0.8)))",
+             [[0], [0.5], [1.2]]),
+            ("separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7)))",
+             [[0], [0.8]]),
+            ("normalized(inner=normalized(inner=diagexp3))", [[0], [0.7]]),
+            ("gauss(sigma=1,ell=1,dim=8)", [[0], [0.9]]),
+            ("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))", [[0], [1e-5], [2e-5]]),
         ],
     )
     def test_covariance_recovery_across_zoo(self, text, sites):
@@ -256,7 +266,7 @@ class TestExport:
 
     def test_unknown_version_refused(self, tmp_path):
         bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"OPKGP3" + struct.pack("<QIII", 0, 1, 1, 1) + b"\0" * 8)
+        bad.write_bytes(b"OPKGP4" + struct.pack("<QIII", 0, 1, 1, 1) + b"\0" * 8)
         with pytest.raises(ValueError, match="magic"):
             batch_from_binary(bad)
 
@@ -267,6 +277,14 @@ class TestExport:
         seed, paths = batch_from_binary(path)
         assert seed == 11
         np.testing.assert_array_equal(paths, values.reshape(3, 2, 1))
+
+    def test_reads_v2_file(self, tmp_path):
+        values = np.arange(12, dtype="<f8")
+        path = tmp_path / "v2.bin"
+        path.write_bytes(b"OPKGP2" + struct.pack("<QIII", 12, 2, 3, 2) + values.tobytes())
+        seed, paths = batch_from_binary(path)
+        assert seed == 12
+        np.testing.assert_array_equal(paths, values.reshape(2, 3, 2))
 
     def test_csv_header(self, two_site_ctx, tmp_path):
         batch = sample_paths(two_site_ctx, 3, seed=2)

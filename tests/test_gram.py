@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from opkern.gram import (
     PSD_EIG_TOL,
+    RECON_TOL,
     BlockGram,
     GramError,
     IndefiniteMatrixError,
@@ -21,6 +24,7 @@ from opkern.gram import (
     spectral_decay_profile,
     spectrum_to_json_dict,
     write_csv_rows,
+    _jitter_ladder,
 )
 from opkern.kernels import make_kernel
 from opkern.rkhs import RkhsContext, onb_expansion
@@ -47,12 +51,35 @@ SQUARE_KERNELS = PSD_KERNELS + [
     "normalized(inner=separable(B=[[2,1],[1,3]],base=gauss(sigma=1,ell=0.8)))",
     "normalized(inner=normalized(inner=diagexp3))",
 ]
+CHANNEL_KERNELS = [t for t in SQUARE_KERNELS if make_kernel(t).dim_h > 1]
+EPS = np.finfo(np.float64).eps
 
 
 def raw_gram(data):
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
     return BlockGram(n=n, d=1, sites=[np.array([float(i)]) for i in range(n)], data=data)
+
+
+@contextlib.contextmanager
+def cholesky_shapes():
+    """Record the argument shape of every np.linalg.cholesky call."""
+    shapes, cholesky = [], np.linalg.cholesky
+
+    def counted(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return cholesky(a, *args, **kw)
+
+    with mock.patch.object(np.linalg, "cholesky", counted):
+        yield shapes
+
+
+def dense_jitter(g):
+    """The dense ladder's rung for g's matrix (None: indefinite)."""
+    try:
+        return factorize(BlockGram(n=g.n, d=g.d, sites=g.sites, data=g.data)).jitter_used
+    except IndefiniteMatrixError:
+        return None
 
 
 @st.composite
@@ -245,25 +272,117 @@ class TestChannelPath:
         assert report.basis is None
         assert not report.psd and report.min_eig == -1.0
 
-    def test_ill_conditioned_normalized_falls_back_to_dense(self):
-        # C^(-1/2) K C^(-1/2) from eigh(C) carries rounding of order
-        # cond(C) * eps that the closed-form channels lack: at cond 1e6 G
-        # drifts from their sum by 1.6e-11 * lam_max, so G is certified
-        # densely, and still PSD as a dense certificate finds it
+    def test_ill_conditioned_normalized_certified_by_channels(self):
+        # a normalized kernel's values are built from its closed-form
+        # channels, so an ill-conditioned K(s,s) leaves G their sum up to
+        # rounding of order eps * lam_max, and the channels certify G PSD
+        # (a C^(-1/2) taken from eigh(C) put min_eig at -5.2e-9 at cond 1e8)
         c, s_ = math.cos(0.3), math.sin(0.3)
         Q = np.array([[c, -s_], [s_, c]])
-        B = Q @ np.diag([1.0, 1e-6]) @ Q.T
-        B = 0.5 * (B + B.T)
-        lit = "[" + ",".join(
-            "[" + ",".join(repr(float(v)) for v in row) + "]" for row in B
-        ) + "]"
-        k = make_kernel(f"normalized(inner=separable(B={lit},base=gauss(sigma=1,ell=1)))")
-        g = assemble_gram(k, np.linspace(0.0, 3.0, 40)[:, None])
-        report = psd_check(g)
-        oracle = SpectrumReport.from_matrix(g.data)
-        assert report.basis is None
-        assert np.array_equal(report.eigenvalues, oracle.eigenvalues)
-        assert report.psd
+        for small in (1e-6, 1e-8):
+            B = Q @ np.diag([1.0, small]) @ Q.T
+            B = 0.5 * (B + B.T)
+            lit = "[" + ",".join(
+                "[" + ",".join(repr(float(v)) for v in row) + "]" for row in B
+            ) + "]"
+            k = make_kernel(f"normalized(inner=separable(B={lit},base=gauss(sigma=1,ell=1)))")
+            g = assemble_gram(k, np.linspace(0.0, 3.0, 40)[:, None])
+            report = psd_check(g)
+            oracle = SpectrumReport.from_matrix(g.data)
+            big = oracle.lambda_max
+            assert report.basis is not None
+            assert report.drift <= 1e-14 * big
+            assert np.abs(report.eigenvalues - oracle.eigenvalues).max() <= 1e-12 * big
+            assert report.psd and oracle.psd
+
+
+class TestChannelFactor:
+    """factorize on kernel Grams with d > 1 (one stacked Cholesky of the
+    channel Grams per rung) against the dense ladder on the same matrix."""
+
+    @given(
+        text=st.sampled_from(CHANNEL_KERNELS),
+        n=st.integers(1, 12),
+        dim=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        unit=st.booleans(),
+        spread=st.sampled_from([1.0, 0.1, 1e-3]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_ladder(self, text, n, dim, seed, unit, spread):
+        rng = np.random.default_rng(seed)
+        if unit:  # pairwise distances 0 or 1 (rational2's PSD sets), repeats
+            sites = rng.integers(0, 2, size=(n, 1)).astype(float)
+        else:  # close sites give near-singular Grams that need jitter
+            sites = spread * rng.uniform(-3, 3, size=(n, dim))
+        g = assemble_gram(make_kernel(text), sites)
+        with cholesky_shapes() as shapes:
+            try:
+                jitter = factorize(g).jitter_used
+            except IndefiniteMatrixError:
+                jitter = None
+        # the channel path ran: stacked (d, n, n) Cholesky calls only
+        assert shapes and set(shapes) == {(g.d, g.n, g.n)}
+        report = g.spectrum
+        dense = dense_jitter(g)
+        if jitter != dense:
+            # Filter: the two ladders round differently, so they may stop on
+            # neighbouring rungs (None past the top) where G's smallest
+            # eigenvalue is within 10x of the edge between them.  Rung e
+            # fails below lam_min = -e; rung 0's edge is lam_min = 0, blurred
+            # by the Cholesky's rounding floor nd * eps * lam_max.
+            rungs = list(_jitter_ladder(g)) + [None]
+            i, j = sorted((rungs.index(jitter), rungs.index(dense)))
+            assert j == i + 1
+            lam_min, e = report.min_eig, rungs[i]
+            floor = g.size * EPS * max(report.lambda_max, 1.0)
+            if e == 0.0:
+                assert abs(lam_min) <= 10 * floor
+            else:
+                assert e / 10 <= -lam_min <= 10 * e
+        if jitter is None:
+            return
+        target = g.data + jitter * np.eye(g.size)
+        residual = float(np.abs(g.factor @ g.factor.T - target).max())
+        scale = 1.0 + float(np.abs(g.data).max())
+        assert residual <= RECON_TOL * scale
+        # the accepted bound holds the dense residual up to the rounding of
+        # the nd-term products that measure it, at most about nd * eps * scale
+        assert g.factor_residual >= report.drift
+        assert residual <= g.factor_residual + g.size * EPS * scale
+
+    def test_factor_layout(self):
+        # F[(i,a),(j,m)] = Q[a,m] L_m[i,j]: lower triangular only when Q = I
+        sites = [[0.0], [0.7], [1.9]]
+        for text, triangular in [
+            ("gauss(sigma=1.5,ell=0.8,dim=2)", True),
+            ("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))", False),
+        ]:
+            g = factorize(assemble_gram(make_kernel(text), sites))
+            F = g.factor.reshape(g.n, g.d, g.n, g.d)
+            L = np.linalg.cholesky(g.channels)
+            assert np.array_equal(F, np.einsum("am,mij->iajm", g.basis, L))
+            assert np.array_equal(g.factor, np.tril(g.factor)) is triangular
+
+    def test_wrong_factor_rejected(self):
+        # a stacked factor 0.9x too small leaves |L_m L_m^T - K_m| = 0.19 K_m
+        cholesky = np.linalg.cholesky
+        g = assemble_gram(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0.0], [1.0], [2.5]])
+        with mock.patch.object(np.linalg, "cholesky", lambda a: 0.9 * cholesky(a)):
+            with pytest.raises(IndefiniteMatrixError):
+                factorize(g)
+
+    def test_runs_psd_check_first(self):
+        g = assemble_gram(make_kernel("diagexp3"), [[0.0], [1.0]])
+        factorize(g)
+        assert g.spectrum is not None and g.spectrum.basis is not None
+
+    def test_dense_certified_gram_takes_dense_ladder(self):
+        # channels that no longer match the data cannot factor it either
+        g = assemble_gram(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]])
+        g.data = np.diag([1.0, 2.0, 3.0, 4.0])
+        factorize(g)
+        assert np.array_equal(g.factor, np.diag(np.sqrt([1.0, 2.0, 3.0, 4.0])))
 
 
 class TestFactorize:

@@ -1,26 +1,28 @@
 """The benchmark's tracer patches opkern's public functions by name from
 ``perfbench/spans.py``; a rename or deletion there must fail tier-1, not
-only the benchmark's own self-test."""
+only the benchmark's own self-test.  The benchmark's workloads must also
+keep exercising the paths they were chosen for."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-from opkern.kernels import OperatorKernel
+from opkern import gram, rkhs
+from opkern.kernels import OperatorKernel, make_kernel
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_binding_exists():
-    spans = load_spans()
+    spans = load("spans")
     missing = [
         f"{module.__name__}.{name}"
         for module, names in spans.LAYER_FUNCS.items()
@@ -34,3 +36,26 @@ def test_every_traced_binding_exists():
     ]
     assert not missing, missing
     assert "eval" in vars(OperatorKernel)
+
+
+def test_wide_blocks_factors_by_channel(tmp_path, monkeypatch):
+    # both specs of wide_blocks (SMOKE sizes) go through the stacked channel
+    # Cholesky, never an nd x nd one, and stop on the dense ladder's rung
+    wl = load("workloads").WideBlocks(seed=0, smoke=True, out=tmp_path)
+    n, d = wl.sizes["n"], wl.sizes["d"]
+    shapes, cholesky = [], np.linalg.cholesky
+
+    def counted(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return cholesky(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    for _, task in wl.tasks():
+        task()()
+    assert len(shapes) >= 2 and set(shapes) == {(d, n, n)}
+    monkeypatch.undo()
+    for spec, sites in (wl.separable, wl.gauss):
+        g = gram.factorize(rkhs.make_context(make_kernel(spec), sites).gram)
+        dense = gram.BlockGram(n=g.n, d=g.d, sites=g.sites, data=g.data)
+        assert g.spectrum.basis is not None
+        assert g.jitter_used == gram.factorize(dense).jitter_used

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opkern.gram import assemble_gram, factorize
-from opkern.kernels import make_kernel
+from opkern.kernels import OperatorKernel, make_kernel
 from opkern.rkhs import (
     RkhsContext,
     RkhsElement,
@@ -73,6 +73,16 @@ class TestContext:
         raw = np.diag([1.0, 1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="not PSD"):
             make_context(k, [[0], [1]], raw_data=raw)
+
+    def test_raw_data_evaluates_no_kernel(self, monkeypatch):
+        # the raw matrix replaces the Gram whole, so no kernel Gram is built
+        def fail(S, T):
+            raise AssertionError("kernel Gram assembled")
+
+        monkeypatch.setattr(OperatorKernel, "sq_dists", staticmethod(fail))
+        ctx = make_context(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]],
+                           raw_data=np.eye(4))
+        assert ctx.gram.channels is None and np.array_equal(ctx.gram.data, np.eye(4))
 
     def test_raw_data_symmetrized_exactly(self):
         k = make_kernel(GAUSS1)
@@ -324,34 +334,34 @@ class TestOnbExpansion:
 
     @staticmethod
     def _count_decompositions(monkeypatch, nd):
-        """Count nd x nd eigh/eigvalsh/cholesky calls, and eigh calls by
-        the shape of their argument."""
-        calls, eigh_shapes = Counter(), Counter()
+        """Count nd x nd eigh/eigvalsh/cholesky calls, and every call by
+        its name and the shape of its argument."""
+        calls, shapes = Counter(), Counter()
         for name in ("eigh", "eigvalsh", "cholesky"):
 
             def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
                 if np.shape(a) == (nd, nd):
                     calls[_name] += 1
-                if _name == "eigh":
-                    eigh_shapes[np.shape(a)] += 1
+                shapes[_name, np.shape(a)] += 1
                 return _fn(a, *args, **kw)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        return calls, eigh_shapes
+        return calls, shapes
 
     def test_channel_path_decompositions(self, monkeypatch):
         # make_context -> factorize -> onb_expansion: psd_check's one
-        # stacked (d, n, n) eigh serves the certificate and the basis, and
-        # no nd x nd eigensolve runs; factorize stays one dense Cholesky
+        # stacked (d, n, n) eigh serves the certificate and the basis, one
+        # stacked (d, n, n) Cholesky the factor, and no nd x nd
+        # decomposition runs
         sites = np.linspace(0.0, 6.0, 12)[:, None]
         k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
-        calls, eigh_shapes = self._count_decompositions(monkeypatch, 24)
+        calls, shapes = self._count_decompositions(monkeypatch, 24)
         ctx = make_context(k, sites)
         factorize(ctx.gram)
         basis = onb_expansion(ctx, 1e-12)
         assert ctx.gram.jitter_used == 0.0
-        assert calls == {"cholesky": 1}
-        assert eigh_shapes == {(2, 12, 12): 1}
+        assert calls == {}
+        assert shapes == {("eigh", (2, 12, 12)): 1, ("cholesky", (2, 12, 12)): 1}
         assert len(basis) == 24
 
     def test_raw_data_path_decompositions(self, monkeypatch):
