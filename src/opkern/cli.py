@@ -96,8 +96,8 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def load_raw_matrix(path: str, size: int) -> np.ndarray:
-    """size x size matrix from CSV, averaged with its transpose so that it
-    is exactly symmetric; rows starting with '#' are skipped."""
+    """size x size matrix from CSV; rows starting with '#' are skipped.
+    ``gram.raw_gram`` symmetrizes it."""
     rows = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -112,7 +112,7 @@ def load_raw_matrix(path: str, size: int) -> np.ndarray:
     raw = np.array(rows)
     if raw.shape != (size, size):
         raise UsageError(f"raw matrix shape {raw.shape} != expected {(size, size)}")
-    return 0.5 * (raw + raw.T)
+    return raw
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -249,7 +249,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def common(p):
         p.add_argument("--kernel", help="kernel spec string")
-        p.add_argument("--sites", help="grid(a,b,n) or inline JSON list")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--config", help="key=value config file; flags win")
 
@@ -283,6 +282,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--trunc-tol", type=float, default=1e-12, dest="trunc_tol")
     p.set_defaults(func=cmd_expand)
 
+    for name in ("gram", "verify", "sample", "expand"):  # spectrum makes its grids
+        sub.choices[name].add_argument("--sites", help="grid(a,b,n) or inline JSON list")
     return parser, sub.choices
 
 
@@ -308,7 +309,7 @@ def main(argv=None) -> int:
         args = _parse(argv)
         if args.kernel is None:
             raise UsageError("--kernel is required")
-        if args.command not in ("spectrum",) and args.sites is None:
+        if "sites" in vars(args) and args.sites is None:
             raise UsageError("--sites is required")
         return args.func(args)
     except SystemExit as exc:  # argparse has printed its message

@@ -108,9 +108,9 @@ def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
     matrices).  Stream v3: one Philox stream keyed by ``seed`` in
     [0, 2**64), its own counter blocks per path, Box-Muller normals (see
     ``_normals``), one ``Z @ L.T`` per chunk of about CHUNK_WORDS normals,
-    with L the factor ``factorize`` gives: the channel factor for a Gram
-    certified from its channels, else the dense Cholesky factor.  Stream v2
-    drew the same normals but always took the dense Cholesky factor.
+    with L the channel factor ``factorize`` gives (the Cholesky factor for
+    a one-channel Gram).  Stream v2 drew the same normals but always took
+    the dense Cholesky factor.
     Every chunk, the last included, has the full row count: BLAS rounding
     can depend on the row count (one row takes the matrix-vector path),
     and a fixed shape keeps path p independent of ``count``, so a longer

@@ -47,13 +47,13 @@ class SpectrumReport:
     """Symmetric eigendecomposition of a Gram matrix plus decay diagnostics;
     the one decomposition every spectral consumer reads.
 
-    Dense path (``basis`` None): ``eigenvectors`` is (nd, nd) and column k
-    belongs to ``eigenvalues[k]``.  Channel path: ``eigenvectors`` is the
-    (d, n, n) stack of channel eigenvectors, and ``eigenvalues[k]`` belongs
-    to kron(u, basis[:, m]) with u = eigenvectors[m, :, j] and
-    (m, j) = divmod(order[k], n).  ``drift`` bounds the distance of the
-    Gram's eigenvalues from ``eigenvalues`` (Weyl), and the PSD verdict
-    reads ``min_eig - drift``.
+    It decomposes the Gram's (c, N, N) channel Grams (c = d, N = n for a
+    kernel Gram; c = 1, N = nd for a one-channel Gram): ``eigenvectors`` is
+    their stack of eigenvectors, each channel's in nonincreasing order of
+    its eigenvalues, and ``eigenvalues[k]`` belongs to kron(u, basis[:, m])
+    with u = eigenvectors[m, :, j] and (m, j) = divmod(order[k], N).
+    ``drift`` bounds the distance of the Gram's eigenvalues from
+    ``eigenvalues`` (Weyl), and the PSD verdict reads ``min_eig - drift``.
     """
 
     eigenvalues: np.ndarray  # sorted nonincreasing
@@ -63,14 +63,34 @@ class SpectrumReport:
     effective_rank: dict[float, int]
     trace: float
     eigenvectors: np.ndarray
-    basis: np.ndarray | None = None
-    order: np.ndarray | None = None
-    drift: float = 0.0
+    basis: np.ndarray
+    order: np.ndarray
+    drift: float
 
     @classmethod
-    def _build(cls, eig, vecs, basis=None, order=None, drift=0.0) -> "SpectrumReport":
-        lam_max = float(eig[0])
-        min_eig = float(eig[-1])
+    def from_channels(
+        cls, data: np.ndarray, channels: np.ndarray, basis: np.ndarray
+    ) -> "SpectrumReport | None":
+        """One stacked eigh of the (c, N, N) channel Grams K_m of a Gram
+        G = sum_m K_m (x) q_m q_m^T, q_m = basis[:, m].
+
+        The certificate is tied to G itself: the Frobenius distance of G
+        from that sum is the drift.  Returns None when the drift exceeds
+        DRIFT_TOL * max(lambda_max, 1), where G is not the channels' sum
+        (its data was replaced after assembly).
+        """
+        _check_symmetric(data)
+        lam, vecs = np.linalg.eigh(channels)  # (c, N) ascending per channel
+        lam, vecs = lam[:, ::-1], vecs[..., ::-1]
+        order = np.argsort(-lam.ravel(), kind="stable")
+        eig = lam.ravel()[order]
+        c, N = lam.shape
+        R = OperatorKernel.channel_sum(np.moveaxis(channels, 0, -1), basis)
+        R -= data.reshape(N, c, N, c).transpose(0, 2, 1, 3)  # (i, j, a, b)
+        drift = float(np.linalg.norm(R.ravel()))
+        lam_max, min_eig = float(eig[0]), float(eig[-1])
+        if not drift <= DRIFT_TOL * max(lam_max, 1.0):
+            return None
         psd = min_eig - drift >= -PSD_EIG_TOL * max(lam_max, 1.0)
         trace = float(eig.sum())
         eff = {
@@ -78,48 +98,13 @@ class SpectrumReport:
         }
         return cls(eig, lam_max, min_eig, psd, eff, trace, vecs, basis, order, drift)
 
-    @classmethod
-    def from_matrix(cls, data: np.ndarray) -> "SpectrumReport":
-        """One dense eigh of the Gram."""
-        _check_symmetric(data)
-        eig, vecs = np.linalg.eigh(data)  # ascending
-        return cls._build(eig[::-1], vecs[:, ::-1])
-
-    @classmethod
-    def from_channels(
-        cls, data: np.ndarray, channels: np.ndarray, basis: np.ndarray
-    ) -> "SpectrumReport | None":
-        """One stacked eigh of the (d, n, n) channel Grams K_m of a Gram
-        G = sum_m K_m (x) q_m q_m^T, q_m = basis[:, m].
-
-        The certificate is tied to G itself: the Frobenius distance of G
-        from that sum is the drift.  Returns None when the drift exceeds
-        DRIFT_TOL * max(lambda_max, 1), where G is not the channels' sum
-        (rounding in a kernel's dense values can put it there, e.g. a
-        normalized kernel over an ill-conditioned K(s,s)).
-        """
-        _check_symmetric(data)
-        lam, vecs = np.linalg.eigh(channels)  # (d, n) ascending per channel
-        order = np.argsort(-lam.ravel(), kind="stable")
-        eig = lam.ravel()[order]
-        d, n = lam.shape
-        outer = basis.T[:, :, None] * basis.T[:, None, :]  # (m, a, b)
-        R = np.tensordot(channels, outer, (0, 0))  # (i, j, a, b)
-        R -= data.reshape(n, d, n, d).transpose(0, 2, 1, 3)
-        drift = float(np.linalg.norm(R.ravel()))
-        if not drift <= DRIFT_TOL * max(float(eig[0]), 1.0):
-            return None
-        return cls._build(eig, vecs, basis, order, drift)
-
     def leading_vectors(self, k: int) -> np.ndarray:
         """(k, nd) rows: the unit eigenvectors of eigenvalues[:k]."""
-        if self.basis is None:
-            return self.eigenvectors[:, :k].T
-        d, n, _ = self.eigenvectors.shape
-        m, j = np.divmod(self.order[:k], n)
-        u = self.eigenvectors[m, :, j]  # (k, n)
-        q = self.basis.T[m]  # (k, d)
-        return (u[:, :, None] * q[:, None, :]).reshape(k, n * d)
+        c, N, _ = self.eigenvectors.shape
+        m, j = np.divmod(self.order[:k], N)
+        u = self.eigenvectors[m, :, j]  # (k, N)
+        q = self.basis.T[m]  # (k, c)
+        return (u[:, :, None] * q[:, None, :]).reshape(k, N * c)
 
 
 def _check_symmetric(data: np.ndarray) -> None:
@@ -148,12 +133,15 @@ class BlockGram:
 
     ``factor`` (when present) is a square root L of data + jitter_used * I:
     L L^T matches it up to the reconstruction tolerance, and
-    ``factor_residual`` is the accepted rung's measure of that distance
-    (see ``factorize``).  L is lower triangular on the dense path.
-    A kernel Gram with d > 1 also carries its (d, n, n) channel Grams and
-    the kernel's basis Q (see ``kernels``), from which ``psd_check``
-    certifies it and ``factorize`` factors it; a Gram without them is
-    certified and factored from ``data`` alone.
+    ``factor_residual`` is the accepted rung's bound on that distance
+    (see ``factorize``).
+    Every Gram is a channel Gram, data = sum_m K_m (x) q_m q_m^T: it carries
+    the (c, N, N) channel Grams K_m and a (c, c) orthogonal basis Q whose
+    column q_m belongs to channel m, from which ``psd_check`` certifies it
+    and ``factorize`` factors it.  A kernel Gram has the kernel's d
+    channels (see ``kernels``); any other Gram (a raw matrix, or data
+    replaced after assembly) is one channel, the data itself with Q = [[1]].
+    Built without channels, a Gram takes that one channel.
     """
 
     n: int
@@ -164,8 +152,12 @@ class BlockGram:
     jitter_used: float = 0.0
     factor_residual: float = 0.0
     spectrum: SpectrumReport | None = None
-    channels: np.ndarray | None = None  # (d, n, n): channel m's scalar Gram
-    basis: np.ndarray | None = None  # (d, d): column m belongs to channel m
+    channels: np.ndarray | None = None  # (c, N, N): channel m's scalar Gram
+    basis: np.ndarray | None = None  # (c, c): column m belongs to channel m
+
+    def __post_init__(self):
+        if self.channels is None:
+            self.channels, self.basis = _own_channel(self.data)
 
     def block(self, i: int, j: int) -> np.ndarray:
         d = self.d
@@ -174,6 +166,11 @@ class BlockGram:
     @property
     def size(self) -> int:
         return self.n * self.d
+
+
+def _own_channel(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A matrix as the one channel of itself: (1, N, N) view and Q = [[1]]."""
+    return data[None], np.ones((1, 1))
 
 
 def gram_sites(
@@ -198,28 +195,25 @@ def assemble_gram(
 ) -> BlockGram:
     """Assemble the block Gram matrix of a square kernel on the given sites.
 
-    All sites must have the same number of coordinates.  The result is
-    symmetrized by averaging with its transpose, so it is exactly symmetric
-    as ``psd_check`` requires.  For d > 1 the channel Grams come from the
-    same squared distances.
+    All sites must have the same number of coordinates.  The kernel's
+    closed form gives the (n, n, d) channel values once; G is their channel
+    sum (``OperatorKernel.channel_sum``), symmetrized by averaging with its
+    transpose, so it is exactly symmetric as ``psd_check`` requires.
     """
     S = gram_sites(kernel, sites, size_cap)
     n, d = len(S), kernel.dim_h
-    r2 = kernel.sq_dists(S, S)
     spec = kernel.spec
-    G = spec.values(r2).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    ch = spec.channels(kernel.sq_dists(S, S))
+    G = kernel.channel_sum(ch, spec.basis).transpose(0, 2, 1, 3).reshape(n * d, n * d)
     G = 0.5 * (G + G.T)
-    if d == 1:  # G is its own channel Gram: nothing to split
-        return BlockGram(n=n, d=d, sites=S, data=G)
-    channels = np.ascontiguousarray(np.moveaxis(spec.channels(r2), -1, 0))
+    channels = np.ascontiguousarray(np.moveaxis(ch, -1, 0))
     return BlockGram(n=n, d=d, sites=S, data=G, channels=channels, basis=spec.basis)
 
 
 def raw_gram(kernel: OperatorKernel, sites, data) -> BlockGram:
     """A Gram of ``kernel``'s shape on ``sites`` holding an externally
     supplied matrix (raw-matrix workflows, fault injection), averaged with
-    its transpose.  It has no channels: it is certified and factored from
-    the matrix alone."""
+    its transpose.  It is its own one channel."""
     S = gram_sites(kernel, sites)
     n, d = len(S), kernel.dim_h
     raw = np.asarray(data, dtype=float)
@@ -231,15 +225,14 @@ def raw_gram(kernel: OperatorKernel, sites, data) -> BlockGram:
 def psd_check(gram: BlockGram) -> SpectrumReport:
     """Eigendecomposition with a relative PSD certificate; cached.
 
-    The data must be exactly symmetric.  A Gram with channel Grams takes
-    d stacked n x n eigensolves; a raw or d = 1 Gram, or one its channels
-    do not reproduce, takes one nd x nd eigensolve (see SpectrumReport).  The
+    The data must be exactly symmetric.  One stacked eigh of the Gram's
+    (c, N, N) channel Grams (see SpectrumReport); a Gram whose channels no
+    longer sum to its data becomes the one channel of its data first.  The
     eigenpairs are kept on the report for the orthonormal expansion."""
-    report = None
-    if gram.channels is not None:
-        report = SpectrumReport.from_channels(gram.data, gram.channels, gram.basis)
+    report = SpectrumReport.from_channels(gram.data, gram.channels, gram.basis)
     if report is None:
-        report = SpectrumReport.from_matrix(gram.data)
+        gram.channels, gram.basis = _own_channel(gram.data)
+        report = SpectrumReport.from_channels(gram.data, gram.channels, gram.basis)
     gram.spectrum = report
     return report
 
@@ -257,8 +250,8 @@ def _jitter_ladder(gram: BlockGram):
 
 
 def _jittered_cholesky(A: np.ndarray, eps: float):
-    """Cholesky L of A + eps*I, for one (N, N) matrix or a (d, N, N)
-    stack, and its residual max |L L^T - (A + eps*I)|."""
+    """Stacked Cholesky L of A + eps*I for a (c, N, N) stack A, and its
+    residual max |L L^T - (A + eps*I)|."""
     N = A.shape[-1]
     target = A + 0.0  # A + eps*I entry for entry (-0.0 too), no N x N eye
     target.reshape(-1, N * N)[:, :: N + 1] += eps
@@ -271,42 +264,39 @@ def _jittered_cholesky(A: np.ndarray, eps: float):
 
 def _channel_factor(L: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The (nd, nd) factor F[(i,a),(j,m)] = Q[a,m] L_m[i,j] of the stacked
-    channel factors L (d, n, n) and the basis Q."""
-    d, n, _ = L.shape
+    channel factors L (c, N, N) and the basis Q."""
+    c, N, _ = L.shape
     F = L.transpose(1, 2, 0)[:, None] * basis[None, :, None]  # (i, a, j, m)
-    return F.reshape(n * d, n * d)
+    return F.reshape(N * c, N * c)
 
 
 def factorize(gram: BlockGram) -> BlockGram:
     """Factor G + eps*I with a jitter ladder from 0 up to 1e-6 * tr(G)/(nd).
 
-    A Gram certified from its channels (its ``psd_check`` report, run here
-    if missing, has a basis) is factored by channel: G + eps*I =
-    sum_m (K_m + eps*I) (x) q_m q_m^T, as sum_m q_m q_m^T = I, so a rung is
-    one stacked Cholesky L_m of the (d, n, n) channel Grams and the factor
-    is F[(i,a),(j,m)] = Q[a,m] L_m[i,j].  The rung is accepted when
+    The Gram is factored by channel, after its ``psd_check`` (run here if
+    missing): G + eps*I = sum_m (K_m + eps*I) (x) q_m q_m^T, as
+    sum_m q_m q_m^T = I, so a rung is one stacked Cholesky L_m of the
+    (c, N, N) channel Grams and the factor is F[(i,a),(j,m)] =
+    Q[a,m] L_m[i,j].  The rung is accepted when
     max_m |L_m L_m^T - (K_m + eps*I)| + drift is within the reconstruction
     tolerance; it bounds |F F^T - (G + eps*I)| entrywise, since
-    sum_m |Q[a,m] Q[b,m]| <= 1 (Cauchy-Schwarz over the rows of Q).  Any
-    other Gram (raw, d = 1, or certified densely) takes one dense Cholesky
-    per rung, accepted by its residual; that factor is lower triangular.
+    sum_m |Q[a,m] Q[b,m]| <= 1 (Cauchy-Schwarz over the rows of Q).  F is
+    lower triangular when Q = I, so a one-channel Gram's F is the Cholesky
+    factor of G + eps*I and its bound is that factor's residual.
 
-    On success stores the factor, the jitter used and the accepted residual
-    (or bound); raises IndefiniteMatrixError when the whole ladder fails.
+    On success stores the factor, the jitter used and the accepted bound;
+    raises IndefiniteMatrixError when the whole ladder fails.
     """
-    if gram.spectrum is None and gram.channels is not None:
-        psd_check(gram)
-    by_channel = gram.spectrum is not None and gram.spectrum.basis is not None
-    A, drift = (gram.channels, gram.spectrum.drift) if by_channel else (gram.data, 0.0)
+    report = gram.spectrum or psd_check(gram)
     scale = 1.0 + float(np.abs(gram.data).max())
     for eps in _jitter_ladder(gram):
         try:
-            L, residual = _jittered_cholesky(A, eps)
+            L, residual = _jittered_cholesky(gram.channels, eps)
         except np.linalg.LinAlgError:
             continue
-        residual += drift
+        residual += report.drift
         if residual <= RECON_TOL * scale:
-            gram.factor = _channel_factor(L, gram.basis) if by_channel else L
+            gram.factor = _channel_factor(L, gram.basis)
             gram.jitter_used = eps
             gram.factor_residual = residual
             return gram

@@ -5,13 +5,15 @@ increments, and the two-space diagnostic form).
 Sites are 1-D float arrays of domain coordinates; vectors in the ambient
 space H are 1-D float arrays of length ``d``; operator values are dense
 ``d_out x d_in`` float matrices.  All scalars are real.  Every spec is a
-closed form in r = |s-t|: its ``values(r2)`` maps an array of squared
-distances to the operator values, shape ``r2.shape + (d_out, d_in)``.
+closed form in r = |s-t|.
 
-Every square spec is also diagonal in one fixed orthogonal basis Q:
-K(r) = Q diag(k_1(r), ..., k_d(r)) Q^T.  It declares Q in closed form as
-``basis`` (column m belongs to channel m) and the channel values k_m as
-``channels(r2)``, shape ``r2.shape + (d,)``.
+Every square spec is diagonal in one fixed orthogonal basis Q:
+K(r) = Q diag(k_1(r), ..., k_d(r)) Q^T.  It declares only Q, in closed form
+as ``basis`` (column m belongs to channel m), and the channel values k_m as
+``channels(r2)``, which maps an array of squared distances to shape
+``r2.shape + (d,)``; ``OperatorKernel.channel_sum`` turns channels into
+operator values.  The rectangular ``twospace`` spec's ``values(r2)`` gives
+its values, shape ``r2.shape + (d_out, d_in)``, from its base's one channel.
 """
 
 from __future__ import annotations
@@ -132,9 +134,6 @@ class GaussianSpec:
         val = self.sigma**2 * np.exp(-r2 / (2.0 * self.ell**2))
         return np.repeat(val[..., None], self.dim, -1)
 
-    def values(self, r2: np.ndarray) -> np.ndarray:
-        return self.channels(r2)[..., None] * np.eye(self.dim)
-
     def render(self) -> str:
         return (
             f"gauss(dim={self.dim},ell={_fmt(self.ell)},"
@@ -158,11 +157,6 @@ class DiagExp3Spec:
 
     def channels(self, r2: np.ndarray) -> np.ndarray:
         return np.stack([np.ones(np.shape(r2)), np.exp(-np.sqrt(r2)), np.exp(-r2)], -1)
-
-    def values(self, r2: np.ndarray) -> np.ndarray:
-        # every channel value is finite and >= 0, so the products with the
-        # identity are exactly the channel values and exact zeros
-        return self.channels(r2)[..., None] * np.eye(3)
 
     def render(self) -> str:
         return "diagexp3"
@@ -189,17 +183,9 @@ class Rational2Spec:
     def basis(self) -> np.ndarray:
         return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
-    @staticmethod
-    def _ab(r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return 1.0 / (1.0 + np.sqrt(r2)), 1.0 / (1.0 + r2)
-
     def channels(self, r2: np.ndarray) -> np.ndarray:
-        a, b = self._ab(r2)
+        a, b = 1.0 / (1.0 + np.sqrt(r2)), 1.0 / (1.0 + r2)
         return np.stack([a + b, a - b], -1)
-
-    def values(self, r2: np.ndarray) -> np.ndarray:
-        a, b = self._ab(r2)
-        return np.stack([np.stack([a, b], -1), np.stack([b, a], -1)], -2)
 
     def render(self) -> str:
         return "rational2"
@@ -245,9 +231,6 @@ class SeparableSpec:
     def channels(self, r2: np.ndarray) -> np.ndarray:
         return self.base.channels(r2) * self._eigh[0]
 
-    def values(self, r2: np.ndarray) -> np.ndarray:
-        return self.base.values(r2) * np.asarray(self.B, dtype=float)
-
     def render(self) -> str:
         return f"separable(B={_fmt_matrix(self.B)},base={self.base.render()})"
 
@@ -258,8 +241,8 @@ class NormalizedSpec:
 
     Every builtin inner kernel is a function of |s-t|, so K(s,s) is the same
     at every site.  C = Q diag(c) Q^T in the inner basis Q, so the channels
-    are the inner channels divided by c, their values at distance 0 (cached),
-    and the values are Q diag(channels) Q^T.
+    are the inner channels divided by c, their values at distance 0 (cached);
+    no C^(-1/2) is formed, whose rounding would grow like cond(C) * eps.
     """
 
     inner: "KernelSpec"
@@ -284,12 +267,6 @@ class NormalizedSpec:
 
     def channels(self, r2: np.ndarray) -> np.ndarray:
         return self.inner.channels(r2) / self._channels_at_zero
-
-    def values(self, r2: np.ndarray) -> np.ndarray:
-        # Q diag(channels) Q^T: C^(-1/2) from a dense eigh(C) would carry
-        # rounding of order cond(C) * eps that the closed form lacks
-        Q = self.basis
-        return np.tensordot(self.channels(r2)[..., None, :] * Q, Q, (-1, -1))
 
     def render(self) -> str:
         return f"normalized(inner={self.inner.render()})"
@@ -336,7 +313,7 @@ class TwoSpaceSpec:
         return self.d2
 
     def values(self, r2: np.ndarray) -> np.ndarray:
-        return self.base.values(r2) * np.asarray(self.M, dtype=float)
+        return self.base.channels(r2)[..., None] * np.asarray(self.M, dtype=float)
 
     def render(self) -> str:
         return (
@@ -565,8 +542,9 @@ class OperatorKernel:
     """Evaluable form of a KernelSpec.
 
     Every value comes from one path: ``blocks`` forms the pairwise squared
-    distances of two site arrays and the spec turns them into all blocks at
-    once; ``eval`` is its one-pair case.  Evaluation is pure and symmetric
+    distances of two site arrays, the spec turns them into its channels (its
+    values, for ``twospace``) and ``channel_sum`` into all blocks at once;
+    ``eval`` is its one-pair case.  Evaluation is pure and symmetric
     (eval(s,t) == eval(t,s)^T) for every square builtin variant.
     """
 
@@ -596,10 +574,22 @@ class OperatorKernel:
         diff = S[:, None, :] - T[None, :, :]
         return np.einsum("ijk,ijk->ij", diff, diff)
 
+    @staticmethod
+    def channel_sum(channels: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """Q diag(k) Q^T for each row k of a (..., d) channel array, shape
+        (..., d, d): one GEMM with the d^2 products Q[a,m] Q[b,m]."""
+        d = len(basis)
+        P = (basis[:, None, :] * basis[None, :, :]).reshape(d * d, d)
+        out = channels.reshape(-1, d) @ P.T
+        return out.reshape(channels.shape[:-1] + (d, d))
+
     def blocks(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
         """K(S[i], T[j]) for (n, k) and (m, k) site arrays, shape
         (n, m, dim_out, dim_in)."""
-        return self.spec.values(self.sq_dists(S, T))
+        r2 = self.sq_dists(S, T)
+        if isinstance(self.spec, TwoSpaceSpec):
+            return self.spec.values(r2)
+        return self.channel_sum(self.spec.channels(r2), self.spec.basis)
 
     def eval(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         return self.blocks(s[None], t[None])[0, 0]

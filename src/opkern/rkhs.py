@@ -469,20 +469,19 @@ def verify_identities(
                 )
 
     # continuity: the G-internal increment agrees with the kernel-side one
-    if n >= 1:
-        for _ in range(min(trials, 20)):
-            i = int(rng.integers(n))
-            j = int(rng.integers(n))
-            a = rng.standard_normal(d)
-            diff = RkhsElement(
-                ctx, section(ctx, i, a).coeffs - section(ctx, j, a).coeffs
-            )
-            lhs = inner_product(diff, diff)
-            rhs = continuity_increment(kernel, ctx.sites[i], ctx.sites[j], a)
-            record(
-                "continuity_consistency",
-                abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)),
-            )
+    for _ in range(min(trials, 20)):
+        i = int(rng.integers(n))
+        j = int(rng.integers(n))
+        a = rng.standard_normal(d)
+        diff = RkhsElement(
+            ctx, section(ctx, i, a).coeffs - section(ctx, j, a).coeffs
+        )
+        lhs = inner_product(diff, diff)
+        rhs = continuity_increment(kernel, ctx.sites[i], ctx.sites[j], a)
+        record(
+            "continuity_consistency",
+            abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)),
+        )
 
     tolerances = {
         "factorization_consistency": 1e-8,

@@ -1,3 +1,4 @@
+import argparse
 import json
 from importlib import resources
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from opkern import gram as gram_mod
-from opkern.cli import UsageError, main, parse_sites
+from opkern.cli import UsageError, build_parser, main, parse_sites
 from opkern.gram import assemble_gram, gram_to_csv
 from opkern.kernels import OperatorKernel, make_kernel
 
@@ -173,6 +174,15 @@ class TestSpectrumCommand:
         payload = validate(tmp_path / "spectrum_10.json", "spectrum.json")
         assert payload["n"] == 10 and payload["d"] == 3
         assert payload["sites"][-1] == [1.0]
+
+    def test_sites_rejected(self, tmp_path):
+        # spectrum makes its own grids: --sites and a sites key are usage errors
+        args = ["spectrum", "--kernel", "diagexp3", "--counts", "5", "--out", str(tmp_path)]
+        assert main(args + ["--sites", "[7,8,9]"]) == 1
+        conf = tmp_path / "job.conf"
+        conf.write_text("sites = [7,8,9]\n")
+        assert main(args + ["--config", str(conf)]) == 1
+        assert not (tmp_path / "spectrum_5.json").exists()
 
     def test_empty_counts(self, tmp_path):
         code = main(
@@ -446,6 +456,42 @@ class TestConfigFile:
         conf.write_text(f"{key} = 1\n")
         args = self.SAMPLE + ["--config", str(conf), "--out", str(tmp_path)]
         assert main(args) == 1
+
+
+class RecordingNamespace(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it
+    once ``reads`` is set to a set."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestEveryFlagIsRead:
+    # one tiny run of each subcommand
+    RUNS = {
+        "gram": ["--kernel", "diagexp3", "--sites", "grid(0,1,3)"],
+        "spectrum": ["--kernel", "diagexp3", "--counts", "3,5"],
+        "verify": ["--kernel", "diagexp3", "--sites", "grid(0,1,3)", "--trials", "2"],
+        "sample": ["--kernel", "gauss(sigma=1,ell=1)", "--sites", "grid(0,1,2)", "-N", "50"],
+        "expand": ["--kernel", "gauss(sigma=1,ell=1)", "--sites", "grid(0,1,4)"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_command_reads_every_option(self, tmp_path, command):
+        # an option the command never reads is a flag without effect
+        parser, commands = build_parser()
+        assert set(commands) == set(self.RUNS)
+        argv = [command, *self.RUNS[command], "--out", str(tmp_path)]
+        args = parser.parse_args(argv, namespace=RecordingNamespace())
+        dests = set(vars(args)) - {"command", "func", "config"}
+        args.reads = set()
+        assert args.func(args) == 0
+        assert dests - args.reads == set()
 
 
 class TestDeterminism:

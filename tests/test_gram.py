@@ -2,6 +2,7 @@ import contextlib
 import csv
 import json
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,6 @@ from opkern.gram import (
     BlockGram,
     GramError,
     IndefiniteMatrixError,
-    SpectrumReport,
     assemble_gram,
     effective_rank,
     factorize,
@@ -26,7 +26,7 @@ from opkern.gram import (
     write_csv_rows,
     _jitter_ladder,
 )
-from opkern.kernels import make_kernel
+from opkern.kernels import OperatorKernel, make_kernel
 from opkern.rkhs import RkhsContext, onb_expansion
 
 GAUSS1 = "gauss(sigma=1,ell=1,dim=1)"
@@ -61,6 +61,17 @@ def raw_gram(data):
     return BlockGram(n=n, d=1, sites=[np.array([float(i)]) for i in range(n)], data=data)
 
 
+def dense_eigh(data):
+    """Test-local oracle: one dense eigh of the whole matrix, eigenvalues
+    nonincreasing, column k of the vectors belonging to eigenvalue k."""
+    eig, vecs = np.linalg.eigh(data)
+    return eig[::-1], vecs[:, ::-1]
+
+
+def oracle_psd(eig):
+    return eig[-1] >= -PSD_EIG_TOL * max(eig[0], 1.0)
+
+
 @contextlib.contextmanager
 def cholesky_shapes():
     """Record the argument shape of every np.linalg.cholesky call."""
@@ -75,7 +86,8 @@ def cholesky_shapes():
 
 
 def dense_jitter(g):
-    """The dense ladder's rung for g's matrix (None: indefinite)."""
+    """The ladder's rung for g's matrix as its own one channel, a dense
+    Cholesky per rung (None: indefinite)."""
     try:
         return factorize(BlockGram(n=g.n, d=g.d, sites=g.sites, data=g.data)).jitter_used
     except IndefiniteMatrixError:
@@ -127,6 +139,23 @@ class TestAssemble:
     def test_empty_sites(self):
         with pytest.raises(GramError, match="nonempty"):
             assemble_gram(make_kernel(GAUSS1), [])
+
+    @pytest.mark.parametrize("text", SQUARE_KERNELS)
+    def test_closed_form_evaluated_once(self, text):
+        # the channels are the one closed-form evaluation: G is their sum
+        spec = make_kernel(text).spec
+        reads = Counter()
+
+        class Spy:
+            def __getattr__(self, name):
+                reads[name] += 1
+                return getattr(spec, name)
+
+        sites = np.random.default_rng(3).uniform(-2, 2, size=(6, 2))
+        g = assemble_gram(OperatorKernel(Spy()), sites)
+        assert reads["channels"] == 1 and reads["values"] == 0
+        ref = assemble_gram(make_kernel(text), sites)
+        assert np.array_equal(g.data, ref.data) and np.array_equal(g.channels, ref.channels)
 
 
 class TestPsdCheck:
@@ -185,15 +214,17 @@ class TestPsdCheck:
         big = max(float(np.abs(oracle).max()), 1.0)
         assert np.all(np.diff(report.eigenvalues) <= 0.0)
         assert np.abs(report.eigenvalues - oracle).max() <= 1e-12 * big
-        V = report.eigenvectors
-        assert V.shape == data.shape
+        # a matrix is its own one channel: basis [[1]], one (1, n, n) stack
+        assert report.eigenvectors.shape == (1,) + data.shape
+        assert np.array_equal(report.basis, [[1.0]])
+        V = report.leading_vectors(len(data)).T
         diag = V.T @ data @ V
         assert np.abs(diag - np.diag(report.eigenvalues)).max() <= 1e-10 * big
         assert np.abs(V.T @ V - np.eye(len(data))).max() <= 1e-10
 
 
 class TestChannelPath:
-    """psd_check on kernel Grams (stacked channel eigh) against the dense
+    """psd_check on kernel Grams (stacked channel eigh) against a dense
     eigendecomposition of the same matrix as the oracle."""
 
     @given(
@@ -213,15 +244,16 @@ class TestChannelPath:
         k = make_kernel(text)
         g = assemble_gram(k, sites)
         report = psd_check(g)
-        oracle = SpectrumReport.from_matrix(g.data)
-        big = max(oracle.lambda_max, 1.0)
-        # the channel path certified it (a scalar Gram is its own channel)
-        assert (report.basis is not None) == (g.d > 1)
+        eig, vecs = dense_eigh(g.data)
+        big = max(eig[0], 1.0)
+        # the kernel's d channels certified it (d = 1: the Gram itself)
+        assert report.eigenvectors.shape == (g.d, g.n, g.n)
+        assert report.basis is g.basis and g.basis is k.spec.basis
         assert report.drift <= 1e-12 * big
         assert np.all(np.diff(report.eigenvalues) <= 0.0)
-        assert np.abs(report.eigenvalues - oracle.eigenvalues).max() <= 1e-12 * big
-        if abs(oracle.min_eig + PSD_EIG_TOL * big) > 1e-12 * big:
-            assert report.psd == oracle.psd
+        assert np.abs(report.eigenvalues - eig).max() <= 1e-12 * big
+        if abs(eig[-1] + PSD_EIG_TOL * big) > 1e-12 * big:
+            assert report.psd == oracle_psd(eig)
         if not report.psd:
             return
         ctx = RkhsContext(k, g.sites, g)
@@ -235,9 +267,8 @@ class TestChannelPath:
         # the kept eigenspaces equal the dense ones: eigenvalues repeat (8-fold
         # for gauss dim=8), so compare projectors where a clear gap splits
         m = len(C)
-        eig = oracle.eigenvalues
         if m == len(eig) or eig[m - 1] - eig[m] >= 1e-4 * big:
-            U, W = report.leading_vectors(m), oracle.leading_vectors(m)
+            U, W = report.leading_vectors(m), vecs[:, :m].T
             assert np.abs(U.T @ U - W.T @ W).max() <= 1e-8
 
     def test_leading_vectors_are_eigenvectors(self):
@@ -265,11 +296,12 @@ class TestChannelPath:
 
     def test_replaced_data_is_certified_itself(self):
         # channel Grams that no longer match the data cannot certify it:
-        # the drift guard sends it to the dense eigensolve
+        # the drift guard makes the data its own one channel
         g = assemble_gram(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]])
         g.data = np.diag([1.0, 1.0, 1.0, -1.0])
         report = psd_check(g)
-        assert report.basis is None
+        assert g.channels.shape == (1, 4, 4) and np.array_equal(g.channels[0], g.data)
+        assert np.array_equal(report.basis, [[1.0]]) and report.drift == 0.0
         assert not report.psd and report.min_eig == -1.0
 
     def test_ill_conditioned_normalized_certified_by_channels(self):
@@ -288,12 +320,12 @@ class TestChannelPath:
             k = make_kernel(f"normalized(inner=separable(B={lit},base=gauss(sigma=1,ell=1)))")
             g = assemble_gram(k, np.linspace(0.0, 3.0, 40)[:, None])
             report = psd_check(g)
-            oracle = SpectrumReport.from_matrix(g.data)
-            big = oracle.lambda_max
-            assert report.basis is not None
+            eig, _ = dense_eigh(g.data)
+            big = eig[0]
+            assert report.eigenvectors.shape == (2, 40, 40)
             assert report.drift <= 1e-14 * big
-            assert np.abs(report.eigenvalues - oracle.eigenvalues).max() <= 1e-12 * big
-            assert report.psd and oracle.psd
+            assert np.abs(report.eigenvalues - eig).max() <= 1e-12 * big
+            assert report.psd and oracle_psd(eig)
 
 
 class TestChannelFactor:
@@ -378,10 +410,12 @@ class TestChannelFactor:
         assert g.spectrum is not None and g.spectrum.basis is not None
 
     def test_dense_certified_gram_takes_dense_ladder(self):
-        # channels that no longer match the data cannot factor it either
+        # channels that no longer match the data cannot factor it either:
+        # the data is its own one channel, factored by one dense Cholesky
         g = assemble_gram(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]])
         g.data = np.diag([1.0, 2.0, 3.0, 4.0])
         factorize(g)
+        assert g.channels.shape == (1, 4, 4)
         assert np.array_equal(g.factor, np.diag(np.sqrt([1.0, 2.0, 3.0, 4.0])))
 
 

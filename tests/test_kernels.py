@@ -139,25 +139,34 @@ class TestBlocks:
 
 class TestChannels:
     def test_every_square_spec_declares_basis_and_channels(self):
-        # a square spec without them would fall back to the dense eigensolve
+        # they are a square spec's one closed form: no second one (values)
         square = set(typing.get_args(KernelSpec)) - {TwoSpaceSpec}
         for cls in square:
             assert "basis" in dir(cls), cls.__name__
             assert callable(getattr(cls, "channels", None)), cls.__name__
+            assert not hasattr(cls, "values"), cls.__name__
         covered = {type(parse_kernel_spec(t)) for t in ALL_SQUARE_SPECS + NESTED_SPECS}
         assert covered == square
 
     @pytest.mark.parametrize("text", ALL_SQUARE_SPECS + NESTED_SPECS)
     def test_basis_diagonalizes_values(self, text):
-        # K(r) = Q diag(channels(r)) Q^T with Q orthogonal
-        spec = parse_kernel_spec(text)
-        r2 = np.linspace(0.0, 4.0, 41).reshape(-1, 1) ** 2
-        Q, ch = spec.basis, spec.channels(r2)
+        # K(r) = Q diag(channels(r)) Q^T with Q orthogonal, against the closed
+        # forms written out in ref_value: sigma^2 exp(-r^2 / 2 ell^2) I,
+        # diag(1, e^-r, e^-r^2), [[a,b],[b,a]], base * B, and C^(-1/2) K
+        # C^(-1/2) with C^(-1/2) from a dense eigh
+        k = make_kernel(text)
+        spec = k.spec
+        r = np.linspace(0.0, 4.0, 41)
+        Q, ch = spec.basis, spec.channels(r.reshape(-1, 1) ** 2)
         d = spec.dim_h
-        assert Q.shape == (d, d) and ch.shape == r2.shape + (d,)
+        assert Q.shape == (d, d) and ch.shape == (41, 1, d)
         assert np.abs(Q.T @ Q - np.eye(d)).max() <= 1e-15
-        K = np.einsum("am,...m,bm->...ab", Q, ch, Q)
-        assert np.abs(K - spec.values(r2)).max() <= 1e-14
+        K = k.blocks(np.zeros((1, 1)), r[:, None])[0]
+        ref = np.array([ref_value(spec, [0.0], [x]) for x in r])
+        assert K.shape == ref.shape == (41, d, d)
+        tol = 1e-14 * (1.0 + np.abs(ref).max())
+        assert np.abs(K - ref).max() <= tol
+        assert np.abs(np.einsum("am,...m,bm->...ab", Q, ch[:, 0], Q) - ref).max() <= tol
 
     def test_singular_normalized_channels(self):
         spec = parse_kernel_spec(

@@ -82,7 +82,9 @@ class TestContext:
         monkeypatch.setattr(OperatorKernel, "sq_dists", staticmethod(fail))
         ctx = make_context(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]],
                            raw_data=np.eye(4))
-        assert ctx.gram.channels is None and np.array_equal(ctx.gram.data, np.eye(4))
+        # the raw matrix is its own one channel
+        assert np.array_equal(ctx.gram.data, np.eye(4))
+        assert ctx.gram.channels.shape == (1, 4, 4) and np.array_equal(ctx.gram.basis, [[1.0]])
 
     def test_raw_data_symmetrized_exactly(self):
         k = make_kernel(GAUSS1)
@@ -365,16 +367,23 @@ class TestOnbExpansion:
         assert len(basis) == 24
 
     def test_raw_data_path_decompositions(self, monkeypatch):
-        # a raw Gram has no channels: one dense eigh, one dense Cholesky
+        # a raw Gram is its own one channel: one (1, nd, nd) eigh and one
+        # (1, nd, nd) Cholesky, which give the dense eigh's eigenvalues and
+        # the dense Cholesky factor bitwise
         sites = np.linspace(0.0, 6.0, 12)[:, None]
         k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
         raw = assemble_gram(k, sites).data
-        calls, _ = self._count_decompositions(monkeypatch, 24)
+        eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+        calls, shapes = self._count_decompositions(monkeypatch, 24)
         ctx = make_context(k, sites, raw_data=raw)
         factorize(ctx.gram)
         basis = onb_expansion(ctx, 1e-12)
-        assert ctx.gram.channels is None
-        assert calls == {"eigh": 1, "cholesky": 1}
+        g = ctx.gram
+        assert g.channels.shape == (1, 24, 24)
+        assert calls == {}
+        assert shapes == {("eigh", (1, 24, 24)): 1, ("cholesky", (1, 24, 24)): 1}
+        assert np.array_equal(g.spectrum.eigenvalues, eigh(g.data)[0][::-1])
+        assert np.array_equal(g.factor, cholesky(g.data + g.jitter_used * np.eye(24)))
         assert len(basis) == 24
 
     def test_elements_share_one_array(self, norm_ctx):
