@@ -97,21 +97,30 @@ def load_config(path: str) -> dict[str, str]:
 
 def load_raw_matrix(path: str, size: int) -> np.ndarray:
     """size x size matrix from CSV; rows starting with '#' are skipped.
-    ``gram.raw_gram`` symmetrizes it."""
-    rows = []
+    ``gram.raw_gram`` symmetrizes it.  Rows are parsed one at a time into
+    an array allocated at the first row of ``size`` values; every row is
+    parsed, so that a non-numeric value is reported before a wrong row
+    length."""
+    raw = None
+    lengths = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].lstrip().startswith("#"):
                 continue
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise UsageError(f"raw matrix in {path}: {exc}") from None
-    if not rows or any(len(r) != len(rows) for r in rows):
+            if len(lengths) < size and len(values) == size:
+                if raw is None:
+                    raw = np.empty((size, size))
+                raw[len(lengths)] = values
+            lengths.append(len(values))
+    if not lengths or any(n != len(lengths) for n in lengths):
         raise UsageError(f"raw matrix in {path} is not square")
-    raw = np.array(rows)
-    if raw.shape != (size, size):
-        raise UsageError(f"raw matrix shape {raw.shape} != expected {(size, size)}")
+    if len(lengths) != size:
+        shape = (len(lengths), len(lengths))
+        raise UsageError(f"raw matrix shape {shape} != expected {(size, size)}")
     return raw
 
 

@@ -203,7 +203,7 @@ def batch_to_binary(batch: SampleBatch, path) -> None:
     with open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<QIII", batch.seed, batch.count, n, d))
-        fh.write(batch.paths.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(batch.paths, dtype="<f8"))  # no copy if already so
 
 
 def batch_from_binary(path):

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import OperatorKernel, as_sites
+from .reprcsv import write_csv_rows
 
 __all__ = [
     "GramError",
@@ -331,14 +332,6 @@ def spectral_decay_profile(
 
 # ---------------------------------------------------------------------------
 # Export
-
-
-def write_csv_rows(fh, matrix: np.ndarray) -> None:
-    """One CSV line per row of a 2-D float array, each value as repr(float):
-    the bytes csv.writer writes for those strings (none needs quoting),
-    without its per-value calls.  Rows are converted one at a time, so no
-    list of every value is held."""
-    fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in matrix)
 
 
 def gram_to_csv(gram: BlockGram, path) -> None:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 from importlib import resources
 
@@ -9,7 +10,9 @@ import pytest
 from opkern import gram as gram_mod
 from opkern.cli import UsageError, build_parser, main, parse_sites
 from opkern.gram import assemble_gram, gram_to_csv
+from opkern.gp import sample_paths
 from opkern.kernels import OperatorKernel, make_kernel
+from opkern.rkhs import make_context, onb_expansion
 
 
 def schema(name):
@@ -139,6 +142,33 @@ class TestGramCommand:
         args = [command, "--kernel", "gauss(sigma=1,ell=1)", "--sites", "[0,1]"]
         assert main(args + ["--raw", str(raw), "--out", str(tmp_path)]) == 1
         assert "raw matrix shape (3, 3) != expected (2, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gram", "verify"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1.0,0.0\n0.0\n", " is not square"),  # ragged
+            ("1.0,0.0,0.0\n0.0,1.0,0.0\n", " is not square"),  # 2 x 3
+            ("# header\n1.0,x\n0.0,1.0\n", ": could not convert string to float: 'x'"),
+            ("1.0\n0.0,x\n", ": could not convert string to float: 'x'"),  # ragged, then x
+            ("", " is not square"),  # no rows
+        ],
+    )
+    def test_raw_malformed_usage_error(self, tmp_path, command, text, message, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(text)
+        args = [command, "--kernel", "gauss(sigma=1,ell=1)", "--sites", "[0,1]"]
+        assert main(args + ["--raw", str(raw), "--out", str(tmp_path)]) == 1
+        assert f"raw matrix in {raw}{message}" in capsys.readouterr().err
+
+    def test_raw_wrong_shape_many_sites(self, tmp_path, capsys):
+        # no (size, size) array is allocated before a row of that length
+        raw = tmp_path / "raw.csv"
+        raw.write_text("1.0,0.0\n0.0,1.0\n")
+        sites = json.dumps([0.0] * 100_000)
+        args = ["verify", "--kernel", "gauss(sigma=1,ell=1)", "--sites", sites]
+        assert main(args + ["--raw", str(raw), "--out", str(tmp_path)]) == 1
+        assert "raw matrix shape (2, 2) != expected (100000, 100000)" in capsys.readouterr().err
 
 
 class TestSpectrumCommand:
@@ -508,3 +538,53 @@ class TestDeterminism:
         main(args + ["--out", str(b)])
         assert (a / "gram.csv").read_bytes() == (b / "gram.csv").read_bytes()
         assert (a / "spectrum.json").read_bytes() == (b / "spectrum.json").read_bytes()
+
+
+def reference_csv(path, header, rows):
+    """csv.writer for the header, then each value as repr(float(v)): the
+    CSV the writers produced before export was vectorised."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+    return path.read_bytes()
+
+
+class TestCsvExports:
+    """gram.csv, batch.csv and onb.csv are byte-equal to the reference
+    writer applied to the same arrays, headers included."""
+
+    CASES = [
+        ("normalized(inner=separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)))", "grid(0,3,9)"),
+        ("diagexp3", "grid(0,54,3)"),  # exp(-27^2) is subnormal, exp(-54^2) is 0.0
+    ]
+
+    @pytest.mark.parametrize("kernel, sites", CASES)
+    def test_gram_csv(self, tmp_path, kernel, sites):
+        assert main(["gram", "--kernel", kernel, "--sites", sites, "--out", str(tmp_path)]) == 0
+        g = assemble_gram(make_kernel(kernel), parse_sites(sites))
+        sites_repr = ";".join(",".join(repr(float(v)) for v in s) for s in g.sites)
+        header = ["# n", g.n, "d", g.d, "sites", sites_repr]
+        expected = reference_csv(tmp_path / "ref.csv", header, g.data)
+        assert (tmp_path / "gram.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("kernel, sites", CASES)
+    def test_batch_csv(self, tmp_path, kernel, sites):
+        args = ["sample", "--kernel", kernel, "--sites", sites, "-N", "40",
+                "--seed", "5", "--format", "csv", "--out", str(tmp_path)]
+        main(args)
+        ctx = make_context(make_kernel(kernel), parse_sites(sites))
+        batch = sample_paths(ctx, 40, 5)
+        header = ["# seed", 5, "count", 40, "context", ctx.context_hash()]
+        expected = reference_csv(tmp_path / "ref.csv", header, batch.paths.reshape(40, -1))
+        assert (tmp_path / "batch.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("kernel, sites", CASES)
+    def test_onb_csv(self, tmp_path, kernel, sites):
+        assert main(["expand", "--kernel", kernel, "--sites", sites, "--out", str(tmp_path)]) == 0
+        ctx = make_context(make_kernel(kernel), parse_sites(sites))
+        C = np.array([el.coeffs for el in onb_expansion(ctx, 1e-12)])
+        header = ["# basis", len(C), "n", ctx.n, "d", ctx.d]
+        expected = reference_csv(tmp_path / "ref.csv", header, C)
+        assert (tmp_path / "onb.csv").read_bytes() == expected

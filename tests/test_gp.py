@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opkern.gp import (
+    BINARY_MAGIC,
     CHUNK_WORDS,
+    SampleBatch,
     _normals,
     batch_from_binary,
     batch_to_binary,
@@ -285,6 +288,35 @@ class TestExport:
         seed, paths = batch_from_binary(path)
         assert seed == 12
         np.testing.assert_array_equal(paths, values.reshape(2, 3, 2))
+
+    @staticmethod
+    def handmade_batch(layout="c"):
+        # no sampling, so the bytes are the same on every host
+        ctx = make_context(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0.0], [1.0], [2.5]])
+        paths = ((np.arange(30, dtype=np.float64) - 7.0) / 7.0).reshape(5, 3, 2)
+        if layout == "big-endian":
+            paths = paths.astype(">f8")
+        elif layout == "strided":
+            wide = np.zeros((5, 3, 4))
+            wide[:, :, ::2] = paths
+            paths = wide[:, :, ::2]
+        return SampleBatch(context=ctx, seed=2**63 + 5, count=5, paths=paths)
+
+    def test_binary_bytes_pinned(self, tmp_path):
+        # SHA-256 of the file the earlier writer, paths.astype("<f8").tobytes(),
+        # made of this batch
+        path = tmp_path / "batch.bin"
+        batch_to_binary(self.handmade_batch(), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "ac04119f14bb4b0965f1a374ce8c3921b27efdbca72033d373f9149c0541a847"
+
+    @pytest.mark.parametrize("layout", ["c", "big-endian", "strided"])
+    def test_binary_bytes_any_layout(self, tmp_path, layout):
+        batch = self.handmade_batch(layout)
+        path = tmp_path / "batch.bin"
+        batch_to_binary(batch, path)
+        header = BINARY_MAGIC + struct.pack("<QIII", batch.seed, 5, 3, 2)
+        assert path.read_bytes() == header + batch.paths.astype("<f8").tobytes()
 
     def test_csv_header(self, two_site_ctx, tmp_path):
         batch = sample_paths(two_site_ctx, 3, seed=2)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import io
 import json
 import math
 from collections import Counter
@@ -27,6 +28,7 @@ from opkern.gram import (
     _jitter_ladder,
 )
 from opkern.kernels import OperatorKernel, make_kernel
+from opkern.reprcsv import CHUNK
 from opkern.rkhs import RkhsContext, onb_expansion
 
 GAUSS1 = "gauss(sigma=1,ell=1,dim=1)"
@@ -560,6 +562,76 @@ class TestExport:
             with open(new, "w", newline="") as fh:
                 write_csv_rows(fh, M)
             assert new.read_bytes() == old.read_bytes()
+
+    @staticmethod
+    def csv_writer_text(M):
+        # the oracle of test_csv_rows_byte_identical_to_csv_writer
+        fh = io.StringIO(newline="")
+        writer = csv.writer(fh)
+        for row in M:
+            writer.writerow([repr(float(v)) for v in row])
+        return fh.getvalue()
+
+    @staticmethod
+    def write_csv_text(M):
+        fh = io.StringIO(newline="")
+        write_csv_rows(fh, M)
+        return fh.getvalue()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        patterns=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+        rows=st.integers(0, 3),
+        cols=st.sampled_from([1, 3, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]),
+        view=st.sampled_from(["contiguous", "transposed", "strided", "reversed"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_csv_rows_match_csv_writer_on_any_bits(self, patterns, rows, cols, view, seed):
+        # arbitrary bit patterns, then random bits, in shapes crossing chunk
+        # boundaries (one row can be wider than a chunk) and in views
+        bits = np.random.default_rng(seed).integers(0, 2**64, rows * cols, dtype=np.uint64)
+        bits[: len(patterns)] = np.array(patterns, dtype=np.uint64)[: rows * cols]
+        values = bits.view(np.float64)
+        M = {
+            "contiguous": lambda: values.reshape(rows, cols),
+            "transposed": lambda: values.reshape(cols, rows).T,
+            "strided": lambda: np.repeat(values.reshape(rows, cols), 2, axis=1)[:, ::2],
+            "reversed": lambda: values.reshape(rows, cols)[::-1, ::-1],
+        }[view]()
+        assert M.shape == (rows, cols)
+        assert self.write_csv_text(M) == self.csv_writer_text(M)
+
+    def test_csv_rows_match_csv_writer_on_edge_values(self):
+        p2 = np.ldexp(1.0, np.arange(-1074, 1024))
+        p10 = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        powers = np.concatenate([p2, p10])
+        near = np.concatenate(
+            [powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)]
+        )
+        subnormals = np.arange(1, 1000, dtype=np.uint64).view(np.float64)
+        integers = np.array([float(2**53 + i) for i in range(-300, 301)])
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)]
+        values = np.concatenate([near, subnormals, integers, special])
+        values = np.concatenate([values, -values])
+        for M in (values[:, None], np.resize(values, (len(values) // 7 + 1, 7))):
+            assert self.write_csv_text(M) == self.csv_writer_text(M)
+
+    def test_csv_rows_match_csv_writer_on_random_values(self):
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+        scaled = rng.standard_normal(100_000) * 10.0 ** rng.integers(-20, 20, 100_000)
+        for M in (bits.reshape(-1, 25), scaled.reshape(-1, 20)):
+            assert self.write_csv_text(M) == self.csv_writer_text(M)
+
+    def test_csv_rows_of_chunks_without_digits(self):
+        # chunks holding only zeros, nan and inf skip the digit pass
+        for M in (np.zeros((2, CHUNK + 3)), np.array([[np.nan, -np.inf, -0.0, np.inf]])):
+            assert self.write_csv_text(M) == self.csv_writer_text(M)
+
+    def test_csv_rows_of_empty_rows(self):
+        for shape in [(0, 5), (3, 0), (0, 0)]:
+            M = np.zeros(shape)
+            assert self.write_csv_text(M) == self.csv_writer_text(M)
 
     def test_json_report_shape(self, tmp_path):
         g = assemble_gram(make_kernel(GAUSS1), [[0], [1]])
