@@ -31,7 +31,6 @@ from .rkhs import (
     covariance,
     evaluate_element,
     feature_adjoint,
-    feature_embed,
     frame_projection,
     inner_product,
     make_context,

@@ -27,7 +27,6 @@ __all__ = [
     "section",
     "inner_product",
     "evaluate_element",
-    "feature_embed",
     "feature_adjoint",
     "covariance",
     "frame_projection",
@@ -67,8 +66,7 @@ class RkhsContext:
     def context_hash(self) -> str:
         h = hashlib.sha256()
         h.update(render_spec(self.kernel.spec).encode())
-        for s in self.sites:
-            h.update(s.tobytes())
+        h.update(self.sites.tobytes())  # C order: the rows, one after another
         h.update(self.gram.data.tobytes())
         return h.hexdigest()[:16]
 
@@ -78,7 +76,9 @@ class RkhsElement:
     """A coefficient vector over the kernel sections of one context.
 
     Equality is modulo the null space of G: two elements agree when their
-    G-distance is below null_tol scaled by their G-norms.
+    G-distance is below null_tol scaled by their G-norms.  The constructor
+    validates its coefficients; elements the library builds from arrays it
+    already holds use ``_trusted`` instead.
     """
 
     context: RkhsContext
@@ -93,11 +93,19 @@ class RkhsElement:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("coefficients must be finite")
 
+    @classmethod
+    def _trusted(cls, context: RkhsContext, coeffs: np.ndarray) -> "RkhsElement":
+        """An element over a finite float (n*d,) array, taken unchecked."""
+        el = object.__new__(cls)
+        el.context = context
+        el.coeffs = coeffs
+        return el
+
     def g_norm(self) -> float:
         return float(np.sqrt(max(inner_product(self, self), 0.0)))
 
     def g_distance(self, other: "RkhsElement") -> float:
-        diff = RkhsElement(self.context, self.coeffs - other.coeffs)
+        diff = RkhsElement._trusted(self.context, self.coeffs - other.coeffs)
         return diff.g_norm()
 
     def is_equal(self, other: "RkhsElement") -> bool:
@@ -170,13 +178,18 @@ def zero_element(ctx: RkhsContext) -> RkhsElement:
     return RkhsElement(ctx, np.zeros(ctx.size))
 
 
-def section(ctx: RkhsContext, i: int, a) -> RkhsElement:
-    """The kernel section at site i in direction a: coefficients e_i (x) a."""
-    _check_index(ctx, i)
-    a = as_hvec(a, ctx.d)
+def _section(ctx: RkhsContext, i: int, vec: np.ndarray) -> RkhsElement:
+    """``section`` for a valid index and a finite length-d vector, unchecked."""
     coeffs = np.zeros(ctx.size)
-    coeffs[i * ctx.d : (i + 1) * ctx.d] = a
-    return RkhsElement(ctx, coeffs)
+    coeffs[i * ctx.d : (i + 1) * ctx.d] = vec
+    return RkhsElement._trusted(ctx, coeffs)
+
+
+def section(ctx: RkhsContext, i: int, a) -> RkhsElement:
+    """The kernel section at site i in direction a: coefficients e_i (x) a.
+    This is V_i a, the feature embedding of a at site i."""
+    _check_index(ctx, i)
+    return _section(ctx, i, as_hvec(a, ctx.d))
 
 
 def inner_product(x: RkhsElement, y: RkhsElement) -> float:
@@ -189,17 +202,17 @@ def inner_product(x: RkhsElement, y: RkhsElement) -> float:
     return val
 
 
+def _value_at(x: RkhsElement, t: np.ndarray) -> np.ndarray:
+    """x(t) = sum_j K(t, s_j) c_j in H, from one fresh kernel row at site t."""
+    ctx = x.context
+    K = ctx.kernel.blocks(t[None], ctx.sites)[0]
+    return np.einsum("jab,jb->a", K, x.coeffs.reshape(ctx.n, ctx.d))
+
+
 def evaluate_element(x: RkhsElement, t, a) -> float:
     """Pointwise evaluation sum_j a^T K(t, s_j) c_j; t may be off-grid."""
-    ctx = x.context
-    a = as_hvec(a, ctx.d)
-    K = ctx.kernel.blocks(as_site(t)[None], ctx.sites)[0]
-    return float(a @ np.einsum("jab,jb->a", K, x.coeffs.reshape(ctx.n, ctx.d)))
-
-
-def feature_embed(ctx: RkhsContext, i: int, a) -> RkhsElement:
-    """V_i a: the section at site i in direction a."""
-    return section(ctx, i, a)
+    a = as_hvec(a, x.context.d)
+    return float(a @ _value_at(x, as_site(t)))
 
 
 def feature_adjoint(ctx: RkhsContext, i: int, x: RkhsElement) -> np.ndarray:
@@ -219,8 +232,7 @@ def covariance(ctx: RkhsContext, i: int) -> np.ndarray:
 
 def frame_projection(ctx: RkhsContext, i: int, x: RkhsElement) -> RkhsElement:
     """V_i V_i^* x: the section at i in direction block i of G c."""
-    vec = feature_adjoint(ctx, i, x)
-    return section(ctx, i, vec)
+    return _section(ctx, i, feature_adjoint(ctx, i, x))
 
 
 def transformed_embed(fam: TransformFamily, i: int, a) -> RkhsElement:
@@ -228,7 +240,7 @@ def transformed_embed(fam: TransformFamily, i: int, a) -> RkhsElement:
     ctx = fam.context
     _check_index(ctx, i)
     a = as_hvec(a, ctx.d)
-    return section(ctx, i, fam.mats[i] @ a)
+    return _section(ctx, i, fam.mats[i] @ a)
 
 
 def transformed_adjoint(fam: TransformFamily, i: int, x: RkhsElement) -> np.ndarray:
@@ -255,7 +267,7 @@ def chain_apply(fam: TransformFamily, indices, x: RkhsElement) -> RkhsElement:
     out = x
     for i in reversed(idx):
         vec = fam.mats[i] @ transformed_adjoint(fam, i, out)
-        out = section(ctx, i, vec)
+        out = _section(ctx, i, vec)
     return out
 
 
@@ -275,7 +287,7 @@ def onb_expansion(ctx: RkhsContext, trunc_tol: float) -> list[RkhsElement]:
     coeffs = np.divide(
         report.leading_vectors(k), np.sqrt(lam[:k])[:, None], order="C"
     )
-    return [RkhsElement(ctx, row) for row in coeffs]
+    return [RkhsElement._trusted(ctx, row) for row in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +328,23 @@ class IdentityReport:
         return "\n".join(lines)
 
 
-def _dense_w_projection(fam: TransformFamily, i: int) -> np.ndarray:
-    """The nd x nd coefficient-space matrix of W_i W_i^*."""
+def _w_chain_matrix(fam: TransformFamily, indices) -> np.ndarray:
+    """The nd x nd coefficient-space matrix of the product
+    (W_{i1} W_{i1}^*) ... (W_{ik} W_{ik}^*), built without ``chain_apply``.
+
+    The matrix of W_p W_p^* is zero outside the d rows of block p, where it
+    is B_p B_p^T G[rows of p]; so each factor multiplies only the d columns
+    of the running product that meet those rows.  This equals the dense
+    selector product up to the order in which BLAS sums those d terms.
+    """
     ctx = fam.context
-    n, d = ctx.n, ctx.d
-    S = np.zeros((d, n * d))
-    S[:, i * d : (i + 1) * d] = np.eye(d)
-    B = fam.mats[i]
-    return S.T @ (B @ B.T) @ S @ ctx.gram.data
+    d = ctx.d
+    M = np.eye(ctx.size)
+    for p in indices:
+        rows = slice(p * d, (p + 1) * d)
+        B = fam.mats[p]
+        M = M[:, rows] @ ((B @ B.T) @ ctx.gram.data[rows])
+    return M
 
 
 def verify_identities(
@@ -344,6 +365,7 @@ def verify_identities(
     rng = np.random.default_rng(seed)
     G = ctx.gram.data
     n, d = ctx.n, ctx.d
+    eye = np.eye(d)
     kernel = ctx.kernel
     scale = 1.0 + float(np.abs(G).max())
 
@@ -361,7 +383,7 @@ def verify_identities(
     # the covariances K(s_i, s_i), decomposed once for the PSD record and
     # the operator norms
     cov = blocks[np.arange(n), np.arange(n)]
-    normalized = float(np.abs(cov - np.eye(d)).max()) <= 1e-10
+    normalized = float(np.abs(cov - eye).max()) <= 1e-10
     lam = np.linalg.eigvalsh(cov)  # ascending per site
     sym_defect = np.abs(cov - cov.transpose(0, 2, 1)).max(axis=(1, 2)) / scale
     neg = np.maximum(0.0, -lam[:, 0]) / np.maximum(lam[:, -1], 1.0)
@@ -372,26 +394,26 @@ def verify_identities(
     # factorization: V_i^* V_j e is block i of G (e_j (x) e), so the image of
     # one basis section under every V_i^* is a column of G
     for j in range(n):
-        for k, e in enumerate(np.eye(d)):
-            img = G @ feature_embed(ctx, j, e).coeffs
+        for k, e in enumerate(eye):
+            img = G @ _section(ctx, j, e).coeffs
             record("factorization", float(np.abs(img - G[:, j * d + k]).max()) / scale)
 
     for _ in range(trials):
         i = int(rng.integers(n))
         a = rng.standard_normal(d)
-        x = RkhsElement(ctx, rng.standard_normal(n * d))
-        y = RkhsElement(ctx, rng.standard_normal(n * d))
+        x = RkhsElement._trusted(ctx, rng.standard_normal(n * d))
+        y = RkhsElement._trusted(ctx, rng.standard_normal(n * d))
         xnorm = x.g_norm()
 
-        # reproducing property
-        for axis in range(d):
-            e = np.eye(d)[axis]
-            lhs = evaluate_element(x, ctx.sites[i], e)
-            rhs = inner_product(section(ctx, i, e), x)
+        # reproducing property, every axis from one kernel row at s_i
+        value = _value_at(x, ctx.sites[i])
+        for e in eye:
+            lhs = float(e @ value)
+            rhs = inner_product(_section(ctx, i, e), x)
             record("reproducing", abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
 
         # feature norm vs covariance quadratic form
-        emb = feature_embed(ctx, i, a)
+        emb = _section(ctx, i, a)
         nrm2 = inner_product(emb, emb)
         quad = float(a @ covariance(ctx, i) @ a)
         record("feature_norm", abs(nrm2 - quad) / (1.0 + abs(quad)))
@@ -411,7 +433,7 @@ def verify_identities(
 
         if normalized:
             unit = a / np.linalg.norm(a) if np.linalg.norm(a) > 0 else a
-            emb_u = feature_embed(ctx, i, unit)
+            emb_u = _section(ctx, i, unit)
             record("isometry", abs(emb_u.g_norm() - float(np.linalg.norm(unit))))
             ppx = frame_projection(ctx, i, px)
             record(
@@ -446,13 +468,11 @@ def verify_identities(
             idx = [int(rng.integers(n)) for _ in range(k)]
             chained = chain_apply(fam, idx, x)
             # left-to-right product applied to coeffs: P_{i1} ... P_{ik} c
-            M = np.eye(n * d)
-            for p in idx:
-                M = M @ _dense_w_projection(fam, p)
+            mx = _w_chain_matrix(fam, idx) @ x.coeffs
             record(
                 "w_chain",
-                float(np.abs(chained.coeffs - M @ x.coeffs).max())
-                / (1.0 + float(np.abs(M @ x.coeffs).max())),
+                float(np.abs(chained.coeffs - mx).max())
+                / (1.0 + float(np.abs(mx).max())),
             )
             if w_unitary:
                 unit = a / np.linalg.norm(a) if np.linalg.norm(a) > 0 else a
@@ -473,8 +493,8 @@ def verify_identities(
         i = int(rng.integers(n))
         j = int(rng.integers(n))
         a = rng.standard_normal(d)
-        diff = RkhsElement(
-            ctx, section(ctx, i, a).coeffs - section(ctx, j, a).coeffs
+        diff = RkhsElement._trusted(
+            ctx, _section(ctx, i, a).coeffs - _section(ctx, j, a).coeffs
         )
         lhs = inner_product(diff, diff)
         rhs = continuity_increment(kernel, ctx.sites[i], ctx.sites[j], a)

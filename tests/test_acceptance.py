@@ -30,10 +30,10 @@ from opkern.rkhs import (
     RkhsElement,
     TransformFamily,
     chain_apply,
-    feature_embed,
     frame_projection,
     make_context,
     onb_expansion,
+    section,
     transformed_adjoint,
     transformed_embed,
     verify_identities,
@@ -226,7 +226,7 @@ def test_criterion_04_isometry_projection():
         a = rng.standard_normal(2)
         a /= np.linalg.norm(a)
         worst_iso = max(
-            worst_iso, abs(feature_embed(ctx, i, a).g_norm() - 1.0)
+            worst_iso, abs(section(ctx, i, a).g_norm() - 1.0)
         )
         x = RkhsElement(ctx, rng.standard_normal(ctx.size))
         px = frame_projection(ctx, i, x)

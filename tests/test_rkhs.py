@@ -1,11 +1,14 @@
+import hashlib
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opkern.gram import assemble_gram, factorize
-from opkern.kernels import OperatorKernel, make_kernel
+from opkern.kernels import OperatorKernel, make_kernel, render_spec
 from opkern.rkhs import (
     RkhsContext,
     RkhsElement,
@@ -15,7 +18,6 @@ from opkern.rkhs import (
     element_to_json_dict,
     evaluate_element,
     feature_adjoint,
-    feature_embed,
     frame_projection,
     inner_product,
     make_context,
@@ -26,6 +28,7 @@ from opkern.rkhs import (
     verify_identities,
     zero_element,
 )
+from opkern.rkhs import _w_chain_matrix
 
 GAUSS1 = "gauss(sigma=1,ell=1,dim=1)"
 
@@ -93,12 +96,64 @@ class TestContext:
         ctx = make_context(k, [[0], [1], [2]], raw_data=raw)
         assert np.array_equal(ctx.gram.data, ctx.gram.data.T)
 
+    def test_context_hash_matches_per_site_digest(self):
+        # one update over the (n, k) site array equals one update per site,
+        # whatever the array's memory layout
+        k = make_kernel("gauss(sigma=1,ell=1,dim=2)")
+        ctx = make_context(k, [[0.0, 1.0], [0.5, -2.0], [3.0, 0.25]])
+        fortran = RkhsContext(kernel=k, sites=np.asfortranarray(ctx.sites), gram=ctx.gram)
+        h = hashlib.sha256()
+        h.update(render_spec(k.spec).encode())
+        for s in ctx.sites:
+            h.update(s.tobytes())
+        h.update(ctx.gram.data.tobytes())
+        assert ctx.context_hash() == fortran.context_hash() == h.hexdigest()[:16]
+
     def test_element_equality_mod_null_space(self):
         # rank-deficient Gram: duplicated site makes sections (0,a), (1,a)
         # identical in the RKHS though their coefficients differ
         ctx = make_context(make_kernel(GAUSS1), [[0], [0]])
         assert section(ctx, 0, [1]).is_equal(section(ctx, 1, [1]))
         assert not section(ctx, 0, [1]).is_equal(zero_element(ctx))
+
+
+class TestPublicEntryValidation:
+    """Inputs are checked where they enter; internal elements are trusted."""
+
+    BAD_VECTORS = [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0], [1.0, 2.0, 3.0], [1.0]]
+
+    @pytest.mark.parametrize("bad", BAD_VECTORS)
+    def test_section_rejects(self, norm_ctx, bad):
+        with pytest.raises(ValueError):
+            section(norm_ctx, 0, bad)
+
+    @pytest.mark.parametrize("bad", BAD_VECTORS)
+    def test_transformed_embed_rejects(self, norm_ctx, bad):
+        fam = TransformFamily(norm_ctx, [np.eye(2)] * norm_ctx.n)
+        with pytest.raises(ValueError):
+            transformed_embed(fam, 0, bad)
+
+    @pytest.mark.parametrize("bad", BAD_VECTORS)
+    def test_evaluate_element_rejects_direction(self, norm_ctx, bad):
+        with pytest.raises(ValueError):
+            evaluate_element(zero_element(norm_ctx), [0.5], bad)
+
+    @pytest.mark.parametrize("t", [[np.nan], [np.inf]])
+    def test_evaluate_element_rejects_site(self, norm_ctx, t):
+        with pytest.raises(ValueError):
+            evaluate_element(zero_element(norm_ctx), t, [1.0, 0.0])
+
+    @pytest.mark.parametrize("pos, value", [(0, np.nan), (3, np.inf), (9, -np.inf)])
+    def test_element_rejects_nonfinite(self, norm_ctx, pos, value):
+        coeffs = np.ones(norm_ctx.size)
+        coeffs[pos] = value
+        with pytest.raises(ValueError, match="finite"):
+            RkhsElement(norm_ctx, coeffs)
+
+    @pytest.mark.parametrize("size", [0, 9, 11])
+    def test_element_rejects_length(self, norm_ctx, size):
+        with pytest.raises(ValueError, match="length"):
+            RkhsElement(norm_ctx, np.ones(size))
 
 
 class TestInnerProduct:
@@ -149,15 +204,15 @@ class TestEvaluateElement:
 
 class TestFeatureOperators:
     def test_embed_norm_is_covariance_form(self, diagexp_ctx):
-        x = feature_embed(diagexp_ctx, 0, [0, 1, 0])
+        x = section(diagexp_ctx, 0, [0, 1, 0])
         assert inner_product(x, x) == pytest.approx(1.0)
 
     def test_embed_zero(self, diagexp_ctx):
-        assert feature_embed(diagexp_ctx, 1, [0, 0, 0]).g_norm() == 0.0
+        assert section(diagexp_ctx, 1, [0, 0, 0]).g_norm() == 0.0
 
     def test_isometry_under_normalization(self, norm_ctx):
         a = np.array([0.6, -0.8])
-        x = feature_embed(norm_ctx, 2, a)
+        x = section(norm_ctx, 2, a)
         assert x.g_norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_adjoint_on_section(self, diagexp_ctx):
@@ -191,7 +246,7 @@ class TestFeatureOperators:
         for i in range(norm_ctx.n):
             comp = np.column_stack(
                 [
-                    feature_adjoint(norm_ctx, i, feature_embed(norm_ctx, i, e))
+                    feature_adjoint(norm_ctx, i, section(norm_ctx, i, e))
                     for e in np.eye(d)
                 ]
             )
@@ -224,7 +279,7 @@ class TestTransformedFamily:
         fam = TransformFamily(diagexp_ctx, [np.eye(3)] * 2)
         a = [0.3, -1.0, 0.7]
         np.testing.assert_array_equal(
-            transformed_embed(fam, 1, a).coeffs, feature_embed(diagexp_ctx, 1, a).coeffs
+            transformed_embed(fam, 1, a).coeffs, section(diagexp_ctx, 1, a).coeffs
         )
         x = RkhsElement(diagexp_ctx, np.arange(6.0))
         np.testing.assert_allclose(
@@ -468,6 +523,65 @@ class TestVerifyIdentities:
         payload = report.to_json_dict()
         json.dumps(payload)
         assert all({"max_residual", "tolerance", "pass"} == set(v) for v in payload.values())
+
+    def test_one_kernel_row_per_trial(self, norm_ctx, monkeypatch):
+        # the consistency check's n x n evaluation, one row per trial for
+        # every reproducing axis, and four point evaluations per continuity
+        # trial; a per-axis evaluation would add (d - 1) * trials
+        calls = Counter()
+        blocks = OperatorKernel.blocks
+
+        def counted(self, S, T):
+            calls["blocks"] += 1
+            return blocks(self, S, T)
+
+        monkeypatch.setattr(OperatorKernel, "blocks", counted)
+        fam = TransformFamily(norm_ctx, [rotation(i * 0.5) for i in range(5)])
+        for trials in (5, 30):
+            calls.clear()
+            verify_identities(norm_ctx, fam=fam, trials=trials, seed=0)
+            assert calls["blocks"] == 1 + trials + 4 * min(trials, 20)
+
+    @given(
+        d=st.sampled_from([1, 2, 3, 8]),
+        n=st.integers(1, 12),
+        chain=st.lists(st.integers(0, 11), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_w_chain_matrix_matches_dense_selector_product(self, d, n, chain, seed):
+        rng = np.random.default_rng(seed)
+        nd = n * d
+        A = rng.standard_normal((nd, nd))
+        ctx = make_context(
+            make_kernel(f"gauss(sigma=1,ell=1,dim={d})"),
+            [[float(s)] for s in range(n)],
+            raw_data=A @ A.T + nd * np.eye(nd),
+        )
+        fam = TransformFamily(ctx, [rng.standard_normal((d, d)) for _ in range(n)])
+        idx = [p % n for p in chain]
+        # the dense form: nd x nd selector products, one per chain index,
+        # and the same product over absolute values for the error bound
+        G = ctx.gram.data
+        dense, magnitude = np.eye(nd), np.eye(nd)
+        for p in idx:
+            S = np.zeros((d, nd))
+            S[:, p * d : (p + 1) * d] = np.eye(d)
+            B = fam.mats[p]
+            selected = S.T @ (B @ B.T) @ S
+            dense = dense @ (selected @ G)
+            magnitude = magnitude @ (np.abs(selected) @ np.abs(G))
+        rows = _w_chain_matrix(fam, idx)
+        if d == 1:
+            # one nonzero term per entry of each factor: both forms round
+            # each product once, so they agree exactly
+            assert np.array_equal(rows, dense)
+        # otherwise the order in which BLAS sums the d nonzero terms of an
+        # nd-long dot product may differ; both forms stay within the
+        # forward error bound k * gamma_nd * |P_1| ... |P_k| of the exact
+        # product
+        bound = 2 * len(idx) * nd * np.finfo(float).eps * magnitude
+        assert np.all(np.abs(rows - dense) <= bound)
 
     def test_deterministic_given_seed(self, norm_ctx):
         r1 = verify_identities(norm_ctx, trials=30, seed=77)
