@@ -68,8 +68,8 @@ def parse_sites(text: str) -> np.ndarray:
         return np.linspace(a, b, n)[:, None]
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"cannot parse site list: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # deep nesting, long integers
+        raise UsageError(f"cannot parse site list: {exc}") from None
     if not isinstance(data, list) or not data:
         raise UsageError("site list must be a nonempty list")
     for item in data:
@@ -77,7 +77,7 @@ def parse_sites(text: str) -> np.ndarray:
             raise UsageError(f"bad site entry: {item!r}")
     try:
         return as_sites(data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad site list: {exc}") from None
 
 
@@ -129,18 +129,24 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _build_gram(args):
+def _gram_inputs(args):
+    """The kernel, the sites and the --raw matrix (None without --raw) of
+    gram and verify; the file is read only after ``gram_sites`` has checked
+    the kernel and the size cap."""
     kernel = make_kernel(args.kernel)
     sites = parse_sites(args.sites)
     if not args.raw:
-        return gram_mod.assemble_gram(kernel, sites)
+        return kernel, sites, None
     sites = gram_mod.gram_sites(kernel, sites)
-    raw = load_raw_matrix(args.raw, len(sites) * kernel.dim_h)
-    return gram_mod.raw_gram(kernel, sites, raw)
+    return kernel, sites, load_raw_matrix(args.raw, len(sites) * kernel.dim_h)
 
 
 def cmd_gram(args) -> int:
-    g = _build_gram(args)
+    kernel, sites, raw = _gram_inputs(args)
+    if raw is None:
+        g = gram_mod.assemble_gram(kernel, sites)
+    else:
+        g = gram_mod.raw_gram(kernel, sites, raw)
     report = gram_mod.psd_check(g)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -174,9 +180,7 @@ def cmd_spectrum(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    kernel = make_kernel(args.kernel)
-    sites = parse_sites(args.sites)
-    raw = load_raw_matrix(args.raw, len(sites) * kernel.dim_h) if args.raw else None
+    kernel, sites, raw = _gram_inputs(args)
     ctx = rkhs_mod.make_context(kernel, sites, raw_data=raw)
     report = rkhs_mod.verify_identities(ctx, trials=args.trials, seed=args.seed)
     out = Path(args.out)
@@ -328,6 +332,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # sizes within the caps can still exhaust memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

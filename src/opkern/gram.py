@@ -174,26 +174,22 @@ def _own_channel(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return data[None], np.ones((1, 1))
 
 
-def gram_sites(
-    kernel: OperatorKernel, sites, size_cap: int = DEFAULT_SIZE_CAP
-) -> np.ndarray:
+def gram_sites(kernel: OperatorKernel, sites) -> np.ndarray:
     """The (n, k) site array of a block Gram of ``kernel`` on ``sites``,
     once the kernel is square, the sites are nonempty with equal numbers of
-    coordinates, and n*d is within ``size_cap``."""
+    coordinates, and n*d is within ``DEFAULT_SIZE_CAP``."""
     if not kernel.is_square:
         raise GramError("block Gram requires a square kernel")
     sites = list(sites)
     if not sites:
         raise GramError("site list must be nonempty")
     n, d = len(sites), kernel.dim_h
-    if n * d > size_cap:
-        raise GramError(f"Gram size {n * d} exceeds cap {size_cap}")
+    if n * d > DEFAULT_SIZE_CAP:
+        raise GramError(f"Gram size {n * d} exceeds cap {DEFAULT_SIZE_CAP}")
     return as_sites(sites)
 
 
-def assemble_gram(
-    kernel: OperatorKernel, sites, size_cap: int = DEFAULT_SIZE_CAP
-) -> BlockGram:
+def assemble_gram(kernel: OperatorKernel, sites) -> BlockGram:
     """Assemble the block Gram matrix of a square kernel on the given sites.
 
     All sites must have the same number of coordinates.  The kernel's
@@ -201,7 +197,7 @@ def assemble_gram(
     sum (``OperatorKernel.channel_sum``), symmetrized by averaging with its
     transpose, so it is exactly symmetric as ``psd_check`` requires.
     """
-    S = gram_sites(kernel, sites, size_cap)
+    S = gram_sites(kernel, sites)
     n, d = len(S), kernel.dim_h
     spec = kernel.spec
     ch = spec.channels(kernel.sq_dists(S, S))

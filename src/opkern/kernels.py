@@ -18,6 +18,12 @@ its values, shape ``r2.shape + (d_out, d_in)``, from its base's one channel.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import itertools
+import math
+import typing
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -49,6 +55,7 @@ __all__ = [
 ]
 
 SYM_TOL = 1e-12
+Matrix = tuple  # row-major tuple of row tuples, kept hashable
 
 
 class KernelSpecError(ValueError):
@@ -121,6 +128,8 @@ class GaussianSpec:
             raise SpecDomainError("ell must be > 0")
         if self.dim < 1:
             raise SpecDomainError("dim must be >= 1")
+        if not (self.sigma * self.sigma < math.inf and 0.0 < self.ell * self.ell < math.inf):
+            raise SpecDomainError("sigma**2 must be finite and ell**2 positive and finite")
 
     @property
     def dim_h(self) -> int:
@@ -133,12 +142,6 @@ class GaussianSpec:
     def channels(self, r2: np.ndarray) -> np.ndarray:
         val = self.sigma**2 * np.exp(-r2 / (2.0 * self.ell**2))
         return np.repeat(val[..., None], self.dim, -1)
-
-    def render(self) -> str:
-        return (
-            f"gauss(dim={self.dim},ell={_fmt(self.ell)},"
-            f"sigma={_fmt(self.sigma)})"
-        )
 
 
 @dataclass(frozen=True)
@@ -157,9 +160,6 @@ class DiagExp3Spec:
 
     def channels(self, r2: np.ndarray) -> np.ndarray:
         return np.stack([np.ones(np.shape(r2)), np.exp(-np.sqrt(r2)), np.exp(-r2)], -1)
-
-    def render(self) -> str:
-        return "diagexp3"
 
 
 @dataclass(frozen=True)
@@ -187,16 +187,13 @@ class Rational2Spec:
         a, b = 1.0 / (1.0 + np.sqrt(r2)), 1.0 / (1.0 + r2)
         return np.stack([a + b, a - b], -1)
 
-    def render(self) -> str:
-        return "rational2"
-
 
 @dataclass(frozen=True)
 class SeparableSpec:
     """base(s,t) * B for a scalar base spec and a fixed symmetric PSD B."""
 
-    B: tuple  # row-major tuple-of-tuples, kept hashable
-    base: "KernelSpec"
+    B: Matrix
+    base: KernelSpec
 
     name = "separable"
 
@@ -212,8 +209,7 @@ class SeparableSpec:
         eigs = self._eigh[0]
         if eigs.min() < -1e-10 * max(eigs.max(), 1.0):
             raise SpecDomainError("separable B must be positive semi-definite")
-        if self.base.dim_h != 1:
-            raise SpecDomainError("separable base must have dim 1")
+        _check_scalar_base(self.base, "separable")
 
     @property
     def dim_h(self) -> int:
@@ -231,9 +227,6 @@ class SeparableSpec:
     def channels(self, r2: np.ndarray) -> np.ndarray:
         return self.base.channels(r2) * self._eigh[0]
 
-    def render(self) -> str:
-        return f"separable(B={_fmt_matrix(self.B)},base={self.base.render()})"
-
 
 @dataclass(frozen=True)
 class NormalizedSpec:
@@ -245,7 +238,7 @@ class NormalizedSpec:
     no C^(-1/2) is formed, whose rounding would grow like cond(C) * eps.
     """
 
-    inner: "KernelSpec"
+    inner: KernelSpec
 
     name = "normalized"
 
@@ -268,9 +261,6 @@ class NormalizedSpec:
     def channels(self, r2: np.ndarray) -> np.ndarray:
         return self.inner.channels(r2) / self._channels_at_zero
 
-    def render(self) -> str:
-        return f"normalized(inner={self.inner.render()})"
-
 
 def _check_invertible(eigval: np.ndarray) -> np.ndarray:
     """The eigenvalues of K(s,s), if they make it invertible."""
@@ -279,33 +269,41 @@ def _check_invertible(eigval: np.ndarray) -> np.ndarray:
     return eigval
 
 
+def _check_scalar_base(base: KernelSpec, owner: str) -> None:
+    """A base kernel must have one channel: square, of dim 1."""
+    if isinstance(base, TwoSpaceSpec) or base.dim_h != 1:
+        raise SpecDomainError(f"{owner} base must be a square kernel of dim 1")
+
+
 @dataclass(frozen=True)
 class TwoSpaceSpec:
-    """base(s,t) * M with M mapping H1 (dim d1) into H2 (dim d2).
+    """base(s,t) * M with the d2 x d1 matrix M mapping H1 (dim d1) into H2
+    (dim d2); both dims are read from M's shape.
 
     Diagnostic only: the value is rectangular and no positive definiteness
     is claimed or checked.
     """
 
-    d1: int
-    d2: int
-    M: tuple  # row-major d2 x d1
-    base: "KernelSpec"
+    M: Matrix
+    base: KernelSpec
 
     name = "twospace"
 
     def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1:
-            raise SpecDomainError("twospace dims must be >= 1")
         M = np.asarray(self.M, dtype=float)
-        if M.shape != (self.d2, self.d1):
-            raise SpecDomainError(
-                f"twospace M must be {self.d2}x{self.d1}, got {M.shape}"
-            )
+        if M.ndim != 2 or M.size == 0:
+            raise SpecDomainError("twospace M must be a nonempty matrix")
         if not np.all(np.isfinite(M)):
             raise SpecDomainError("twospace M must be finite")
-        if self.base.dim_h != 1:
-            raise SpecDomainError("twospace base must have dim 1")
+        _check_scalar_base(self.base, "twospace")
+
+    @property
+    def d1(self) -> int:
+        return len(self.M[0])
+
+    @property
+    def d2(self) -> int:
+        return len(self.M)
 
     @property
     def dim_h(self) -> int:
@@ -314,12 +312,6 @@ class TwoSpaceSpec:
 
     def values(self, r2: np.ndarray) -> np.ndarray:
         return self.base.channels(r2)[..., None] * np.asarray(self.M, dtype=float)
-
-    def render(self) -> str:
-        return (
-            f"twospace(M={_fmt_matrix(self.M)},base={self.base.render()},"
-            f"d1={self.d1},d2={self.d2})"
-        )
 
 
 KernelSpec = Union[
@@ -332,206 +324,132 @@ KernelSpec = Union[
 ]
 
 
-def _fmt(x: float) -> str:
-    if float(x) == int(x):
-        return str(int(x))
-    return repr(float(x))
-
-
-def _fmt_matrix(rows) -> str:
-    return (
-        "["
-        + ",".join(
-            "[" + ",".join(_fmt(v) for v in row) + "]" for row in rows
-        )
-        + "]"
-    )
-
-
 # ---------------------------------------------------------------------------
-# Mini-grammar parser: name(key=value,...) with nesting and [[...]] matrices
+# Spec grammar: a spec is a Python call expression ``name(key=value,...)`` or
+# a bare ``name``; its keys are the fields of the spec's dataclass.  ``ast``
+# parses the text (it evaluates nothing) and ``_build`` reads each keyword
+# with the reader for its field's type.
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str) -> SpecSyntaxError:
-        return SpecSyntaxError(msg, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected '{ch}'")
-        self.pos += 1
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected identifier")
-        return self.text[start : self.pos]
-
-    def number(self) -> float:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isdigit() or self.text[self.pos] in ".eE+-"
-        ):
-            # stop '+-' unless part of an exponent
-            c = self.text[self.pos]
-            if c in "+-" and self.text[self.pos - 1] not in "eE":
-                break
-            self.pos += 1
-        try:
-            return float(self.text[start : self.pos])
-        except ValueError:
-            self.pos = start
-            raise self.error("expected number") from None
-
-    def matrix(self) -> tuple:
-        self.expect("[")
-        rows = []
-        while True:
-            self.expect("[")
-            row = [self.number()]
-            while self.peek() == ",":
-                self.pos += 1
-                row.append(self.number())
-            self.expect("]")
-            rows.append(tuple(row))
-            if self.peek() == ",":
-                self.pos += 1
-                continue
-            break
-        self.expect("]")
-        if len({len(r) for r in rows}) != 1:
-            raise self.error("matrix rows have unequal lengths")
-        return tuple(rows)
-
-    def value(self):
-        c = self.peek()
-        if c == "[":
-            return self.matrix()
-        save = self.pos
-        try:
-            return self.number()
-        except SpecSyntaxError:
-            self.pos = save
-        return self.spec()
-
-    def kwargs(self) -> dict:
-        out: dict = {}
-        if self.peek() != "(":
-            return out
-        self.pos += 1
-        if self.peek() == ")":
-            self.pos += 1
-            return out
-        while True:
-            key = self.ident()
-            self.expect("=")
-            if key in out:
-                raise self.error(f"duplicate key '{key}'")
-            out[key] = self.value()
-            if self.peek() == ",":
-                self.pos += 1
-                continue
-            break
-        self.expect(")")
-        return out
-
-    def spec(self) -> KernelSpec:
-        name = self.ident().lower()
-        kw = self.kwargs()
-        return _build_spec(name, kw, self)
+class _Fault(Exception):
+    """(message, node): a malformed node, located by ``parse_kernel_spec``."""
 
 
-def _take(kw: dict, parser: _Parser, key: str, required=True, default=None):
-    if key not in kw:
-        if required:
-            raise SpecDomainError(f"missing parameter '{key}'")
-        return default
-    return kw.pop(key)
+def _number(node: ast.expr) -> float:
+    """A finite int or float literal with at most one sign, as a float."""
+    negative = isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    if not (isinstance(node, ast.Constant) and type(node.value) in (int, float)):
+        raise _Fault("expected a number", node)
+    try:
+        value = float(node.value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SpecDomainError("parameters must be finite floats")
+    return -value if negative else value
 
 
-def _as_int(v, key: str) -> int:
-    if isinstance(v, float) and v == int(v):
-        return int(v)
-    raise SpecDomainError(f"parameter '{key}' must be an integer")
+def _integer(node: ast.expr) -> int:
+    value = _number(node)
+    if not value.is_integer():
+        raise _Fault("expected an integer", node)
+    return int(value)
 
 
-def _build_spec(name: str, kw: dict, parser: _Parser) -> KernelSpec:
-    if name in ("gauss", "gaussian"):
-        sigma = _take(kw, parser, "sigma")
-        ell = _take(kw, parser, "ell")
-        dim = _take(kw, parser, "dim", required=False, default=1.0)
-        spec = GaussianSpec(float(sigma), float(ell), _as_int(dim, "dim"))
-    elif name == "diagexp3":
-        spec = DiagExp3Spec()
-    elif name == "rational2":
-        spec = Rational2Spec()
-    elif name == "separable":
-        B = _take(kw, parser, "B")
-        base = _take(kw, parser, "base")
-        if not isinstance(B, tuple):
-            raise SpecDomainError("separable B must be a matrix literal")
-        spec = SeparableSpec(B, base)
-    elif name == "normalized":
-        inner = _take(kw, parser, "inner")
-        spec = NormalizedSpec(inner)
-    elif name == "twospace":
-        M = _take(kw, parser, "M")
-        base = _take(kw, parser, "base")
-        if not isinstance(M, tuple):
-            raise SpecDomainError("twospace M must be a matrix literal")
-        d2 = len(M)
-        d1 = len(M[0])
-        d1 = _as_int(_take(kw, parser, "d1", required=False, default=float(d1)), "d1")
-        d2 = _as_int(_take(kw, parser, "d2", required=False, default=float(d2)), "d2")
-        spec = TwoSpaceSpec(d1, d2, M, base)
-    else:
-        raise parser.error(f"unknown kernel '{name}'")
-    if kw:
-        raise SpecDomainError(
-            f"unexpected parameter(s) for '{name}': {sorted(kw)}"
-        )
-    return spec
+def _matrix(node: ast.expr) -> Matrix:
+    """A row-major ``[[a,b],[c,d]]`` literal: equally long, nonempty rows."""
+    rows = node.elts if isinstance(node, ast.List) else []
+    if not rows or not all(isinstance(row, ast.List) and row.elts for row in rows):
+        raise _Fault("expected a matrix [[a,b],[c,d]]", node)
+    rows = tuple(tuple(map(_number, row.elts)) for row in rows)
+    if len({len(row) for row in rows}) != 1:
+        raise _Fault("matrix rows have unequal lengths", node)
+    return rows
+
+
+def _build(node: ast.expr) -> KernelSpec:
+    """The spec of a call ``name(key=value,...)`` or a bare ``name``."""
+    call = node if isinstance(node, ast.Call) else ast.Call(node, [], [])
+    if not isinstance(call.func, ast.Name):
+        raise _Fault("expected a kernel spec", call.func)
+    name = call.func.id.lower()
+    if name not in _SPECS:
+        raise _Fault(f"unknown kernel '{name}'", call.func)
+    if call.args:
+        raise _Fault("parameters must be given as key=value", call.args[0])
+    cls, readers, required = _SPECS[name]
+    values: dict = {}
+    for kw in call.keywords:
+        if kw.arg in values:
+            raise _Fault(f"duplicate key '{kw.arg}'", kw)
+        if kw.arg not in readers:
+            raise _Fault(f"'{name}' takes no parameter '{kw.arg or '**'}'", kw)
+        values[kw.arg] = readers[kw.arg](kw.value)
+    missing = sorted(required - values.keys())
+    if missing:
+        raise SpecDomainError(f"missing parameter(s) for '{name}': {missing}")
+    return cls(**values)
+
+
+def _params(cls) -> tuple:
+    """(cls, reader per field, required fields): a spec's row of the table."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    readers = {float: _number, int: _integer, Matrix: _matrix, KernelSpec: _build}
+    required = {f.name for f in fields if f.default is dataclasses.MISSING}
+    return cls, {f.name: readers[hints[f.name]] for f in fields}, required
+
+
+_SPECS = {cls.name: _params(cls) for cls in typing.get_args(KernelSpec)}
+_SPECS["gaussian"] = _SPECS["gauss"]
 
 
 def parse_kernel_spec(text: str) -> KernelSpec:
     """Parse spec text like ``gauss(sigma=1,ell=0.5,dim=3)`` into a KernelSpec.
 
     Whitespace insensitive; nesting allowed for ``separable``/``normalized``/
-    ``twospace``; matrices are row-major ``[[a,b],[c,d]]``.  Raises
+    ``twospace``; matrices are row-major ``[[a,b],[c,d]]``; numbers are
+    Python int or float literals with at most one sign.  Raises
     SpecSyntaxError (with position) on malformed text and SpecDomainError
     on out-of-range parameters.
     """
-    parser = _Parser(text)
-    spec = parser.spec()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("trailing characters after spec")
-    return spec
+    body = text.strip()
+    lead = len(text) - len(text.lstrip())
+    # starts[k]: the position in text of line k + 1 of body
+    starts = list(itertools.accumulate((len(ln) + 1 for ln in body.split("\n")), initial=lead))
+    try:
+        with warnings.catch_warnings():  # a SyntaxWarning becomes a SyntaxError
+            warnings.simplefilter("error")
+            tree = ast.parse(body, mode="eval")
+    except SyntaxError as exc:  # NUL bytes and nesting past the parser's limit too
+        pos = starts[(exc.lineno or 1) - 1] + (exc.offset or 1) - 1
+        raise SpecSyntaxError(exc.msg, pos) from None
+    except (ValueError, RecursionError, MemoryError) as exc:
+        raise SpecSyntaxError(f"unparseable spec ({type(exc).__name__})", lead) from None
+    try:
+        return _build(tree.body)
+    except _Fault as fault:
+        message, node = fault.args
+        raise SpecSyntaxError(message, starts[node.lineno - 1] + node.col_offset) from None
 
 
 def render_spec(spec: KernelSpec) -> str:
-    """Canonical rendering: keys alphabetical, no whitespace."""
-    return spec.render()
+    """Canonical rendering ``name(key=value,...)``: keys sorted, no
+    whitespace; the bare name for a spec without parameters."""
+    keys = sorted(f.name for f in dataclasses.fields(spec))
+    if not keys:
+        return spec.name
+    return f"{spec.name}({','.join(f'{k}={_render(getattr(spec, k))}' for k in keys)})"
+
+
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        return "[" + ",".join(map(_render, value)) + "]"
+    if isinstance(value, (int, float)):
+        return str(int(value)) if value == int(value) else repr(float(value))
+    return render_spec(value)
 
 
 # ---------------------------------------------------------------------------

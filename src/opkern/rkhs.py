@@ -38,7 +38,7 @@ __all__ = [
     "element_to_json_dict",
 ]
 
-DEFAULT_NULL_TOL = 1e-10
+NULL_TOL = 1e-10
 DEFAULT_SEED = 0x5EED
 
 
@@ -49,7 +49,6 @@ class RkhsContext:
     kernel: OperatorKernel
     sites: np.ndarray  # (n, k): row i is site s_i
     gram: BlockGram
-    null_tol: float = DEFAULT_NULL_TOL
 
     @property
     def n(self) -> int:
@@ -76,7 +75,7 @@ class RkhsElement:
     """A coefficient vector over the kernel sections of one context.
 
     Equality is modulo the null space of G: two elements agree when their
-    G-distance is below null_tol scaled by their G-norms.  The constructor
+    G-distance is below NULL_TOL scaled by their G-norms.  The constructor
     validates its coefficients; elements the library builds from arrays it
     already holds use ``_trusted`` instead.
     """
@@ -109,7 +108,7 @@ class RkhsElement:
         return diff.g_norm()
 
     def is_equal(self, other: "RkhsElement") -> bool:
-        tol = self.context.null_tol * (1.0 + self.g_norm() + other.g_norm())
+        tol = NULL_TOL * (1.0 + self.g_norm() + other.g_norm())
         return self.g_distance(other) <= tol
 
     def block(self, i: int) -> np.ndarray:
@@ -141,10 +140,7 @@ class TransformFamily:
 
 
 def make_context(
-    kernel: OperatorKernel,
-    sites,
-    null_tol: float = DEFAULT_NULL_TOL,
-    raw_data: np.ndarray | None = None,
+    kernel: OperatorKernel, sites, raw_data: np.ndarray | None = None
 ) -> RkhsContext:
     """Assemble and PSD-certify the Gram, then freeze the context.
 
@@ -160,7 +156,7 @@ def make_context(
         raise ValueError(
             f"Gram is not PSD (min_eig = {report.min_eig:.3e}); cannot build context"
         )
-    return RkhsContext(kernel=kernel, sites=gram.sites, gram=gram, null_tol=null_tol)
+    return RkhsContext(kernel=kernel, sites=gram.sites, gram=gram)
 
 
 def _check_index(ctx: RkhsContext, i: int) -> None:
@@ -196,9 +192,8 @@ def inner_product(x: RkhsElement, y: RkhsElement) -> float:
     """G-inner product x^T G y; tiny negative self-products clamp to 0."""
     _same_context(x, y)
     val = float(x.coeffs @ x.context.gram.data @ y.coeffs)
-    if x is y or np.array_equal(x.coeffs, y.coeffs):
-        if -1e-12 <= val < 0.0:
-            return 0.0
+    if -1e-12 <= val < 0.0 and (x is y or np.array_equal(x.coeffs, y.coeffs)):
+        return 0.0
     return val
 
 

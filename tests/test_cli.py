@@ -1,6 +1,8 @@
 import argparse
 import csv
 import json
+import random
+import re
 from importlib import resources
 
 import jsonschema
@@ -161,14 +163,40 @@ class TestGramCommand:
         assert main(args + ["--raw", str(raw), "--out", str(tmp_path)]) == 1
         assert f"raw matrix in {raw}{message}" in capsys.readouterr().err
 
-    def test_raw_wrong_shape_many_sites(self, tmp_path, capsys):
-        # no (size, size) array is allocated before a row of that length
+    def test_raw_wrong_shape_many_sites(self, tmp_path, capsys, monkeypatch):
+        # an over-cap site list is rejected before the raw file is read
+        monkeypatch.setattr("opkern.cli.load_raw_matrix", fail_read)
         raw = tmp_path / "raw.csv"
         raw.write_text("1.0,0.0\n0.0,1.0\n")
         sites = json.dumps([0.0] * 100_000)
         args = ["verify", "--kernel", "gauss(sigma=1,ell=1)", "--sites", sites]
-        assert main(args + ["--raw", str(raw), "--out", str(tmp_path)]) == 1
-        assert "raw matrix shape (2, 2) != expected (100000, 100000)" in capsys.readouterr().err
+        assert main(args + ["--raw", str(raw), "--out", str(tmp_path)]) == 2
+        assert "Gram size 100000 exceeds cap 5000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kernel, sites, message",
+        [
+            ("twospace(M=[[1,2]],base=gauss(sigma=1,ell=1))", "[0,1]",
+             "block Gram requires a square kernel"),
+            ("gauss(sigma=1,ell=1,dim=8)", "grid(0,1,700)", "Gram size 5600 exceeds cap 5000"),
+        ],
+    )
+    def test_raw_checks_kernel_and_cap_before_reading(
+        self, tmp_path, capsys, monkeypatch, kernel, sites, message
+    ):
+        # gram and verify take one path: the missing file is never opened
+        monkeypatch.setattr("opkern.cli.load_raw_matrix", fail_read)
+        raw = str(tmp_path / "missing.csv")
+        errors = []
+        for command in ("gram", "verify"):
+            args = [command, "--kernel", kernel, "--sites", sites, "--raw", raw]
+            assert main(args + ["--out", str(tmp_path)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: {message}\n"
+
+
+def fail_read(path, size):
+    raise AssertionError("raw matrix read")
 
 
 class TestSpectrumCommand:
@@ -588,3 +616,133 @@ class TestCsvExports:
         header = ["# basis", len(C), "n", ctx.n, "d", ctx.d]
         expected = reference_csv(tmp_path / "ref.csv", header, C)
         assert (tmp_path / "onb.csv").read_bytes() == expected
+
+
+class TestNoTraceback:
+    """Inputs that once ended in a traceback end in exit 1 or 2 with a
+    one-line message."""
+
+    def run(self, tmp_path, capsys, argv):
+        code = main(argv + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        return code, err
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            "gauss(sigma=diagexp3,ell=1)",
+            "gauss(sigma=[[1]],ell=1)",
+            "separable(B=[[1]],base=1)",
+            "normalized(inner=2)",
+            "twospace(M=[[1]],base=[[2]])",
+            "normalized(inner=" * 2000 + "diagexp3" + ")" * 2000,
+            "gauss(sigma=1e200,ell=1)",
+            "gauss(sigma=1e400,ell=1)",
+            "gauss(sigma=1,ell=1e200)",
+            "gauss(sigma=" + "-" * 5000 + "1,ell=1)",
+            "gauss(sigma=" + "-" * 100_000 + "1,ell=1)",
+            "gauss(sigma=1" + "0" * 400 + ",ell=1)",
+            "gauss(sigma=1\x00,ell=1)",
+            "gauss(sigma=1" + "0" * 4400 + ",ell=1)",
+        ],
+        ids=lambda t: t[:40],
+    )
+    def test_bad_kernel_spec_exit_one(self, tmp_path, capsys, kernel):
+        argv = ["gram", "--kernel", kernel, "--sites", "[0,1]"]
+        code, err = self.run(tmp_path, capsys, argv)
+        assert code == 1 and err.startswith("usage error: ")
+
+    @pytest.mark.parametrize(
+        "sites",
+        [
+            "[" * 5000 + "]" * 5000,  # RecursionError in json.loads
+            "[" + "1" * 5000 + "]",  # past the int digit limit
+            "[1" + "0" * 400 + "]",  # overflows a float
+        ],
+        ids=["deep", "digits", "overflow"],
+    )
+    def test_bad_site_list_exit_one(self, tmp_path, capsys, sites):
+        argv = ["gram", "--kernel", "diagexp3", "--sites", sites]
+        code, err = self.run(tmp_path, capsys, argv)
+        assert code == 1 and err.startswith("usage error: ")
+
+    def test_sample_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch):
+        def exhaust(ctx, count, seed):
+            raise MemoryError(f"Unable to allocate {count * ctx.size * 8} bytes")
+
+        monkeypatch.setattr("opkern.gp.sample_paths", exhaust)
+        argv = ["sample", "--kernel", "diagexp3", "--sites", "[0,1]", "-N", "100000000000"]
+        code, err = self.run(tmp_path, capsys, argv)
+        assert (code, err) == (2, "error: out of memory: Unable to allocate 4800000000000 bytes\n")
+
+
+class TestFuzz:
+    """main returns an exit code in 0-3 and never raises, whatever spec and
+    site texts it gets.  The texts are seeded mutations of valid ones.  The
+    size cap is lowered to 60 for the run so that every Gram a mutation asks
+    for stays tiny (a grid's n is capped by it too); the cap check itself is
+    exercised, not bypassed."""
+
+    SPECS = [
+        "gauss(sigma=1,ell=0.5,dim=2)",
+        "diagexp3",
+        "rational2",
+        "separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))",
+        "normalized(inner=separable(B=[[2,1],[1,3]],base=gauss(sigma=1,ell=0.8)))",
+        "twospace(M=[[1,2,3],[4,5,6]],base=gauss(sigma=1.5,ell=0.7))",
+    ]
+    SITES = ["grid(0,1,3)", "[0,0.5,1]", "[[0,1],[2,3]]", "[1e-3,2.5e0]"]
+    # fragments spliced in: wrong types, out-of-range numbers, deep nesting
+    TOKENS = [
+        "(", ")", "[", "]", ",", "=", "-", "+", "e", ".", "0", "9", " ", "\n", "\x00",
+        "1e200", "1e400", "1" + "0" * 400, "[[1]]", "[1,2]", "diagexp3", "True",
+        "'x'", "1j", "*x", "**x", "sigma=1", "inner=", "(" * 300, "[" * 3000, "-" * 3000,
+    ]
+    RUNS = {
+        "gram": [],
+        "verify": ["--trials", "2"],
+        "sample": ["-N", "20", "--format", "bin"],
+        "expand": [],
+    }
+
+    @staticmethod
+    def mutate(rng, text):
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            j = min(len(text), i + rng.randint(0, 8))
+            op = rng.randrange(4)
+            words = list(re.finditer(r"[\w.+-]+|\[[^=]*?\]\]?", text))
+            if op == 0 and words:  # replace a name, number or matrix by a fragment
+                i, j = rng.choice(words).span()
+                op = 1
+            if op == 1:  # replace text[i:j] by a fragment
+                text = text[:i] + rng.choice(TestFuzz.TOKENS) + text[j:]
+            elif op == 2:  # repeat it
+                text = text[:i] + text[i:j] * rng.randint(2, 4) + text[j:]
+            else:  # move it
+                piece, rest = text[i:j], text[:i] + text[j:]
+                k = rng.randrange(len(rest) + 1)
+                text = rest[:k] + piece + rest[k:]
+        return text
+
+    def test_main_never_raises(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gram_mod, "DEFAULT_SIZE_CAP", 60)
+        rng = random.Random(20261019)
+        codes = []
+        for trial in range(800):
+            spec = rng.choice(self.SPECS)
+            sites = rng.choice(self.SITES)
+            if trial % 3 != 1:
+                spec = self.mutate(rng, spec)
+            if trial % 3 != 0:
+                sites = self.mutate(rng, sites)
+            command = rng.choice(sorted(self.RUNS))
+            argv = [command, "--kernel", spec, "--sites", sites, *self.RUNS[command]]
+            code = main(argv + ["--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (argv, code)
+            # one line, or argparse's usage and message (a spec text led by '-')
+            assert code in (0, 3) or err.count("\n") == 1 or err.startswith("usage:"), err
+            codes.append(code)
+        assert {0, 1, 2} <= set(codes)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opkern.gram import (
+    DEFAULT_SIZE_CAP,
     PSD_EIG_TOL,
     RECON_TOL,
     BlockGram,
@@ -133,10 +134,16 @@ class TestAssemble:
         g = assemble_gram(make_kernel("normalized(inner=diagexp3)"), sites)
         assert np.abs(g.data - g.data.T).max() == 0.0
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        # one site past DEFAULT_SIZE_CAP is rejected before anything is assembled
+        def fail(S, T):
+            raise AssertionError("kernel Gram assembled")
+
+        monkeypatch.setattr(OperatorKernel, "sq_dists", staticmethod(fail))
         k = make_kernel("gauss(sigma=1,ell=1,dim=3)")
-        with pytest.raises(GramError, match="cap"):
-            assemble_gram(k, [[float(i)] for i in range(10)], size_cap=20)
+        n = DEFAULT_SIZE_CAP // 3 + 1
+        with pytest.raises(GramError, match=f"Gram size {3 * n} exceeds cap {DEFAULT_SIZE_CAP}"):
+            assemble_gram(k, [[float(i)] for i in range(n)])
 
     def test_empty_sites(self):
         with pytest.raises(GramError, match="nonempty"):

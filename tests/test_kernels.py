@@ -224,6 +224,143 @@ class TestParse:
         with pytest.raises(SpecSyntaxError):
             parse_kernel_spec("diagexp3 extra")
 
+    def test_gaussian_alias_and_case(self):
+        spec = parse_kernel_spec("GAUSSIAN(sigma=+1,ell=2e0)")
+        assert spec == GaussianSpec(sigma=1.0, ell=2.0, dim=1)
+        assert parse_kernel_spec("diagexp3()") == DiagExp3Spec()
+
+    def test_integral_float_dim(self):
+        assert parse_kernel_spec("gauss(sigma=1,ell=1,dim=3.0)").dim == 3
+
+    def test_twospace_dims_from_shape(self):
+        spec = parse_kernel_spec("twospace(M=[[1,2,3],[4,5,6]],base=gauss(sigma=1,ell=1))")
+        assert (spec.d1, spec.d2, spec.dim_h) == (3, 2, 2)
+        assert render_spec(spec) == "twospace(M=[[1,2,3],[4,5,6]],base=gauss(dim=1,ell=1,sigma=1))"
+        with pytest.raises(SpecSyntaxError, match="takes no parameter 'd1'"):
+            parse_kernel_spec("twospace(M=[[1]],base=gauss(sigma=1,ell=1),d1=1)")
+
+    def test_position_past_leading_whitespace_and_newlines(self):
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_kernel_spec("  gauss(sigma=1,\n,ell=1)")
+        assert err.value.pos == 17
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_kernel_spec(" gauss(sigma=1,\n  ell=x)")
+        assert err.value.pos == 22  # the x
+
+
+NESTED_2000 = "normalized(inner=" * 2000 + "diagexp3" + ")" * 2000
+SCALAR = "gauss(sigma=1,ell=1)"
+
+# every text ends in a KernelSpecError, never in another exception
+MALFORMED_SPECS = [
+    "gauss(sigma=diagexp3,ell=1)",
+    "gauss(sigma=[[1]],ell=1)",
+    "separable(B=[[1]],base=1)",
+    "normalized(inner=2)",
+    "twospace(M=[[1]],base=[[2]])",
+    NESTED_2000,
+    "gauss(sigma=1e200,ell=1)",  # sigma**2 overflows
+    "gauss(sigma=1,ell=1e200)",
+    "gauss(sigma=1,ell=1e-200)",  # ell**2 underflows to 0
+    "gauss(sigma=1e400,ell=1)",
+    "gauss(sigma=-1e400,ell=1)",
+    "gauss(sigma=1,ell=1,dim=1e400)",
+    "gauss(sigma=" + "-" * 5000 + "1,ell=1)",  # RecursionError inside ast
+    "gauss(sigma=" + "-" * 100_000 + "1,ell=1)",  # MemoryError inside ast
+    "gauss(sigma=1" + "0" * 400 + ",ell=1)",  # OverflowError in float()
+    "gauss(sigma=1" + "0" * 4400 + ",ell=1)",  # past the int digit limit
+    "gauss(sigma=1\x00,ell=1)",
+    "gauss(sigma=--1,ell=1)",
+    "gauss(sigma=-+1,ell=1)",
+    "gauss(1,1)",
+    "gauss(*x)",
+    "gauss(**x)",
+    "gauss(sigma=1,sigma=2,ell=1)",
+    "gauss(sigma=True,ell=1)",
+    "gauss(sigma=1,ell=1,dim=False)",
+    "gauss(sigma='1',ell=1)",
+    "gauss(sigma=1j,ell=1)",
+    "gauss(sigma=1+1,ell=1)",
+    "gauss(sigma=1,ell=1,dim=2.5)",
+    "gauss(sigma=1,ell=1,foo=2)",
+    "gauss(sigma=1)",
+    "gauss",
+    f"separable(B=[1,2],base={SCALAR})",
+    f"separable(B=[[1,2],[3]],base={SCALAR})",
+    f"separable(B=[[]],base={SCALAR})",
+    f"separable(B=[],base={SCALAR})",
+    f"separable(B=((1,),),base={SCALAR})",
+    f"separable(B=[[1]],base=twospace(M=[[1]],base={SCALAR}))",
+    f"twospace(M=[[1]],base=twospace(M=[[1]],base={SCALAR}))",
+    "twospace(M=[[1]],base=gauss(sigma=1,ell=1,dim=2))",
+    f"normalized(inner=twospace(M=[[1]],base={SCALAR}))",
+    "matern(nu=1.5)",
+    "x.y(a=1)",
+    f"{SCALAR}[0]",
+    f"{SCALAR};diagexp3",
+    "lambda: diagexp3",
+    "diagexp3 extra",
+    "",
+    "   ",
+    "(",
+    "gauss(sigma=1,,ell=1)",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_SPECS, ids=lambda t: t[:40])
+def test_malformed_spec_is_a_kernel_spec_error(text):
+    with pytest.raises(KernelSpecError) as err:
+        parse_kernel_spec(text)
+    assert "\n" not in str(err.value)
+
+
+# generated spec trees over the whole zoo
+def _square(x: float) -> bool:
+    return 0.0 < x * x < math.inf
+
+
+POSITIVE = st.floats(1e-300, 1e300).filter(_square)  # sigma, ell
+SIGNED = st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300), st.just(0.0))
+
+
+@st.composite
+def psd_matrices(draw, d=None):
+    """A A^T, scaled by 10^k for k in [-300, 300], as a tuple of rows."""
+    d = d or draw(st.integers(1, 4))
+    A = np.reshape(draw(st.lists(st.floats(-10, 10), min_size=d * d, max_size=d * d)), (d, d))
+    B = A @ A.T * 10.0 ** draw(st.integers(-300, 300))
+    return tuple(map(tuple, B.tolist()))
+
+
+SCALAR_SPECS = st.recursive(
+    st.builds(GaussianSpec, POSITIVE, POSITIVE),
+    lambda inner: st.builds(NormalizedSpec, inner)
+    | st.builds(SeparableSpec, psd_matrices(1), inner),
+    max_leaves=4,
+)
+SQUARE_SPECS = st.recursive(
+    st.builds(GaussianSpec, POSITIVE, POSITIVE, st.integers(1, 4))
+    | st.just(DiagExp3Spec())
+    | st.just(Rational2Spec())
+    | st.builds(SeparableSpec, psd_matrices(), SCALAR_SPECS),
+    lambda inner: st.builds(NormalizedSpec, inner),
+    max_leaves=4,
+)
+RECT_MATRICES = st.integers(1, 3).flatmap(
+    lambda cols: st.lists(
+        st.lists(SIGNED, min_size=cols, max_size=cols).map(tuple), min_size=1, max_size=3
+    ).map(tuple)
+)
+SPECS = SQUARE_SPECS | st.builds(TwoSpaceSpec, RECT_MATRICES, SCALAR_SPECS)
+
+
+@given(spec=SPECS)
+@settings(max_examples=200, deadline=None)
+def test_render_parse_round_trip(spec):
+    text = render_spec(spec)
+    assert parse_kernel_spec(text) == spec
+    assert render_spec(parse_kernel_spec(text)) == text
+
 
 class TestEvaluate:
     def test_gaussian_at_zero(self):

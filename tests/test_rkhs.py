@@ -175,6 +175,37 @@ class TestInnerProduct:
         with pytest.raises(ValueError, match="different contexts"):
             inner_product(section(gauss_ctx, 0, [1]), zero_element(diagexp_ctx))
 
+    @pytest.fixture
+    def tiny_negative_ctx(self):
+        # G = [[1, 1+e], [1+e, 1]] has the eigenvalue -e, within the PSD
+        # tolerance, and (1, -1) G (1, -1) = -2e
+        e = 1e-13
+        raw = [[1.0, 1.0 + e], [1.0 + e, 1.0]]
+        return make_context(make_kernel(GAUSS1), [[0], [1]], raw_data=raw)
+
+    def test_tiny_negative_self_product_clamps(self, tiny_negative_ctx):
+        x = RkhsElement(tiny_negative_ctx, [1.0, -1.0])
+        assert float(x.coeffs @ tiny_negative_ctx.gram.data @ x.coeffs) < 0.0
+        assert inner_product(x, x) == 0.0
+        assert inner_product(x, RkhsElement(tiny_negative_ctx, [1.0, -1.0])) == 0.0
+        assert x.g_norm() == 0.0
+        # a tiny negative product of two different elements is not clamped
+        assert -1e-12 <= inner_product(x, RkhsElement(tiny_negative_ctx, [2.0, -2.0])) < 0.0
+
+    def test_coefficients_compared_only_where_a_clamp_can_apply(
+        self, monkeypatch, gauss_ctx, tiny_negative_ctx
+    ):
+        calls = []
+        real = np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *a: calls.append(1) or real(*a))
+        x = section(gauss_ctx, 0, [1])
+        inner_product(x, x)
+        inner_product(x, section(gauss_ctx, 1, [-1]))
+        assert calls == []
+        y = RkhsElement(tiny_negative_ctx, [1.0, -1.0])
+        assert inner_product(y, RkhsElement(tiny_negative_ctx, [1.0, -1.0])) == 0.0
+        assert calls == [1]
+
 
 class TestEvaluateElement:
     def test_section_off_grid(self, gauss_ctx):
