@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -28,11 +29,22 @@ EXIT_NUMERIC = 2
 EXIT_IDENTITY = 3
 
 FORMATS = ("csv", "bin")
-RESERVED = {"command", "config", "func"}  # dests a config file may not set
 
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose options match only in full, so that a config
+    key is never taken for a prefix, and whose errors are one-line usage
+    errors."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def seed_arg(text: str) -> int:
@@ -81,17 +93,20 @@ def parse_sites(text: str) -> np.ndarray:
         raise UsageError(f"bad site list: {exc}") from None
 
 
-def load_config(path: str) -> dict[str, str]:
-    """key=value lines; '#' starts a comment; blank lines ignored."""
-    out: dict[str, str] = {}
+def load_config(path: str) -> list[str]:
+    """A config file's key=value lines as --key=value arguments, '_' in a
+    key read as '-'; '#' starts a comment; blank lines ignored."""
+    out = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "config":
+            raise UsageError(f"{path}:{lineno}: unknown config key: config")
+        out.append(f"--{key.replace('_', '-')}={value}")
     return out
 
 
@@ -198,8 +213,6 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
-    if args.format not in FORMATS:  # argparse leaves config defaults unchecked
-        raise UsageError(f"--format must be one of {', '.join(FORMATS)}")
     kernel = make_kernel(args.kernel)
     ctx = rkhs_mod.make_context(kernel, parse_sites(args.sites))
     batch = gp_mod.sample_paths(ctx, args.count, args.seed)
@@ -257,11 +270,11 @@ def cmd_expand(args) -> int:
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(prog="opkern")
+    parser = _Parser(prog="opkern")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--kernel", help="kernel spec string")
+        p.add_argument("--kernel", required=True, help="kernel spec string")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--config", help="key=value config file; flags win")
 
@@ -296,37 +309,37 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_expand)
 
     for name in ("gram", "verify", "sample", "expand"):  # spectrum makes its grids
-        sub.choices[name].add_argument("--sites", help="grid(a,b,n) or inline JSON list")
+        p = sub.choices[name]
+        p.add_argument("--sites", required=True, help="grid(a,b,n) or inline JSON list")
     return parser, sub.choices
 
 
+_parsers = functools.cache(build_parser)
+_config_parser = _Parser(add_help=False)
+_config_parser.add_argument("--config")
+
+
 def _parse(argv) -> argparse.Namespace:
-    """Parse argv; a --config file's keys become the subcommand's defaults,
-    so argparse converts them with each option's type and flags win."""
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        config = load_config(args.config)
-        unknown = sorted(set(config) - (set(vars(args)) - RESERVED))
-        if unknown:
-            raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
-        commands[args.command].set_defaults(**config)
-        args = parser.parse_args(argv)
-    return args
+    """Parse argv; a --config file's lines go in right after the subcommand
+    name, so argparse checks them like flags and the flags that follow win."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    path = _config_parser.parse_known_args(argv)[0].config
+    if path is not None and argv[0] in commands:
+        argv[1:1] = load_config(path)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one subcommand; every failure becomes an exit code, never a
-    traceback."""
+    traceback.  Floating-point overflow and invalid values raise no numpy
+    warnings: the non-finite checks report them."""
     try:
         args = _parse(argv)
-        if args.kernel is None:
-            raise UsageError("--kernel is required")
-        if "sites" in vars(args) and args.sites is None:
-            raise UsageError("--sites is required")
-        return args.func(args)
-    except SystemExit as exc:  # argparse has printed its message
-        return EXIT_USAGE if exc.code else EXIT_OK
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except SystemExit:  # --help; every argparse error is a UsageError
+        return EXIT_OK
     except (UsageError, KernelSpecError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

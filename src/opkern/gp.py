@@ -5,6 +5,7 @@ covariance recovery checks and batch export."""
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -157,22 +158,29 @@ def covariance_error_report(batch: SampleBatch) -> CovErrorReport:
     """Compare the empirical covariance against G + eps*I.
 
     The tolerance is four standard errors of the worst entry:
-    4 * max_ij sqrt((T_ii T_jj + T_ij^2) / N) for the target matrix T.
+    4 * max_ij sqrt((T_ii T_jj + T_ij^2) / N) for the target matrix T.  A
+    non-finite error or tolerance fails the gate.
     """
     n, d = batch.context.n, batch.context.d
     target = batch.target_covariance
     emp = empirical_covariance(batch).transpose(0, 2, 1, 3).reshape(n * d, n * d)
     err = np.abs(emp - target)
     diag = np.diag(target)
-    var = np.outer(diag, diag) + target**2
-    mc_tol = MC_SIGMA_FACTOR * float(np.sqrt(var.max() / batch.count))
+    # T * 2**-e with 2**e above the largest T_ii (T is PSD, so no |T_ij| is
+    # larger): no square overflows, and as the scaling is exact, a tolerance
+    # that is finite unscaled comes out bitwise the same
+    scale = 2.0 ** -max(math.frexp(float(np.abs(diag).max()))[1], 0)
+    var = target * scale
+    np.square(var, out=var)
+    var += np.outer(diag * scale, diag * scale)
+    mc_tol = MC_SIGMA_FACTOR * float(np.sqrt(var.max() / batch.count)) / scale
     per_block = err.reshape(n, d, n, d).max(axis=(1, 3))
     max_err = float(err.max())
     return CovErrorReport(
         max_abs_err=max_err,
         per_block_err=per_block,
         mc_tolerance=mc_tol,
-        pass_=max_err <= mc_tol,
+        pass_=max_err <= mc_tol < math.inf,
     )
 
 

@@ -3,6 +3,7 @@ import csv
 import json
 import random
 import re
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -516,6 +517,45 @@ class TestConfigFile:
         assert main(args) == 1
 
 
+class TestConfigKeys:
+    """Config lines go through argparse as --key=value arguments."""
+
+    EXPAND = ["expand", "--kernel", "gauss(sigma=1,ell=1)", "--sites", "grid(0,1,4)"]
+
+    @pytest.mark.parametrize("key", ["trunc_tol", "trunc-tol"])
+    def test_underscore_or_dash(self, tmp_path, key):
+        conf = tmp_path / "job.conf"
+        conf.write_text(f"{key} = 1e-6\n")
+        assert main(self.EXPAND + ["--config", str(conf), "--out", str(tmp_path)]) == 0
+        assert validate(tmp_path / "reconstruction.json", "reconstruction.json")["trunc_tol"] == 1e-6
+
+    @pytest.mark.parametrize("key", ["kern", "config", "help", "N"])
+    def test_keys_match_exactly(self, tmp_path, capsys, key):
+        conf = tmp_path / "job.conf"
+        conf.write_text(f"{key} = 1\n")
+        assert main(self.EXPAND + ["--config", str(conf), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "onb.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gram", "--sites", "[0,1]"], "the following arguments are required: --kernel"),
+            (["expand", "--kernel", "diagexp3"], "the following arguments are required: --sites"),
+            (["sample", "--kernel", "diagexp3", "--sites", "[0,1]", "--format", "json"],
+             "argument --format: invalid choice: 'json'"),
+            (["gram", "--kern", "diagexp3", "--sites", "[0,1]"],
+             "the following arguments are required: --kernel"),
+            (["nonsense"], "argument command: invalid choice: 'nonsense'"),
+        ],
+    )
+    def test_argparse_errors_are_one_line(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {message}") and err.count("\n") == 1, err
+
+
 class RecordingNamespace(argparse.Namespace):
     """A namespace that records the names of the attributes read from it
     once ``reads`` is set to a set."""
@@ -623,9 +663,12 @@ class TestNoTraceback:
     one-line message."""
 
     def run(self, tmp_path, capsys, argv):
-        code = main(argv + ["--out", str(tmp_path)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert not caught, [str(w.message) for w in caught]
         return code, err
 
     @pytest.mark.parametrize(
@@ -666,6 +709,43 @@ class TestNoTraceback:
         argv = ["gram", "--kernel", "diagexp3", "--sites", sites]
         code, err = self.run(tmp_path, capsys, argv)
         assert code == 1 and err.startswith("usage error: ")
+
+    @pytest.mark.parametrize(
+        "kernel, sites",
+        [
+            ("separable(B=[[1e300]],base=gauss(sigma=1e150,ell=1))", "[0,1]"),
+            ("separable(B=[[1e308]],base=gauss(sigma=1,ell=1))", "[0,1]"),
+            ("gauss(sigma=1e154,ell=1)", "grid(0,1,5)"),  # overflows in G + G^T
+            ("separable(B=[[1e200,0],[0,1e200]],base=gauss(sigma=1e60,ell=1))", "grid(0,1,5)"),
+        ],
+        ids=lambda t: t[:40],
+    )
+    def test_overflowing_gram_exit_two(self, tmp_path, capsys, kernel, sites):
+        code, err = self.run(tmp_path, capsys, ["gram", "--kernel", kernel, "--sites", sites])
+        assert (code, err) == (2, "error: matrix has non-finite entries\n")
+
+    HUGE = ["--kernel", "gauss(sigma=1e100,ell=1)", "--sites", "[0,1]"]
+
+    def test_overflowing_suite_exit_three(self, tmp_path, capsys):
+        # the G-inner products of frame projections overflow: a NaN
+        # residual fails, with only the table and the failing line on stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["verify", *self.HUGE, "--trials", "3", "--out", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3 and not caught
+        payload = validate(tmp_path / "identities.json", "identities.json")
+        assert err[1:-1] == [line for line in err[1:-1] if line.split()[0] in payload]
+        assert len(err) == 2 + len(payload)
+        assert err[-1] == "failing identities: norm_bound"
+
+    def test_huge_kernel_sample_has_finite_tolerance(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            main(["sample", *self.HUGE, "-N", "10", "--out", str(tmp_path)])
+        assert not caught and capsys.readouterr().err == ""
+        payload = validate(tmp_path / "cov_report.json", "cov_report.json")
+        assert 0.0 < payload["mc_tolerance"] < float("inf")
 
     def test_sample_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch):
         def exhaust(ctx, count, seed):
@@ -742,7 +822,7 @@ class TestFuzz:
             code = main(argv + ["--out", str(tmp_path)])
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 3), (argv, code)
-            # one line, or argparse's usage and message (a spec text led by '-')
-            assert code in (0, 3) or err.count("\n") == 1 or err.startswith("usage:"), err
+            # one line, argparse's messages included (a spec text led by '-')
+            assert code in (0, 3) or err.count("\n") == 1, err
             codes.append(code)
         assert {0, 1, 2} <= set(codes)

@@ -214,6 +214,41 @@ class TestCovarianceErrorReport:
         report = covariance_error_report(batch)
         assert not report.pass_
 
+    @staticmethod
+    def unscaled_tolerance(batch):
+        """The 4-SE tolerance as it was formed before it was scaled."""
+        target = batch.target_covariance
+        diag = np.diag(target)
+        with np.errstate(over="ignore"):
+            var = np.outer(diag, diag) + target**2
+        return 4.0 * float(np.sqrt(var.max() / batch.count))
+
+    @pytest.mark.parametrize("exponent", range(-150, 151, 10))
+    def test_mc_tolerance_without_overflow(self, exponent):
+        # equal to the unscaled formula wherever that is finite; past
+        # |K| ~ 1.3e154 (sigma ~ 1.2e77) equal to it on T * 2**-600, scaled
+        # back, where that is finite and it is not
+        for mantissa in (1.0, 3.7):
+            text = f"gauss(sigma={mantissa!r}e{exponent},ell=1)"
+            batch = sample_paths(make_context(make_kernel(text), [[0], [0.5], [1]]), 10, seed=0)
+            tol = covariance_error_report(batch).mc_tolerance
+            expected = self.unscaled_tolerance(batch)
+            if not np.isfinite(expected):
+                g = batch.context.gram
+                g.data = g.data * 2.0**-600
+                expected = self.unscaled_tolerance(batch) * 2.0**600
+                assert exponent > 70 and np.isfinite(expected)
+            assert tol == expected, text
+
+    def test_non_finite_error_or_tolerance_fails(self):
+        # |K| = 8.1e307: one path's second moments overflow, and so does
+        # four standard errors at N = 1
+        ctx = make_context(make_kernel("gauss(sigma=9e153,ell=1)"), [[0], [0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = covariance_error_report(sample_paths(ctx, 1, seed=0))
+        assert report.max_abs_err == report.mc_tolerance == np.inf
+        assert not report.pass_
+
     @pytest.mark.parametrize(
         "text,sites",
         [

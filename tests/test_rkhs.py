@@ -573,6 +573,130 @@ class TestVerifyIdentities:
             verify_identities(norm_ctx, fam=fam, trials=trials, seed=0)
             assert calls["blocks"] == 1 + trials + 4 * min(trials, 20)
 
+    def test_g_products_grow_with_trials_not_size(self):
+        # products with G, or with rows of it, per suite run: a fixed number
+        # per trial, whatever n*d is
+        class CountingGram(np.ndarray):
+            width = 0
+            products = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul and any(
+                    isinstance(v, CountingGram) and v.shape[-1] == CountingGram.width
+                    for v in inputs
+                ):
+                    CountingGram.products += 1
+                plain = [np.asarray(v) for v in inputs]
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        kernel = make_kernel("normalized(inner=gauss(sigma=2,ell=1,dim=2))")
+        counts = {}
+        for n in (3, 12):
+            ctx = make_context(kernel, [[0.7 * s] for s in range(n)])
+            ctx.gram.data = ctx.gram.data.view(CountingGram)
+            CountingGram.width = ctx.size
+            for trials in (2, 4, 6):
+                CountingGram.products = 0
+                verify_identities(ctx, trials=trials, seed=0)
+                counts[n, trials] = CountingGram.products
+        assert [counts[3, t] for t in (2, 4, 6)] == [counts[12, t] for t in (2, 4, 6)]
+        assert counts[3, 6] - counts[3, 4] == counts[3, 4] - counts[3, 2] > 0
+
+    # float.hex of every residual, computed before the factorization
+    # identity was read from each trial's vectors; all but that one must
+    # stay bitwise the same
+    PINNED = {
+        "normalized_unitary": [
+            ("factorization_consistency", "0x0.0p+0"),
+            ("covariance_selfadjoint_psd", "0x0.0p+0"),
+            ("factorization", None),
+            ("reproducing", "0x1.b11b9a7d33d78p-54"),
+            ("feature_norm", "0x0.0p+0"),
+            ("adjoint_relation", "0x1.82c33d8ba412ep-54"),
+            ("norm_bound", "0x0.0p+0"),
+            ("isometry", "0x0.0p+0"),
+            ("projection_idempotent", "0x0.0p+0"),
+            ("projection_selfadjoint", "0x1.3366415161c68p-52"),
+            ("w_norm", "0x0.0p+0"),
+            ("w_adjoint", "0x1.8000000000000p-54"),
+            ("w_chain", "0x1.2c3da4efdd948p-52"),
+            ("w_isometry", "0x1.0000000000000p-53"),
+            ("w_projection_idempotent", "0x1.2053da913ae96p-53"),
+            ("continuity_consistency", "0x1.a7390f022ea06p-54"),
+        ],
+        "separable_random": [
+            ("factorization_consistency", "0x0.0p+0"),
+            ("covariance_selfadjoint_psd", "0x0.0p+0"),
+            ("factorization", None),
+            ("reproducing", "0x1.b861197196914p-54"),
+            ("feature_norm", "0x1.0b986c1509241p-52"),
+            ("adjoint_relation", "0x1.2e406e741215bp-52"),
+            ("norm_bound", "0x0.0p+0"),
+            ("w_norm", "0x1.559c1a86cd508p-53"),
+            ("w_adjoint", "0x1.5555555555556p-50"),
+            ("w_chain", "0x1.0898bf087faeep-50"),
+            ("continuity_consistency", "0x1.b2af29660c4fcp-53"),
+        ],
+        "diagexp3": [
+            ("factorization_consistency", "0x0.0p+0"),
+            ("covariance_selfadjoint_psd", "0x0.0p+0"),
+            ("factorization", None),
+            ("reproducing", "0x1.0c823c6e4311fp-54"),
+            ("feature_norm", "0x0.0p+0"),
+            ("adjoint_relation", "0x1.041fe515749f6p-54"),
+            ("norm_bound", "0x0.0p+0"),
+            ("isometry", "0x0.0p+0"),
+            ("projection_idempotent", "0x0.0p+0"),
+            ("projection_selfadjoint", "0x1.a4b9999871107p-52"),
+            ("continuity_consistency", "0x1.0611a556059e9p-53"),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_residuals_bitwise_pinned(self, norm_ctx, case):
+        if case == "normalized_unitary":
+            fam = TransformFamily(norm_ctx, [rotation(i * 0.5) for i in range(5)])
+            report = verify_identities(norm_ctx, fam, trials=12, seed=3)
+        elif case == "separable_random":
+            k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
+            ctx = make_context(k, [[0.0], [0.4], [1.1], [2.0]])
+            rng = np.random.default_rng(6)
+            fam = TransformFamily(ctx, [rng.standard_normal((2, 2)) for _ in range(4)])
+            report = verify_identities(ctx, fam, trials=12, seed=5)
+        else:
+            ctx = make_context(make_kernel("diagexp3"), [[0.0], [0.5], [1.2]])
+            report = verify_identities(ctx, trials=12, seed=7)
+        got = [(name, r["max_residual"].hex()) for name, r in report.results.items()]
+        assert [name for name, _ in got] == [name for name, _ in self.PINNED[case]]
+        for (name, value), (_, pinned) in zip(got, self.PINNED[case]):
+            if pinned is not None:
+                assert value == pinned, name
+        assert 0.0 < report.results["factorization"]["max_residual"] <= 1e-14
+
+    def test_raw_gram_off_the_kernel_fails_factorization(self):
+        # one symmetric pair 1e-9 * scale off the kernel: within the
+        # consistency check's 1e-8, far outside factorization's 1e-12
+        k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
+        sites = [[0.0], [0.9], [2.0]]
+        raw = assemble_gram(k, sites).data.copy()
+        delta = 1e-9 * (1.0 + np.abs(raw).max())
+        raw[1, 4] += delta
+        raw[4, 1] += delta
+        report = verify_identities(make_context(k, sites, raw_data=raw), trials=20, seed=0)
+        assert report.results["factorization_consistency"]["pass"]
+        assert report.results["factorization"]["max_residual"] > 1e-11
+        assert not report.results["factorization"]["pass"]
+
+    def test_nan_residual_sticks_and_fails(self):
+        # a hand-built context skips the checks make_context makes
+        k = make_kernel(GAUSS1)
+        g = assemble_gram(k, [[0], [1], [2]])
+        g.data[0, 1] = np.nan
+        report = verify_identities(RkhsContext(kernel=k, sites=g.sites, gram=g), trials=5)
+        record = report.results["factorization_consistency"]
+        assert math.isnan(record["max_residual"]) and record["pass"] is False
+        assert not report.all_pass
+
     @given(
         d=st.sampled_from([1, 2, 3, 8]),
         n=st.integers(1, 12),
