@@ -139,9 +139,22 @@ def load_raw_matrix(path: str, size: int) -> np.ndarray:
     return raw
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it replaced by None, which
+    JSON writes as null (RFC 8259 has no NaN or Infinity)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    text = json.dumps(_finite_or_null(payload), indent=2, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _gram_inputs(args):
@@ -162,7 +175,7 @@ def cmd_gram(args) -> int:
         g = gram_mod.assemble_gram(kernel, sites)
     else:
         g = gram_mod.raw_gram(kernel, sites, raw)
-    report = gram_mod.psd_check(g)
+    report = g.spectrum
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gram_mod.gram_to_csv(g, out / "gram.csv")
@@ -236,8 +249,8 @@ def cmd_sample(args) -> int:
         },
     )
     print(
-        f"sample: N={batch.count} max_err={cov.max_abs_err:.4f} "
-        f"tol={cov.mc_tolerance:.4f} pass={cov.pass_}"
+        f"sample: N={batch.count} max_err={cov.max_abs_err:.3e} "
+        f"tol={cov.mc_tolerance:.3e} pass={cov.pass_}"
     )
     return EXIT_OK if cov.pass_ else EXIT_NUMERIC
 

@@ -224,8 +224,10 @@ def batch_from_binary(path):
         magic = fh.read(6)
         if magic not in _READABLE_MAGICS:
             raise ValueError(f"bad magic {magic!r}")
-        seed, count, n, d = struct.unpack("<QIII", fh.read(20))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != count * n * d:
+        header, body = fh.read(20), fh.read()
+    if len(header) < 20:
         raise ValueError("truncated batch file")
-    return seed, data.reshape(count, n, d)
+    seed, count, n, d = struct.unpack("<QIII", header)
+    if len(body) != 8 * count * n * d:
+        raise ValueError("truncated batch file")
+    return seed, np.frombuffer(body, dtype="<f8").reshape(count, n, d)

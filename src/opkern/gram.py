@@ -4,7 +4,7 @@ ladder, and spectral-decay diagnostics, plus CSV/JSON export."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,31 +69,18 @@ class SpectrumReport:
     drift: float
 
     @classmethod
-    def from_channels(
-        cls, data: np.ndarray, channels: np.ndarray, basis: np.ndarray
-    ) -> "SpectrumReport | None":
-        """One stacked eigh of the (c, N, N) channel Grams K_m of a Gram
-        G = sum_m K_m (x) q_m q_m^T, q_m = basis[:, m].
-
-        The certificate is tied to G itself: the Frobenius distance of G
-        from that sum is the drift.  Returns None when the drift exceeds
-        DRIFT_TOL * max(lambda_max, 1), where G is not the channels' sum
-        (its data was replaced after assembly).
-        """
-        _check_symmetric(data)
+    def from_channels(cls, channels, basis, drift: float) -> "SpectrumReport":
+        """One stacked eigh of the (c, N, N) channel Grams K_m of a Gram G
+        at Frobenius distance ``drift`` from sum_m K_m (x) q_m q_m^T,
+        q_m = basis[:, m]."""
         lam, vecs = np.linalg.eigh(channels)  # (c, N) ascending per channel
         lam, vecs = lam[:, ::-1], vecs[..., ::-1]
         order = np.argsort(-lam.ravel(), kind="stable")
         eig = lam.ravel()[order]
-        c, N = lam.shape
-        R = OperatorKernel.channel_sum(np.moveaxis(channels, 0, -1), basis)
-        R -= data.reshape(N, c, N, c).transpose(0, 2, 1, 3)  # (i, j, a, b)
-        drift = float(np.linalg.norm(R.ravel()))
-        lam_max, min_eig = float(eig[0]), float(eig[-1])
-        if not drift <= DRIFT_TOL * max(lam_max, 1.0):
-            return None
+        lam_max, min_eig, trace = float(eig[0]), float(eig[-1]), float(eig.sum())
+        if not np.isfinite(trace):  # the PSD margin and the ranks scale with it
+            raise GramError("Gram spectrum overflows")
         psd = min_eig - drift >= -PSD_EIG_TOL * max(lam_max, 1.0)
-        trace = float(eig.sum())
         eff = {
             tol: effective_rank(eig, tol, trace) for tol in EFFECTIVE_RANK_TOLS
         }
@@ -130,35 +117,54 @@ def effective_rank(eigenvalues: np.ndarray, tol: float, trace=None) -> int:
 
 @dataclass
 class BlockGram:
-    """The n*d x n*d matrix with block (i,j) = K(s_i, s_j).
+    """The n*d x n*d matrix with block (i,j) = K(s_i, s_j), certified when
+    it is built and fixed afterwards.
 
-    ``factor`` (when present) is a square root L of data + jitter_used * I:
-    L L^T matches it up to the reconstruction tolerance, and
-    ``factor_residual`` is the accepted rung's bound on that distance
-    (see ``factorize``).
-    Every Gram is a channel Gram, data = sum_m K_m (x) q_m q_m^T: it carries
-    the (c, N, N) channel Grams K_m and a (c, c) orthogonal basis Q whose
-    column q_m belongs to channel m, from which ``psd_check`` certifies it
-    and ``factorize`` factors it.  A kernel Gram has the kernel's d
-    channels (see ``kernels``); any other Gram (a raw matrix, or data
-    replaced after assembly) is one channel, the data itself with Q = [[1]].
-    Built without channels, a Gram takes that one channel.
+    Every Gram is a channel Gram, data = sum_m K_m (x) q_m q_m^T, with
+    (c, N, N) channel Grams K_m and a (c, c) orthogonal basis Q whose column
+    q_m belongs to channel m.  Built from channels and basis alone
+    (``assemble_gram``), the data is their sum averaged with its transpose;
+    built from data alone (``raw_gram``), the data is its own one channel,
+    Q = [[1]].  Construction makes the certificate ``spectrum``: the data
+    must be finite and exactly symmetric, and channels farther from it than
+    DRIFT_TOL * max(lambda_max, 1) (Frobenius: the drift) give way to the
+    data as its own channel.  The Gram then takes ``data`` and ``channels``
+    as they are and makes them read-only, and only the factor's fields can
+    be set: ``factor`` (by ``factorize``) is a square root L of
+    data + jitter_used * I, and ``factor_residual`` bounds |L L^T - that|.
     """
 
     n: int
     d: int
     sites: np.ndarray  # (n, k): row i is site s_i
-    data: np.ndarray
-    factor: np.ndarray | None = None
-    jitter_used: float = 0.0
-    factor_residual: float = 0.0
-    spectrum: SpectrumReport | None = None
+    data: np.ndarray | None = None
     channels: np.ndarray | None = None  # (c, N, N): channel m's scalar Gram
     basis: np.ndarray | None = None  # (c, c): column m belongs to channel m
+    spectrum: SpectrumReport = field(init=False)
+    factor: np.ndarray | None = field(default=None, init=False)
+    jitter_used: float = field(default=0.0, init=False)
+    factor_residual: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         if self.channels is None:
-            self.channels, self.basis = _own_channel(self.data)
+            data = np.asanyarray(self.data, dtype=float)
+            _check_symmetric(data)
+            channels, basis, drift = data[None], np.ones((1, 1)), 0.0
+        else:
+            channels, basis = self.channels, self.basis
+            data, drift = _sum_and_drift(channels, basis, self.data)
+        report = SpectrumReport.from_channels(channels, basis, drift)
+        if not drift <= DRIFT_TOL * max(report.lambda_max, 1.0):
+            channels, basis = data[None], np.ones((1, 1))
+            report = SpectrumReport.from_channels(channels, basis, 0.0)
+        data.flags.writeable = channels.flags.writeable = False
+        self.data, self.channels, self.basis = data, channels, basis
+        self.spectrum = report
+
+    def __setattr__(self, name, value):
+        if name not in ("factor", "jitter_used", "factor_residual") and hasattr(self, "spectrum"):
+            raise AttributeError(f"a Gram's {name} is fixed once it is built")
+        object.__setattr__(self, name, value)
 
     def block(self, i: int, j: int) -> np.ndarray:
         d = self.d
@@ -169,9 +175,20 @@ class BlockGram:
         return self.n * self.d
 
 
-def _own_channel(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A matrix as the one channel of itself: (1, N, N) view and Q = [[1]]."""
-    return data[None], np.ones((1, 1))
+def _sum_and_drift(channels, basis, data=None) -> tuple[np.ndarray, float]:
+    """Data (None: S averaged with its transpose, into one fresh C-order
+    buffer) and its Frobenius distance from the channels' sum S, taken in
+    place in S; S is summed from the kernels' (N, N, c) C-order layout."""
+    c, N, _ = channels.shape
+    S = OperatorKernel.channel_sum(np.ascontiguousarray(np.moveaxis(channels, 0, -1)), basis)
+    St = S.transpose(0, 2, 1, 3)  # (i, a, j, b): G's entry order
+    if data is None:
+        data = np.add(St, St.transpose(2, 3, 0, 1), order="C").reshape(N * c, N * c)
+        data *= 0.5
+    data = np.asanyarray(data, dtype=float)
+    _check_symmetric(data)
+    St -= data.reshape(N, c, N, c)
+    return data, float(np.linalg.norm(S.ravel()))
 
 
 def gram_sites(kernel: OperatorKernel, sites) -> np.ndarray:
@@ -193,18 +210,13 @@ def assemble_gram(kernel: OperatorKernel, sites) -> BlockGram:
     """Assemble the block Gram matrix of a square kernel on the given sites.
 
     All sites must have the same number of coordinates.  The kernel's
-    closed form gives the (n, n, d) channel values once; G is their channel
-    sum (``OperatorKernel.channel_sum``), symmetrized by averaging with its
-    transpose, so it is exactly symmetric as ``psd_check`` requires.
+    closed form gives the (d, n, n) channel Grams once; the Gram builds G
+    from them and certifies it (see BlockGram).
     """
     S = gram_sites(kernel, sites)
-    n, d = len(S), kernel.dim_h
     spec = kernel.spec
-    ch = spec.channels(kernel.sq_dists(S, S))
-    G = kernel.channel_sum(ch, spec.basis).transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    G = 0.5 * (G + G.T)
-    channels = np.ascontiguousarray(np.moveaxis(ch, -1, 0))
-    return BlockGram(n=n, d=d, sites=S, data=G, channels=channels, basis=spec.basis)
+    ch = np.ascontiguousarray(np.moveaxis(spec.channels(kernel.sq_dists(S, S)), -1, 0))
+    return BlockGram(n=len(S), d=kernel.dim_h, sites=S, channels=ch, basis=spec.basis)
 
 
 def raw_gram(kernel: OperatorKernel, sites, data) -> BlockGram:
@@ -220,18 +232,9 @@ def raw_gram(kernel: OperatorKernel, sites, data) -> BlockGram:
 
 
 def psd_check(gram: BlockGram) -> SpectrumReport:
-    """Eigendecomposition with a relative PSD certificate; cached.
-
-    The data must be exactly symmetric.  One stacked eigh of the Gram's
-    (c, N, N) channel Grams (see SpectrumReport); a Gram whose channels no
-    longer sum to its data becomes the one channel of its data first.  The
-    eigenpairs are kept on the report for the orthonormal expansion."""
-    report = SpectrumReport.from_channels(gram.data, gram.channels, gram.basis)
-    if report is None:
-        gram.channels, gram.basis = _own_channel(gram.data)
-        report = SpectrumReport.from_channels(gram.data, gram.channels, gram.basis)
-    gram.spectrum = report
-    return report
+    """The Gram's PSD certificate, made once when it was built (see
+    BlockGram and SpectrumReport)."""
+    return gram.spectrum
 
 
 def _jitter_ladder(gram: BlockGram):
@@ -270,11 +273,10 @@ def _channel_factor(L: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def factorize(gram: BlockGram) -> BlockGram:
     """Factor G + eps*I with a jitter ladder from 0 up to 1e-6 * tr(G)/(nd).
 
-    The Gram is factored by channel, after its ``psd_check`` (run here if
-    missing): G + eps*I = sum_m (K_m + eps*I) (x) q_m q_m^T, as
-    sum_m q_m q_m^T = I, so a rung is one stacked Cholesky L_m of the
-    (c, N, N) channel Grams and the factor is F[(i,a),(j,m)] =
-    Q[a,m] L_m[i,j].  The rung is accepted when
+    The Gram is factored by channel: G + eps*I =
+    sum_m (K_m + eps*I) (x) q_m q_m^T, as sum_m q_m q_m^T = I, so a rung is
+    one stacked Cholesky L_m of the (c, N, N) channel Grams and the factor
+    is F[(i,a),(j,m)] = Q[a,m] L_m[i,j].  The rung is accepted when
     max_m |L_m L_m^T - (K_m + eps*I)| + drift is within the reconstruction
     tolerance; it bounds |F F^T - (G + eps*I)| entrywise, since
     sum_m |Q[a,m] Q[b,m]| <= 1 (Cauchy-Schwarz over the rows of Q).  F is
@@ -284,14 +286,13 @@ def factorize(gram: BlockGram) -> BlockGram:
     On success stores the factor, the jitter used and the accepted bound;
     raises IndefiniteMatrixError when the whole ladder fails.
     """
-    report = gram.spectrum or psd_check(gram)
     scale = 1.0 + float(np.abs(gram.data).max())
     for eps in _jitter_ladder(gram):
         try:
             L, residual = _jittered_cholesky(gram.channels, eps)
         except np.linalg.LinAlgError:
             continue
-        residual += report.drift
+        residual += gram.spectrum.drift
         if residual <= RECON_TOL * scale:
             gram.factor = _channel_factor(L, gram.basis)
             gram.jitter_used = eps
@@ -341,9 +342,8 @@ def gram_to_csv(gram: BlockGram, path) -> None:
 
 
 def spectrum_to_json_dict(gram: BlockGram) -> dict:
-    """JSON-ready spectrum report for a Gram (runs psd_check if needed)."""
-    report = gram.spectrum or psd_check(gram)
-    return report_to_json_dict(report, gram.sites, gram.d, gram.jitter_used)
+    """JSON-ready spectrum report for a Gram."""
+    return report_to_json_dict(gram.spectrum, gram.sites, gram.d, gram.jitter_used)
 
 
 def report_to_json_dict(

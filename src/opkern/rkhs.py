@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import BlockGram, assemble_gram, psd_check, raw_gram
+from .gram import BlockGram, assemble_gram, raw_gram
 from .kernels import OperatorKernel, as_hvec, as_site, continuity_increment, render_spec
 
 __all__ = [
@@ -111,10 +111,6 @@ class RkhsElement:
         tol = NULL_TOL * (1.0 + self.g_norm() + other.g_norm())
         return self.g_distance(other) <= tol
 
-    def block(self, i: int) -> np.ndarray:
-        d = self.context.d
-        return self.coeffs[i * d : (i + 1) * d]
-
 
 @dataclass
 class TransformFamily:
@@ -142,7 +138,8 @@ class TransformFamily:
 def make_context(
     kernel: OperatorKernel, sites, raw_data: np.ndarray | None = None
 ) -> RkhsContext:
-    """Assemble and PSD-certify the Gram, then freeze the context.
+    """Assemble the Gram, which certifies itself, and freeze the context;
+    a Gram not certified PSD is refused.
 
     ``raw_data`` substitutes an externally supplied Gram matrix (for fault
     injection and raw-matrix workflows); it still must pass the PSD check.
@@ -151,7 +148,7 @@ def make_context(
         gram = assemble_gram(kernel, sites)
     else:
         gram = raw_gram(kernel, sites, raw_data)
-    report = psd_check(gram)
+    report = gram.spectrum
     if not report.psd:
         raise ValueError(
             f"Gram is not PSD (min_eig = {report.min_eig:.3e}); cannot build context"
@@ -267,14 +264,14 @@ def chain_apply(fam: TransformFamily, indices, x: RkhsElement) -> RkhsElement:
 
 
 def onb_expansion(ctx: RkhsContext, trunc_tol: float) -> list[RkhsElement]:
-    """G-orthonormal basis elements from the Gram eigenpairs of psd_check.
+    """G-orthonormal basis elements from the Gram's certified eigenpairs.
 
     Eigenpairs (lam, u) with lam > trunc_tol * lam_max yield elements with
     coefficients u / sqrt(lam); the pointwise products of the returned
     family reproduce the induced scalar kernel on grid pairs up to the
     truncated tail.  The elements are the rows of one (k, nd) array.
     """
-    report = ctx.gram.spectrum or psd_check(ctx.gram)
+    report = ctx.gram.spectrum
     lam = report.eigenvalues  # nonincreasing, so the kept pairs lead
     k = int(np.count_nonzero(lam > trunc_tol * report.lambda_max))
     if k == 0:

@@ -50,6 +50,21 @@ class TestParseSites:
             parse_sites(text)
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("grid(nan,1,3)", "grid ends must be finite"),
+            ("grid(0,inf,3)", "grid ends must be finite"),
+            ("[[]]", "bad site entry: []"),
+            ("[1,[]]", "bad site entry: []"),
+        ],
+    )
+    def test_bad_sites_message(self, text, message):
+        with pytest.raises(UsageError) as info:
+            parse_sites(text)
+        assert str(info.value) == message
+
+
 class TestGramCommand:
     def test_psd_exit_zero(self, tmp_path):
         code = main(
@@ -755,6 +770,82 @@ class TestNoTraceback:
         argv = ["sample", "--kernel", "diagexp3", "--sites", "[0,1]", "-N", "100000000000"]
         code, err = self.run(tmp_path, capsys, argv)
         assert (code, err) == (2, "error: out of memory: Unable to allocate 4800000000000 bytes\n")
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_count_exit_one(self, tmp_path, capsys, count):
+        argv = ["sample", "--kernel", "diagexp3", "--sites", "[0,1]", "-N", count]
+        code, err = self.run(tmp_path, capsys, argv)
+        assert (code, err) == (1, "usage error: --count must be >= 1\n")
+        assert not (tmp_path / "cov_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "domain, message",
+        [
+            ("0,x", "--counts/--domain: could not convert string to float: 'x'"),
+            ("a,b", "--counts/--domain: could not convert string to float: 'a'"),
+            ("0,inf", "--domain takes finite 'a,b'"),
+            ("nan,1", "--domain takes finite 'a,b'"),
+            ("1", "--domain takes finite 'a,b'"),
+        ],
+    )
+    def test_bad_domain_exit_one(self, tmp_path, capsys, domain, message):
+        argv = ["spectrum", "--kernel", "diagexp3", "--counts", "3", "--domain", domain]
+        code, err = self.run(tmp_path, capsys, argv)
+        assert (code, err) == (1, f"usage error: {message}\n")
+        assert not (tmp_path / "spectrum_3.json").exists()
+
+    def test_config_line_without_equals_exit_one(self, tmp_path, capsys):
+        conf = tmp_path / "job.conf"
+        conf.write_text("# a comment\nkernel = diagexp3\nsites grid(0,1,2)\n")
+        code, err = self.run(tmp_path, capsys, ["gram", "--config", str(conf)])
+        assert (code, err) == (1, f"usage error: {conf}:3: expected key=value\n")
+        assert not (tmp_path / "gram.csv").exists()
+
+    def test_overflowing_spectrum_exit_two(self, tmp_path, capsys):
+        argv = ["gram", "--kernel", "gauss(sigma=9e153,ell=1)", "--sites", "[0,0.5,1]"]
+        code, err = self.run(tmp_path, capsys, argv)
+        assert (code, err) == (2, "error: Gram spectrum overflows\n")
+
+
+def strict_json(path):
+    """A JSON file parsed as RFC 8259 JSON: NaN and Infinity are refused."""
+
+    def refuse(name):
+        raise ValueError(f"{path.name}: {name} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestJsonOutputs:
+    """Non-finite floats are written as null; every output is valid JSON."""
+
+    def test_nan_residual_written_as_null(self, tmp_path, capsys):
+        argv = ["verify", "--kernel", "gauss(sigma=1e100,ell=1)", "--sites", "[0,1]",
+                "--trials", "3", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        payload = strict_json(tmp_path / "identities.json")
+        jsonschema.validate(payload, schema("identities.json"))
+        assert payload["norm_bound"] == {"max_residual": None, "tolerance": 1e-10, "pass": False}
+
+    def test_infinite_error_written_as_null(self, tmp_path, capsys):
+        argv = ["sample", "--kernel", "gauss(sigma=9e153,ell=1)", "--sites", "[0,0.5]",
+                "-N", "1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        payload = strict_json(tmp_path / "cov_report.json")
+        jsonschema.validate(payload, schema("cov_report.json"))
+        assert payload["max_abs_err"] is None and payload["mc_tolerance"] is None
+        assert payload["pass"] is False and None in sum(payload["per_block_err"], [])
+
+    def test_sample_summary_is_short(self, tmp_path, capsys):
+        argv = ["sample", "--kernel", "gauss(sigma=1e100,ell=1)", "--sites", "[0,1]",
+                "-N", "10", "--out", str(tmp_path)]
+        main(argv)
+        line = capsys.readouterr().out
+        assert re.fullmatch(
+            r"sample: N=10 max_err=\d\.\d{3}e\+\d{3} tol=\d\.\d{3}e\+\d{3} pass=(True|False)\n",
+            line,
+        ), line
+        assert len(line) <= 80
 
 
 class TestFuzz:

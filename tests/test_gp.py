@@ -215,9 +215,9 @@ class TestCovarianceErrorReport:
         assert not report.pass_
 
     @staticmethod
-    def unscaled_tolerance(batch):
-        """The 4-SE tolerance as it was formed before it was scaled."""
-        target = batch.target_covariance
+    def unscaled_tolerance(batch, target):
+        """The 4-SE tolerance of a batch with covariance ``target``, as it
+        was formed before it was scaled."""
         diag = np.diag(target)
         with np.errstate(over="ignore"):
             var = np.outer(diag, diag) + target**2
@@ -232,11 +232,10 @@ class TestCovarianceErrorReport:
             text = f"gauss(sigma={mantissa!r}e{exponent},ell=1)"
             batch = sample_paths(make_context(make_kernel(text), [[0], [0.5], [1]]), 10, seed=0)
             tol = covariance_error_report(batch).mc_tolerance
-            expected = self.unscaled_tolerance(batch)
+            target = batch.target_covariance
+            expected = self.unscaled_tolerance(batch, target)
             if not np.isfinite(expected):
-                g = batch.context.gram
-                g.data = g.data * 2.0**-600
-                expected = self.unscaled_tolerance(batch) * 2.0**600
+                expected = self.unscaled_tolerance(batch, target * 2.0**-600) * 2.0**600
                 assert exponent > 70 and np.isfinite(expected)
             assert tol == expected, text
 
@@ -301,6 +300,15 @@ class TestExport:
         bad.write_bytes(b"NOTGP1" + b"\0" * 20)
         with pytest.raises(ValueError, match="magic"):
             batch_from_binary(bad)
+
+    @pytest.mark.parametrize("keep", [-8, -1, 6 + 20, 6 + 19, 6])
+    def test_truncated_file_refused(self, two_site_ctx, tmp_path, keep):
+        # cut inside the values or inside the header
+        path = tmp_path / "batch.bin"
+        batch_to_binary(sample_paths(two_site_ctx, 3, seed=0), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="^truncated batch file$"):
+            batch_from_binary(path)
 
     def test_unknown_version_refused(self, tmp_path):
         bad = tmp_path / "bad.bin"

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -28,9 +29,11 @@ from opkern.gram import (
     write_csv_rows,
     _jitter_ladder,
 )
+from opkern import gram as gram_mod
+from opkern.gp import covariance_error_report, sample_paths
 from opkern.kernels import OperatorKernel, make_kernel
 from opkern.reprcsv import CHUNK
-from opkern.rkhs import RkhsContext, onb_expansion
+from opkern.rkhs import RkhsContext, make_context, onb_expansion
 
 GAUSS1 = "gauss(sigma=1,ell=1,dim=1)"
 
@@ -232,6 +235,86 @@ class TestPsdCheck:
         assert np.abs(V.T @ V - np.eye(len(data))).max() <= 1e-10
 
 
+class TestFixedGram:
+    """A Gram is certified when it is built, and fixed afterwards."""
+
+    TEXT = "gauss(sigma=1,ell=1,dim=2)"
+
+    def test_replacing_data_after_assembly_refused(self):
+        # replacing the data of an assembled Gram once left its factor, and
+        # the paths drawn from it, those of the old matrix
+        ctx = make_context(make_kernel(self.TEXT), [[0], [1]])
+        g = ctx.gram
+        with pytest.raises(AttributeError, match="^a Gram's data is fixed once it is built$"):
+            g.data = np.diag([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="read-only"):
+            g.data[0, 0] = 1.0
+        factorize(g)
+        target = g.data + g.jitter_used * np.eye(g.size)
+        assert np.abs(g.factor @ g.factor.T - target).max() <= RECON_TOL
+        assert covariance_error_report(sample_paths(ctx, 20_000, seed=0)).pass_
+
+    @pytest.mark.parametrize("name", ["n", "d", "sites", "data", "channels", "basis", "spectrum"])
+    def test_rebinding_refused(self, name):
+        g = assemble_gram(make_kernel(self.TEXT), [[0], [1]])
+        with pytest.raises(AttributeError, match=f"^a Gram's {name} is fixed"):
+            setattr(g, name, getattr(g, name))
+
+    def test_arrays_read_only(self):
+        g = assemble_gram(make_kernel(self.TEXT), [[0], [1]])
+        for array in (g.data, g.channels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        # an array handed to the constructor is taken as it is, not copied,
+        # and cannot be written through afterwards
+        data = np.eye(2)
+        raw = BlockGram(n=2, d=1, sites=np.zeros((2, 1)), data=data)
+        assert raw.data is data and not raw.channels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            data[0, 0] = 2.0
+
+    def test_six_constructor_values(self):
+        settable = [f.name for f in dataclasses.fields(BlockGram) if f.init]
+        assert settable == ["n", "d", "sites", "data", "channels", "basis"]
+
+    @pytest.mark.parametrize("text", SQUARE_KERNELS)
+    def test_one_channel_sum_per_assembly(self, text, monkeypatch):
+        # G and its drift come from one channel sum; certifying and
+        # factoring the Gram add none
+        calls = Counter()
+        channel_sum = OperatorKernel.channel_sum
+
+        def counted(channels, basis):
+            calls["channel_sum"] += 1
+            return channel_sum(channels, basis)
+
+        monkeypatch.setattr(OperatorKernel, "channel_sum", staticmethod(counted))
+        g = assemble_gram(make_kernel(text), [[0.0], [1.0], [2.5]])
+        assert calls["channel_sum"] == 1
+        psd_check(g)
+        spectrum_to_json_dict(g)
+        if g.spectrum.psd:
+            factorize(g)
+        assert calls["channel_sum"] == 1
+
+    def test_data_alone_is_its_own_channel(self):
+        g = gram_mod.raw_gram(make_kernel(self.TEXT), [[0], [1]], np.diag([1.0, 2.0, 3.0, 4.0]))
+        assert g.channels.shape == (1, 4, 4) and np.array_equal(g.basis, [[1.0]])
+        assert g.spectrum.drift == 0.0 and psd_check(g) is g.spectrum
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 5), (4,)])
+    def test_raw_gram_shape_checked(self, shape):
+        message = rf"^raw Gram shape \({shape[0]},.*\) != expected \(4, 4\)$"
+        with pytest.raises(GramError, match=message):
+            gram_mod.raw_gram(make_kernel(self.TEXT), [[0], [1]], np.zeros(shape))
+
+    def test_overflowing_spectrum_refused(self):
+        # every entry is finite, but the largest eigenvalue is not: a PSD
+        # margin scaled by it would pass any matrix
+        with pytest.raises(GramError, match="^Gram spectrum overflows$"):
+            assemble_gram(make_kernel("gauss(sigma=9e153,ell=1)"), [[0], [0.5], [1]])
+
+
 class TestChannelPath:
     """psd_check on kernel Grams (stacked channel eigh) against a dense
     eigendecomposition of the same matrix as the oracle."""
@@ -304,12 +387,14 @@ class TestChannelPath:
             assert report.psd is psd
 
     def test_replaced_data_is_certified_itself(self):
-        # channel Grams that no longer match the data cannot certify it:
-        # the drift guard makes the data its own one channel
-        g = assemble_gram(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]])
-        g.data = np.diag([1.0, 1.0, 1.0, -1.0])
+        # channel Grams that do not match the data cannot certify it: the
+        # drift guard makes the data its own one channel
+        ref = assemble_gram(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]])
+        data = np.diag([1.0, 1.0, 1.0, -1.0])
+        g = BlockGram(n=2, d=2, sites=ref.sites, data=data,
+                      channels=ref.channels, basis=ref.basis)
         report = psd_check(g)
-        assert g.channels.shape == (1, 4, 4) and np.array_equal(g.channels[0], g.data)
+        assert g.channels.shape == (1, 4, 4) and np.array_equal(g.channels[0], data)
         assert np.array_equal(report.basis, [[1.0]]) and report.drift == 0.0
         assert not report.psd and report.min_eig == -1.0
 
@@ -419,11 +504,11 @@ class TestChannelFactor:
         assert g.spectrum is not None and g.spectrum.basis is not None
 
     def test_dense_certified_gram_takes_dense_ladder(self):
-        # channels that no longer match the data cannot factor it either:
-        # the data is its own one channel, factored by one dense Cholesky
-        g = assemble_gram(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]])
-        g.data = np.diag([1.0, 2.0, 3.0, 4.0])
-        factorize(g)
+        # channels that do not match the data cannot factor it either: the
+        # data is its own one channel, factored by one dense Cholesky
+        ref = assemble_gram(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]])
+        g = factorize(BlockGram(n=2, d=2, sites=ref.sites, data=np.diag([1.0, 2.0, 3.0, 4.0]),
+                                channels=ref.channels, basis=ref.basis))
         assert g.channels.shape == (1, 4, 4)
         assert np.array_equal(g.factor, np.diag(np.sqrt([1.0, 2.0, 3.0, 4.0])))
 
@@ -528,6 +613,16 @@ class TestSpectralDecay:
             spectral_decay_profile(make_kernel(GAUSS1), [])
         with pytest.raises(GramError):
             spectral_decay_profile(make_kernel(GAUSS1), [10, 5])
+
+    @pytest.mark.parametrize("counts", [[0, 5], [-3], [2, 0]])
+    def test_counts_must_be_positive(self, counts):
+        with pytest.raises(GramError, match="^site counts must be positive$"):
+            spectral_decay_profile(make_kernel(GAUSS1), counts)
+
+    def test_counts_within_cap(self):
+        kernel = make_kernel("diagexp3")
+        with pytest.raises(GramError, match=f"^Gram size exceeds cap {DEFAULT_SIZE_CAP}$"):
+            spectral_decay_profile(kernel, [5, DEFAULT_SIZE_CAP // 3 + 1])
 
 
 class TestEffectiveRank:

@@ -7,6 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from opkern import gram, rkhs
 from opkern.kernels import OperatorKernel, make_kernel
@@ -59,3 +60,30 @@ def test_wide_blocks_factors_by_channel(tmp_path, monkeypatch):
         dense = gram.BlockGram(n=g.n, d=g.d, sites=g.sites, data=g.data)
         assert g.spectrum.basis is not None
         assert g.jitter_used == gram.factorize(dense).jitter_used
+
+
+@pytest.mark.parametrize("name", ["python_bound", "wide_blocks", "gp_paths"])
+def test_smoke_operations_pass_their_checks(tmp_path, name):
+    # two operations of every task at SMOKE sizes, the second traced as the
+    # benchmark traces every other one: the checks read the Gram's
+    # certificate and factor and validate every JSON output, and the
+    # tracer's counters read the results of the calls they wrap
+    spans, workloads = load("spans"), load("workloads")
+    wl = workloads.WORKLOADS[name](seed=0, smoke=True, out=tmp_path)
+    tracer = spans.Tracer()
+    for op in range(2):
+        for _, task in wl.tasks():
+            if op == 0:
+                check = task()
+            else:
+                tracer.op = op
+                tracer.patch()
+                try:
+                    check = task()
+                finally:
+                    tracer.unpatch()
+            check()
+    metrics = spans.op_metrics(tracer.spans)
+    assert set(metrics) <= set(spans.PER_LAYER)
+    assert all(np.isfinite(v) and v >= 0 for v in metrics.values())
+    assert metrics["gram.factorize.calls"] > 0 and metrics["gram.factorize.rungs"] > 0

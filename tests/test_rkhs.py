@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opkern.gram import assemble_gram, factorize
+from opkern.gram import BlockGram, GramError, assemble_gram, factorize, raw_gram
 from opkern.kernels import OperatorKernel, make_kernel, render_spec
 from opkern.rkhs import (
     RkhsContext,
@@ -154,6 +154,16 @@ class TestPublicEntryValidation:
     def test_element_rejects_length(self, norm_ctx, size):
         with pytest.raises(ValueError, match="length"):
             RkhsElement(norm_ctx, np.ones(size))
+
+    @pytest.mark.parametrize("count", [0, 4, 6])
+    def test_family_rejects_transform_count(self, norm_ctx, count):
+        with pytest.raises(ValueError, match="^need one transform per site$"):
+            TransformFamily(norm_ctx, [np.eye(2)] * count)
+
+    @pytest.mark.parametrize("bad", [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [0, 1]], np.eye(3)])
+    def test_family_rejects_matrix(self, norm_ctx, bad):
+        with pytest.raises(ValueError, match="^transforms must be finite 2x2 matrices$"):
+            TransformFamily(norm_ctx, [np.eye(2)] * 4 + [bad])
 
 
 class TestInnerProduct:
@@ -517,8 +527,10 @@ class TestVerifyIdentities:
     def test_covariance_psd_record_matches_per_site_loop(self):
         # a context built around psd_check, with one indefinite diagonal block
         k = make_kernel("rational2")
-        g = assemble_gram(k, [[0.0], [1.0], [3.0]])
-        g.data[2:4, 2:4] = [[1.0, 2.0], [2.0, 1.0]]
+        sites = [[0.0], [1.0], [3.0]]
+        data = assemble_gram(k, sites).data.copy()
+        data[2:4, 2:4] = [[1.0, 2.0], [2.0, 1.0]]
+        g = raw_gram(k, sites, data)
         ctx = RkhsContext(kernel=k, sites=g.sites, gram=g)
         worst = 0.0
         for i in range(g.n):
@@ -592,8 +604,9 @@ class TestVerifyIdentities:
         kernel = make_kernel("normalized(inner=gauss(sigma=2,ell=1,dim=2))")
         counts = {}
         for n in (3, 12):
-            ctx = make_context(kernel, [[0.7 * s] for s in range(n)])
-            ctx.gram.data = ctx.gram.data.view(CountingGram)
+            g = make_context(kernel, [[0.7 * s] for s in range(n)]).gram
+            counted = BlockGram(n=g.n, d=g.d, sites=g.sites, data=g.data.view(CountingGram))
+            ctx = RkhsContext(kernel=kernel, sites=g.sites, gram=counted)
             CountingGram.width = ctx.size
             for trials in (2, 4, 6):
                 CountingGram.products = 0
@@ -688,14 +701,19 @@ class TestVerifyIdentities:
         assert not report.results["factorization"]["pass"]
 
     def test_nan_residual_sticks_and_fails(self):
-        # a hand-built context skips the checks make_context makes
-        k = make_kernel(GAUSS1)
-        g = assemble_gram(k, [[0], [1], [2]])
-        g.data[0, 1] = np.nan
-        report = verify_identities(RkhsContext(kernel=k, sites=g.sites, gram=g), trials=5)
-        record = report.results["factorization_consistency"]
+        # |K| = 1e200: the G-inner products of frame projections overflow,
+        # and the NaN residual fails where max() would drop it
+        ctx = make_context(make_kernel("gauss(sigma=1e100,ell=1)"), [[0], [1]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_identities(ctx, trials=5)
+        record = report.results["norm_bound"]
         assert math.isnan(record["max_residual"]) and record["pass"] is False
         assert not report.all_pass
+        # a Gram holding a NaN is refused when it is built
+        data = ctx.gram.data.copy()
+        data[0, 1] = data[1, 0] = np.nan
+        with pytest.raises(GramError, match="non-finite"):
+            BlockGram(n=2, d=1, sites=ctx.sites, data=data)
 
     @given(
         d=st.sampled_from([1, 2, 3, 8]),
