@@ -22,6 +22,7 @@ from . import gram as gram_mod
 from . import gp as gp_mod
 from . import rkhs as rkhs_mod
 from .kernels import KernelSpecError, as_sites, make_kernel
+from .reprcsv import write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -262,9 +263,7 @@ def cmd_expand(args) -> int:
     C = np.array([el.coeffs for el in rkhs_mod.onb_expansion(ctx, args.trunc_tol)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "onb.csv", "w", newline="") as fh:
-        csv.writer(fh).writerow(["# basis", len(C), "n", ctx.n, "d", ctx.d])
-        gram_mod.write_csv_rows(fh, C)
+    write_csv(out / "onb.csv", ["# basis", len(C), "n", ctx.n, "d", ctx.d], C)
     # reconstruction error of the induced scalar kernel on grid pairs
     G = ctx.gram.data
     V = G @ C.T
@@ -298,7 +297,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("spectrum", help="spectral decay across grid sizes")
     common(p)
-    p.add_argument("--counts", default="", help="comma-separated grid sizes")
+    p.add_argument("--counts", required=True, help="comma-separated grid sizes")
     p.add_argument("--domain", default="0,1", help="interval a,b")
     p.set_defaults(func=cmd_spectrum)
 

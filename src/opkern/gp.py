@@ -4,14 +4,15 @@ covariance recovery checks and batch export."""
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import factorize, write_csv_rows
+from .gram import factorize
+from .kernels import read_only
+from .reprcsv import write_csv
 from .rkhs import RkhsContext
 
 __all__ = [
@@ -33,7 +34,7 @@ MC_SIGMA_FACTOR = 4.0
 CHUNK_WORDS = 1 << 15
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """N seeded zero-mean Gaussian paths over the context sites.
 
@@ -46,8 +47,11 @@ class SampleBatch:
 
     context: RkhsContext
     seed: int
-    count: int
     paths: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return len(self.paths)
 
     @property
     def target_covariance(self) -> np.ndarray:
@@ -105,8 +109,8 @@ def _normals(seed: int, first: int, count: int, nd: int) -> np.ndarray:
 def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
     """Draw ``count`` paths as L z with L L^T = G + eps*I.
 
-    Factorizes the context Gram on first use (raising on indefinite
-    matrices).  Stream v3: one Philox stream keyed by ``seed`` in
+    Reads the context Gram's factor through ``factorize`` (raising on
+    indefinite matrices).  Stream v3: one Philox stream keyed by ``seed`` in
     [0, 2**64), its own counter blocks per path, Box-Muller normals (see
     ``_normals``), one ``Z @ L.T`` per chunk of about CHUNK_WORDS normals,
     with L the channel factor ``factorize`` gives (the Cholesky factor for
@@ -123,9 +127,7 @@ def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     seed = int(seed)
     gram = ctx.gram
-    if gram.factor is None:
-        factorize(gram)
-    L = gram.factor
+    L = factorize(gram).factor
     nd = gram.size
     per_chunk = max(1, CHUNK_WORDS // _path_words(nd))
     paths = np.empty((count, nd))
@@ -133,12 +135,7 @@ def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
         block = _normals(seed, start, per_chunk, nd) @ L.T
         stop = min(start + per_chunk, count)
         paths[start:stop] = block[: stop - start]
-    return SampleBatch(
-        context=ctx,
-        seed=seed,
-        count=int(count),
-        paths=paths.reshape(count, gram.n, gram.d),
-    )
+    return SampleBatch(ctx, seed, read_only(paths.reshape(count, gram.n, gram.d)))
 
 
 def empirical_covariance(batch: SampleBatch) -> np.ndarray:
@@ -190,18 +187,8 @@ def covariance_error_report(batch: SampleBatch) -> CovErrorReport:
 
 def batch_to_csv(batch: SampleBatch, path) -> None:
     """One row per path, n*d columns; header embeds seed and context hash."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(
-            [
-                "# seed",
-                batch.seed,
-                "count",
-                batch.count,
-                "context",
-                batch.context.context_hash(),
-            ]
-        )
-        write_csv_rows(fh, batch.paths.reshape(batch.count, -1))
+    header = ["# seed", batch.seed, "count", batch.count, "context", batch.context.context_hash()]
+    write_csv(path, header, batch.paths.reshape(batch.count, -1))
 
 
 def batch_to_binary(batch: SampleBatch, path) -> None:

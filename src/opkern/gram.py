@@ -3,13 +3,15 @@ ladder, and spectral-decay diagnostics, plus CSV/JSON export."""
 
 from __future__ import annotations
 
-import csv
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .kernels import OperatorKernel, as_sites
-from .reprcsv import write_csv_rows
+from .kernels import OperatorKernel, as_sites, read_only
+from .reprcsv import write_csv
 
 __all__ = [
     "GramError",
@@ -22,7 +24,6 @@ __all__ = [
     "psd_check",
     "factorize",
     "spectral_decay_profile",
-    "write_csv_rows",
     "gram_to_csv",
     "spectrum_to_json_dict",
     "report_to_json_dict",
@@ -43,10 +44,11 @@ class IndefiniteMatrixError(GramError):
     """Cholesky failed within the jitter ladder; the matrix is indefinite."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Symmetric eigendecomposition of a Gram matrix plus decay diagnostics;
-    the one decomposition every spectral consumer reads.
+    the one decomposition every spectral consumer reads.  A value: its
+    arrays are read-only and ``effective_rank`` is a read-only mapping.
 
     It decomposes the Gram's (c, N, N) channel Grams (c = d, N = n for a
     kernel Gram; c = 1, N = nd for a one-channel Gram): ``eigenvectors`` is
@@ -61,7 +63,7 @@ class SpectrumReport:
     lambda_max: float
     min_eig: float
     psd: bool
-    effective_rank: dict[float, int]
+    effective_rank: Mapping[float, int]
     trace: float
     eigenvectors: np.ndarray
     basis: np.ndarray
@@ -81,9 +83,10 @@ class SpectrumReport:
         if not np.isfinite(trace):  # the PSD margin and the ranks scale with it
             raise GramError("Gram spectrum overflows")
         psd = min_eig - drift >= -PSD_EIG_TOL * max(lam_max, 1.0)
-        eff = {
-            tol: effective_rank(eig, tol, trace) for tol in EFFECTIVE_RANK_TOLS
-        }
+        eff = MappingProxyType(
+            {tol: effective_rank(eig, tol, trace) for tol in EFFECTIVE_RANK_TOLS}
+        )
+        eig, vecs, basis, order = map(read_only, (eig, vecs, basis, order))
         return cls(eig, lam_max, min_eig, psd, eff, trace, vecs, basis, order, drift)
 
     def leading_vectors(self, k: int) -> np.ndarray:
@@ -115,80 +118,90 @@ def effective_rank(eigenvalues: np.ndarray, tol: float, trace=None) -> int:
     return len(eig)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BlockGram:
-    """The n*d x n*d matrix with block (i,j) = K(s_i, s_j), certified when
-    it is built and fixed afterwards.
+    """The n*d x n*d matrix with block (i,j) = K(s_i, s_j): a value, certified
+    when it is built, whose factor is computed once, when first read.
 
     Every Gram is a channel Gram, data = sum_m K_m (x) q_m q_m^T, with
     (c, N, N) channel Grams K_m and a (c, c) orthogonal basis Q whose column
-    q_m belongs to channel m.  Built from channels and basis alone
-    (``assemble_gram``), the data is their sum averaged with its transpose;
-    built from data alone (``raw_gram``), the data is its own one channel,
-    Q = [[1]].  Construction makes the certificate ``spectrum``: the data
-    must be finite and exactly symmetric, and channels farther from it than
-    DRIFT_TOL * max(lambda_max, 1) (Frobenius: the drift) give way to the
-    data as its own channel.  The Gram then takes ``data`` and ``channels``
-    as they are and makes them read-only, and only the factor's fields can
-    be set: ``factor`` (by ``factorize``) is a square root L of
-    data + jitter_used * I, and ``factor_residual`` bounds |L L^T - that|.
+    q_m belongs to channel m.  From channels and basis (``assemble_gram``),
+    the data is their sum averaged with its transpose, which must lie within
+    DRIFT_TOL * max(lambda_max, 1) of the sum (Frobenius: the drift); from
+    data alone (``raw_gram``), the data is its own one channel, Q = [[1]].
+    The data must be finite and exactly symmetric, n = len(sites) and
+    d = len(data) / n.  The arrays are taken, not copied, and made read-only.
     """
 
-    n: int
-    d: int
     sites: np.ndarray  # (n, k): row i is site s_i
     data: np.ndarray | None = None
     channels: np.ndarray | None = None  # (c, N, N): channel m's scalar Gram
     basis: np.ndarray | None = None  # (c, c): column m belongs to channel m
+    n: int = field(init=False)
+    d: int = field(init=False)
+    size: int = field(init=False)  # n * d
     spectrum: SpectrumReport = field(init=False)
-    factor: np.ndarray | None = field(default=None, init=False)
-    jitter_used: float = field(default=0.0, init=False)
-    factor_residual: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        if self.channels is None:
+        given = (self.data is not None, self.channels is not None, self.basis is not None)
+        if given == (True, False, False):
             data = np.asanyarray(self.data, dtype=float)
             _check_symmetric(data)
             channels, basis, drift = data[None], np.ones((1, 1)), 0.0
-        else:
+        elif given == (False, True, True):
             channels, basis = self.channels, self.basis
-            data, drift = _sum_and_drift(channels, basis, self.data)
+            # G is the channels' sum S, taken from the kernels' C-order layout,
+            # averaged with its transpose into one fresh C-order buffer; the
+            # drift, |S - G| (Frobenius), is taken in place in S
+            c, N, _ = channels.shape
+            layout = np.ascontiguousarray(np.moveaxis(channels, 0, -1))  # (N, N, c)
+            S = OperatorKernel.channel_sum(layout, basis)
+            St = S.transpose(0, 2, 1, 3)  # (i, a, j, b): G's entry order
+            data = np.add(St, St.transpose(2, 3, 0, 1), order="C").reshape(N * c, N * c)
+            data *= 0.5
+            _check_symmetric(data)
+            St -= data.reshape(N, c, N, c)
+            drift = float(np.linalg.norm(S.ravel()))
+        else:
+            raise GramError("a Gram is built from data alone or from channels and basis")
+        sites = np.asarray(self.sites, dtype=float)
+        n = len(sites)
+        if n == 0 or len(data) % n:
+            raise GramError(f"{len(data)} rows do not split into {n} sites")
         report = SpectrumReport.from_channels(channels, basis, drift)
         if not drift <= DRIFT_TOL * max(report.lambda_max, 1.0):
-            channels, basis = data[None], np.ones((1, 1))
-            report = SpectrumReport.from_channels(channels, basis, 0.0)
-        data.flags.writeable = channels.flags.writeable = False
-        self.data, self.channels, self.basis = data, channels, basis
-        self.spectrum = report
-
-    def __setattr__(self, name, value):
-        if name not in ("factor", "jitter_used", "factor_residual") and hasattr(self, "spectrum"):
-            raise AttributeError(f"a Gram's {name} is fixed once it is built")
-        object.__setattr__(self, name, value)
+            raise GramError(f"channels drift {drift:.3e} from the Gram they sum to")
+        for array in (sites, data, channels, basis):
+            read_only(array)
+        derived = dict(sites=sites, data=data, channels=channels, basis=basis,
+                       n=n, d=len(data) // n, size=len(data), spectrum=report)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def block(self, i: int, j: int) -> np.ndarray:
         d = self.d
         return self.data[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
-    @property
-    def size(self) -> int:
-        return self.n * self.d
+    @cached_property
+    def _factorization(self) -> tuple[np.ndarray, float, float]:
+        """(factor, jitter used, accepted bound): see ``factorize``."""
+        scale = 1.0 + float(np.abs(self.data).max())
+        for eps in _jitter_ladder(self):
+            try:
+                L, residual = _jittered_cholesky(self.channels, eps)
+            except np.linalg.LinAlgError:
+                continue
+            residual += self.spectrum.drift
+            if residual <= RECON_TOL * scale:
+                return read_only(_channel_factor(L, self.basis)), eps, residual
+        raise IndefiniteMatrixError(
+            "matrix not factorizable within the jitter ladder (indefinite)"
+        )
 
-
-def _sum_and_drift(channels, basis, data=None) -> tuple[np.ndarray, float]:
-    """Data (None: S averaged with its transpose, into one fresh C-order
-    buffer) and its Frobenius distance from the channels' sum S, taken in
-    place in S; S is summed from the kernels' (N, N, c) C-order layout."""
-    c, N, _ = channels.shape
-    S = OperatorKernel.channel_sum(np.ascontiguousarray(np.moveaxis(channels, 0, -1)), basis)
-    St = S.transpose(0, 2, 1, 3)  # (i, a, j, b): G's entry order
-    if data is None:
-        data = np.add(St, St.transpose(2, 3, 0, 1), order="C").reshape(N * c, N * c)
-        data *= 0.5
-    data = np.asanyarray(data, dtype=float)
-    _check_symmetric(data)
-    St -= data.reshape(N, c, N, c)
-    return data, float(np.linalg.norm(S.ravel()))
+    # a square root L of data + jitter_used * I, and a bound on |L L^T - that|
+    factor = property(lambda self: self._factorization[0])
+    jitter_used = property(lambda self: self._factorization[1])
+    factor_residual = property(lambda self: self._factorization[2])
 
 
 def gram_sites(kernel: OperatorKernel, sites) -> np.ndarray:
@@ -216,7 +229,7 @@ def assemble_gram(kernel: OperatorKernel, sites) -> BlockGram:
     S = gram_sites(kernel, sites)
     spec = kernel.spec
     ch = np.ascontiguousarray(np.moveaxis(spec.channels(kernel.sq_dists(S, S)), -1, 0))
-    return BlockGram(n=len(S), d=kernel.dim_h, sites=S, channels=ch, basis=spec.basis)
+    return BlockGram(sites=S, channels=ch, basis=spec.basis)
 
 
 def raw_gram(kernel: OperatorKernel, sites, data) -> BlockGram:
@@ -224,11 +237,11 @@ def raw_gram(kernel: OperatorKernel, sites, data) -> BlockGram:
     supplied matrix (raw-matrix workflows, fault injection), averaged with
     its transpose.  It is its own one channel."""
     S = gram_sites(kernel, sites)
-    n, d = len(S), kernel.dim_h
+    nd = len(S) * kernel.dim_h
     raw = np.asarray(data, dtype=float)
-    if raw.shape != (n * d, n * d):
-        raise GramError(f"raw Gram shape {raw.shape} != expected {(n * d, n * d)}")
-    return BlockGram(n=n, d=d, sites=S, data=0.5 * (raw + raw.T))
+    if raw.shape != (nd, nd):
+        raise GramError(f"raw Gram shape {raw.shape} != expected {(nd, nd)}")
+    return BlockGram(sites=S, data=0.5 * (raw + raw.T))
 
 
 def psd_check(gram: BlockGram) -> SpectrumReport:
@@ -283,24 +296,12 @@ def factorize(gram: BlockGram) -> BlockGram:
     lower triangular when Q = I, so a one-channel Gram's F is the Cholesky
     factor of G + eps*I and its bound is that factor's residual.
 
-    On success stores the factor, the jitter used and the accepted bound;
-    raises IndefiniteMatrixError when the whole ladder fails.
+    The ladder runs once per Gram, on the first read of its ``factor``,
+    ``jitter_used`` or ``factor_residual`` (the accepted bound); returns the
+    Gram, or raises IndefiniteMatrixError when the whole ladder fails.
     """
-    scale = 1.0 + float(np.abs(gram.data).max())
-    for eps in _jitter_ladder(gram):
-        try:
-            L, residual = _jittered_cholesky(gram.channels, eps)
-        except np.linalg.LinAlgError:
-            continue
-        residual += gram.spectrum.drift
-        if residual <= RECON_TOL * scale:
-            gram.factor = _channel_factor(L, gram.basis)
-            gram.jitter_used = eps
-            gram.factor_residual = residual
-            return gram
-    raise IndefiniteMatrixError(
-        "matrix not factorizable within the jitter ladder (indefinite)"
-    )
+    gram.factor  # runs the ladder on the first read only
+    return gram
 
 
 def spectral_decay_profile(
@@ -333,28 +334,21 @@ def spectral_decay_profile(
 
 def gram_to_csv(gram: BlockGram, path) -> None:
     """Row-major CSV with a header row carrying n, d and the site list."""
-    with open(path, "w", newline="") as fh:
-        sites_repr = ";".join(
-            ",".join(repr(float(v)) for v in s) for s in gram.sites
-        )
-        csv.writer(fh).writerow(["# n", gram.n, "d", gram.d, "sites", sites_repr])
-        write_csv_rows(fh, gram.data)
+    sites_repr = ";".join(",".join(repr(float(v)) for v in s) for s in gram.sites)
+    write_csv(path, ["# n", gram.n, "d", gram.d, "sites", sites_repr], gram.data)
 
 
 def spectrum_to_json_dict(gram: BlockGram) -> dict:
     """JSON-ready spectrum report for a Gram."""
-    return report_to_json_dict(gram.spectrum, gram.sites, gram.d, gram.jitter_used)
+    return report_to_json_dict(gram.spectrum, gram.sites, gram.d)
 
 
-def report_to_json_dict(
-    report: SpectrumReport, sites, d: int, jitter_used: float = 0.0
-) -> dict:
+def report_to_json_dict(report: SpectrumReport, sites, d: int) -> dict:
     """JSON-ready spectrum report of the Gram of a d x d kernel on sites."""
     return {
         "n": len(sites),
         "d": d,
         "sites": [list(map(float, s)) for s in sites],
-        "jitter_used": jitter_used,
         "eigenvalues": [float(v) for v in report.eigenvalues],
         "min_eig": report.min_eig,
         "psd": report.psd,

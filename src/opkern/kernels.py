@@ -96,6 +96,13 @@ def as_hvec(a, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only.  Every array a spec caches, ``basis``
+    among them, is made so: all Grams of the kernel share it."""
+    a.flags.writeable = False
+    return a
+
+
 def as_sites(sites) -> np.ndarray:
     """Stack a sequence of sites into an (n, k) array; all must have k coords."""
     rows = [as_site(s) for s in sites]
@@ -137,7 +144,7 @@ class GaussianSpec:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        return np.eye(self.dim)
+        return read_only(np.eye(self.dim))
 
     def channels(self, r2: np.ndarray) -> np.ndarray:
         val = self.sigma**2 * np.exp(-r2 / (2.0 * self.ell**2))
@@ -156,7 +163,7 @@ class DiagExp3Spec:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        return np.eye(3)
+        return read_only(np.eye(3))
 
     def channels(self, r2: np.ndarray) -> np.ndarray:
         return np.stack([np.ones(np.shape(r2)), np.exp(-np.sqrt(r2)), np.exp(-r2)], -1)
@@ -181,7 +188,7 @@ class Rational2Spec:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        return read_only(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
 
     def channels(self, r2: np.ndarray) -> np.ndarray:
         a, b = 1.0 / (1.0 + np.sqrt(r2)), 1.0 / (1.0 + r2)
@@ -218,7 +225,8 @@ class SeparableSpec:
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         B = np.asarray(self.B, dtype=float)
-        return np.linalg.eigh(0.5 * (B + B.T))
+        lam, Q = np.linalg.eigh(0.5 * (B + B.T))
+        return read_only(lam), read_only(Q)
 
     @property
     def basis(self) -> np.ndarray:
@@ -256,7 +264,7 @@ class NormalizedSpec:
 
     @cached_property
     def _channels_at_zero(self) -> np.ndarray:
-        return _check_invertible(self.inner.channels(np.zeros(())))
+        return read_only(_check_invertible(self.inner.channels(np.zeros(()))))
 
     def channels(self, r2: np.ndarray) -> np.ndarray:
         return self.inner.channels(r2) / self._channels_at_zero

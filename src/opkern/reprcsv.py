@@ -27,12 +27,13 @@ chunk drops them.
 
 from __future__ import annotations
 
+import csv
 import functools
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["write_csv_rows"]
+__all__ = ["write_csv", "write_csv_rows"]
 
 CHUNK = 4096  # values per pass; each scratch array stays far below 1 MB
 
@@ -245,3 +246,11 @@ def write_csv_rows(fh, matrix: np.ndarray) -> None:
         x = flat[start : start + CHUNK]
         last = np.arange(start, start + len(x)) % cols == cols - 1
         fh.write(_chunk_text(x, last))
+
+
+def write_csv(path, header: list, matrix: np.ndarray) -> None:
+    """The CSV file ``path``: one ``header`` row as csv.writer writes it,
+    then the rows of ``matrix`` (see ``write_csv_rows``)."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        write_csv_rows(fh, matrix)

@@ -42,13 +42,17 @@ NULL_TOL = 1e-10
 DEFAULT_SEED = 0x5EED
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RkhsContext:
-    """A frozen (kernel, sites) pair with its PSD-certified Gram."""
+    """A kernel and its PSD-certified Gram on the context sites."""
 
     kernel: OperatorKernel
-    sites: np.ndarray  # (n, k): row i is site s_i
     gram: BlockGram
+
+    @property
+    def sites(self) -> np.ndarray:
+        """(n, k): row i is site s_i."""
+        return self.gram.sites
 
     @property
     def n(self) -> int:
@@ -144,16 +148,13 @@ def make_context(
     ``raw_data`` substitutes an externally supplied Gram matrix (for fault
     injection and raw-matrix workflows); it still must pass the PSD check.
     """
-    if raw_data is None:
-        gram = assemble_gram(kernel, sites)
-    else:
-        gram = raw_gram(kernel, sites, raw_data)
+    gram = assemble_gram(kernel, sites) if raw_data is None else raw_gram(kernel, sites, raw_data)
     report = gram.spectrum
     if not report.psd:
         raise ValueError(
             f"Gram is not PSD (min_eig = {report.min_eig:.3e}); cannot build context"
         )
-    return RkhsContext(kernel=kernel, sites=gram.sites, gram=gram)
+    return RkhsContext(kernel=kernel, gram=gram)
 
 
 def _check_index(ctx: RkhsContext, i: int) -> None:

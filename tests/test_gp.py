@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 
@@ -210,7 +211,7 @@ class TestCovarianceErrorReport:
 
     def test_mismatched_batch_fails(self, two_site_ctx):
         batch = sample_paths(two_site_ctx, 20_000, seed=0)
-        batch.paths = batch.paths * 3.0  # deliberately wrong scale
+        batch = dataclasses.replace(batch, paths=batch.paths * 3.0)  # deliberately wrong scale
         report = covariance_error_report(batch)
         assert not report.pass_
 
@@ -343,7 +344,7 @@ class TestExport:
             wide = np.zeros((5, 3, 4))
             wide[:, :, ::2] = paths
             paths = wide[:, :, ::2]
-        return SampleBatch(context=ctx, seed=2**63 + 5, count=5, paths=paths)
+        return SampleBatch(context=ctx, seed=2**63 + 5, paths=paths)
 
     def test_binary_bytes_pinned(self, tmp_path):
         # SHA-256 of the file the earlier writer, paths.astype("<f8").tobytes(),

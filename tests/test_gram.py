@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -26,13 +25,12 @@ from opkern.gram import (
     psd_check,
     spectral_decay_profile,
     spectrum_to_json_dict,
-    write_csv_rows,
     _jitter_ladder,
 )
 from opkern import gram as gram_mod
 from opkern.gp import covariance_error_report, sample_paths
 from opkern.kernels import OperatorKernel, make_kernel
-from opkern.reprcsv import CHUNK
+from opkern.reprcsv import CHUNK, write_csv_rows
 from opkern.rkhs import RkhsContext, make_context, onb_expansion
 
 GAUSS1 = "gauss(sigma=1,ell=1,dim=1)"
@@ -64,7 +62,7 @@ EPS = np.finfo(np.float64).eps
 def raw_gram(data):
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
-    return BlockGram(n=n, d=1, sites=[np.array([float(i)]) for i in range(n)], data=data)
+    return BlockGram(sites=[np.array([float(i)]) for i in range(n)], data=data)
 
 
 def dense_eigh(data):
@@ -95,7 +93,7 @@ def dense_jitter(g):
     """The ladder's rung for g's matrix as its own one channel, a dense
     Cholesky per rung (None: indefinite)."""
     try:
-        return factorize(BlockGram(n=g.n, d=g.d, sites=g.sites, data=g.data)).jitter_used
+        return factorize(BlockGram(sites=g.sites, data=g.data)).jitter_used
     except IndefiniteMatrixError:
         return None
 
@@ -245,7 +243,7 @@ class TestFixedGram:
         # the paths drawn from it, those of the old matrix
         ctx = make_context(make_kernel(self.TEXT), [[0], [1]])
         g = ctx.gram
-        with pytest.raises(AttributeError, match="^a Gram's data is fixed once it is built$"):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'data'$"):
             g.data = np.diag([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError, match="read-only"):
             g.data[0, 0] = 1.0
@@ -257,7 +255,7 @@ class TestFixedGram:
     @pytest.mark.parametrize("name", ["n", "d", "sites", "data", "channels", "basis", "spectrum"])
     def test_rebinding_refused(self, name):
         g = assemble_gram(make_kernel(self.TEXT), [[0], [1]])
-        with pytest.raises(AttributeError, match=f"^a Gram's {name} is fixed"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(g, name, getattr(g, name))
 
     def test_arrays_read_only(self):
@@ -268,14 +266,10 @@ class TestFixedGram:
         # an array handed to the constructor is taken as it is, not copied,
         # and cannot be written through afterwards
         data = np.eye(2)
-        raw = BlockGram(n=2, d=1, sites=np.zeros((2, 1)), data=data)
+        raw = BlockGram(sites=np.zeros((2, 1)), data=data)
         assert raw.data is data and not raw.channels.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             data[0, 0] = 2.0
-
-    def test_six_constructor_values(self):
-        settable = [f.name for f in dataclasses.fields(BlockGram) if f.init]
-        assert settable == ["n", "d", "sites", "data", "channels", "basis"]
 
     @pytest.mark.parametrize("text", SQUARE_KERNELS)
     def test_one_channel_sum_per_assembly(self, text, monkeypatch):
@@ -348,7 +342,7 @@ class TestChannelPath:
             assert report.psd == oracle_psd(eig)
         if not report.psd:
             return
-        ctx = RkhsContext(k, g.sites, g)
+        ctx = RkhsContext(k, g)
         # G-orthonormal expansion; the defect grows like eps * lam_max / lam
         # over the kept eigenvalues lam, so this check keeps lam >= 1e-4 lam_max
         C = np.array([el.coeffs for el in onb_expansion(ctx, 1e-4)])
@@ -375,24 +369,33 @@ class TestChannelPath:
     def test_verdict_allows_for_drift(self):
         # the channel spectrum bounds G's only up to the drift (Weyl): a
         # smallest channel eigenvalue just inside the PSD margin fails once
-        # the drift could carry G's past it
-        K = np.diag([1.0, -PSD_EIG_TOL + 1e-13])[None]
+        # the drift could carry G's past it.  The channel is asymmetric by
+        # 2 * off in its upper triangle, which eigh does not read: G is
+        # [[1, off], [off, lam]] at drift sqrt(2) * off from the channel
+        lam = -PSD_EIG_TOL + 1e-13
         for off, psd in [(0.0, True), (5e-13, False)]:
-            data = K[0] + np.array([[0.0, off], [off, 0.0]])
-            g = BlockGram(n=2, d=1, sites=np.zeros((2, 1)), data=data,
-                          channels=K, basis=np.eye(1))
+            K = np.array([[[1.0, 2 * off], [0.0, lam]]])
+            g = BlockGram(sites=np.zeros((2, 1)), channels=K, basis=np.eye(1))
             report = psd_check(g)
-            assert report.basis is not None
+            assert np.array_equal(g.data, [[1.0, off], [off, lam]])
+            assert report.basis is not None and report.min_eig == lam
             assert report.drift == pytest.approx(math.sqrt(2) * off)
             assert report.psd is psd
+        # a drift past DRIFT_TOL * max(lambda_max, 1) is refused
+        K = np.array([[[1.0, 2e-3], [0.0, 1.0]]])
+        with pytest.raises(GramError, match="^channels drift 1.414e-03 from the Gram they sum to$"):
+            BlockGram(sites=np.zeros((2, 1)), channels=K, basis=np.eye(1))
 
     def test_replaced_data_is_certified_itself(self):
-        # channel Grams that do not match the data cannot certify it: the
-        # drift guard makes the data its own one channel
+        # channel Grams cannot come with data they do not match: the data
+        # comes alone, as its own one channel
         ref = assemble_gram(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]])
         data = np.diag([1.0, 1.0, 1.0, -1.0])
-        g = BlockGram(n=2, d=2, sites=ref.sites, data=data,
-                      channels=ref.channels, basis=ref.basis)
+        with pytest.raises(GramError, match="^a Gram is built from data alone or from channels and basis$"):
+            BlockGram(sites=ref.sites, data=data, channels=ref.channels, basis=ref.basis)
+        with pytest.raises(GramError, match="^a Gram is built from data alone or from channels"):
+            BlockGram(sites=ref.sites, channels=ref.channels)
+        g = BlockGram(sites=ref.sites, data=data)
         report = psd_check(g)
         assert g.channels.shape == (1, 4, 4) and np.array_equal(g.channels[0], data)
         assert np.array_equal(report.basis, [[1.0]]) and report.drift == 0.0
@@ -504,11 +507,11 @@ class TestChannelFactor:
         assert g.spectrum is not None and g.spectrum.basis is not None
 
     def test_dense_certified_gram_takes_dense_ladder(self):
-        # channels that do not match the data cannot factor it either: the
-        # data is its own one channel, factored by one dense Cholesky
+        # a Gram of a channel kernel's shape built from data alone is its
+        # own one channel, factored by one dense Cholesky
         ref = assemble_gram(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]])
-        g = factorize(BlockGram(n=2, d=2, sites=ref.sites, data=np.diag([1.0, 2.0, 3.0, 4.0]),
-                                channels=ref.channels, basis=ref.basis))
+        g = factorize(BlockGram(sites=ref.sites, data=np.diag([1.0, 2.0, 3.0, 4.0])))
+        assert (g.n, g.d) == (ref.n, ref.d)
         assert g.channels.shape == (1, 4, 4)
         assert np.array_equal(g.factor, np.diag(np.sqrt([1.0, 2.0, 3.0, 4.0])))
 

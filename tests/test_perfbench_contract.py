@@ -57,7 +57,7 @@ def test_wide_blocks_factors_by_channel(tmp_path, monkeypatch):
     monkeypatch.undo()
     for spec, sites in (wl.separable, wl.gauss):
         g = gram.factorize(rkhs.make_context(make_kernel(spec), sites).gram)
-        dense = gram.BlockGram(n=g.n, d=g.d, sites=g.sites, data=g.data)
+        dense = gram.BlockGram(sites=g.sites, data=g.data)
         assert g.spectrum.basis is not None
         assert g.jitter_used == gram.factorize(dense).jitter_used
 

@@ -101,7 +101,8 @@ class TestContext:
         # whatever the array's memory layout
         k = make_kernel("gauss(sigma=1,ell=1,dim=2)")
         ctx = make_context(k, [[0.0, 1.0], [0.5, -2.0], [3.0, 0.25]])
-        fortran = RkhsContext(kernel=k, sites=np.asfortranarray(ctx.sites), gram=ctx.gram)
+        fortran = RkhsContext(k, BlockGram(sites=np.asfortranarray(ctx.sites), data=ctx.gram.data))
+        assert fortran.sites.flags.f_contiguous and not fortran.sites.flags.c_contiguous
         h = hashlib.sha256()
         h.update(render_spec(k.spec).encode())
         for s in ctx.sites:
@@ -531,7 +532,7 @@ class TestVerifyIdentities:
         data = assemble_gram(k, sites).data.copy()
         data[2:4, 2:4] = [[1.0, 2.0], [2.0, 1.0]]
         g = raw_gram(k, sites, data)
-        ctx = RkhsContext(kernel=k, sites=g.sites, gram=g)
+        ctx = RkhsContext(kernel=k, gram=g)
         worst = 0.0
         for i in range(g.n):
             lam = np.linalg.eigvalsh(g.block(i, i))
@@ -605,8 +606,8 @@ class TestVerifyIdentities:
         counts = {}
         for n in (3, 12):
             g = make_context(kernel, [[0.7 * s] for s in range(n)]).gram
-            counted = BlockGram(n=g.n, d=g.d, sites=g.sites, data=g.data.view(CountingGram))
-            ctx = RkhsContext(kernel=kernel, sites=g.sites, gram=counted)
+            counted = BlockGram(sites=g.sites, data=g.data.view(CountingGram))
+            ctx = RkhsContext(kernel=kernel, gram=counted)
             CountingGram.width = ctx.size
             for trials in (2, 4, 6):
                 CountingGram.products = 0
@@ -713,7 +714,7 @@ class TestVerifyIdentities:
         data = ctx.gram.data.copy()
         data[0, 1] = data[1, 0] = np.nan
         with pytest.raises(GramError, match="non-finite"):
-            BlockGram(n=2, d=1, sites=ctx.sites, data=data)
+            BlockGram(sites=ctx.sites, data=data)
 
     @given(
         d=st.sampled_from([1, 2, 3, 8]),
