@@ -85,8 +85,9 @@ def parse_sites(text: str) -> np.ndarray:
         raise UsageError(f"cannot parse site list: {exc}") from None
     if not isinstance(data, list) or not data:
         raise UsageError("site list must be a nonempty list")
-    for item in data:
-        if not (isinstance(item, (int, float)) or (isinstance(item, list) and item)):
+    for item in data:  # a number or a nonempty list of numbers, not JSON true/false
+        values = item if isinstance(item, list) else [item]
+        if not values or not all(type(v) in (int, float) for v in values):
             raise UsageError(f"bad site entry: {item!r}")
     try:
         return as_sites(data)
@@ -192,8 +193,10 @@ def cmd_spectrum(args) -> int:
         dom = [float(v) for v in args.domain.split(",")]
     except ValueError as exc:
         raise UsageError(f"--counts/--domain: {exc}") from None
-    if not counts:
-        raise UsageError("--counts must list at least one grid size")
+    try:
+        gram_mod.check_site_counts(counts)
+    except gram_mod.GramError as exc:
+        raise UsageError(f"--counts: {exc}") from None
     if len(dom) != 2 or not all(map(math.isfinite, dom)):
         raise UsageError("--domain takes finite 'a,b'")
     reports = gram_mod.spectral_decay_profile(kernel, counts, (dom[0], dom[1]))

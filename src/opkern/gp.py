@@ -49,9 +49,7 @@ class SampleBatch:
     seed: int
     paths: np.ndarray
 
-    @property
-    def count(self) -> int:
-        return len(self.paths)
+    count = property(lambda self: len(self.paths))
 
     @property
     def target_covariance(self) -> np.ndarray:
@@ -60,12 +58,16 @@ class SampleBatch:
         return g.data + g.jitter_used * np.eye(g.size)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CovErrorReport:
+    """The empirical covariance's largest entry error against its Monte
+    Carlo tolerance; it passes when max_abs_err <= mc_tolerance < inf."""
+
     max_abs_err: float
-    per_block_err: np.ndarray  # n x n, max abs error within each block
+    per_block_err: np.ndarray  # n x n, max abs error within each block; read-only
     mc_tolerance: float
-    pass_: bool
+
+    pass_ = property(lambda self: self.max_abs_err <= self.mc_tolerance < math.inf)
 
 
 def _path_words(nd: int) -> int:
@@ -173,12 +175,7 @@ def covariance_error_report(batch: SampleBatch) -> CovErrorReport:
     mc_tol = MC_SIGMA_FACTOR * float(np.sqrt(var.max() / batch.count)) / scale
     per_block = err.reshape(n, d, n, d).max(axis=(1, 3))
     max_err = float(err.max())
-    return CovErrorReport(
-        max_abs_err=max_err,
-        per_block_err=per_block,
-        mc_tolerance=mc_tol,
-        pass_=max_err <= mc_tol < math.inf,
-    )
+    return CovErrorReport(max_err, read_only(per_block), mc_tol)
 
 
 # ---------------------------------------------------------------------------

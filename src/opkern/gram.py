@@ -48,7 +48,7 @@ class IndefiniteMatrixError(GramError):
 class SpectrumReport:
     """Symmetric eigendecomposition of a Gram matrix plus decay diagnostics;
     the one decomposition every spectral consumer reads.  A value: its
-    arrays are read-only and ``effective_rank`` is a read-only mapping.
+    arrays are read-only, and its verdicts are derived from them.
 
     It decomposes the Gram's (c, N, N) channel Grams (c = d, N = n for a
     kernel Gram; c = 1, N = nd for a one-channel Gram): ``eigenvectors`` is
@@ -60,11 +60,6 @@ class SpectrumReport:
     """
 
     eigenvalues: np.ndarray  # sorted nonincreasing
-    lambda_max: float
-    min_eig: float
-    psd: bool
-    effective_rank: Mapping[float, int]
-    trace: float
     eigenvectors: np.ndarray
     basis: np.ndarray
     order: np.ndarray
@@ -79,15 +74,25 @@ class SpectrumReport:
         lam, vecs = lam[:, ::-1], vecs[..., ::-1]
         order = np.argsort(-lam.ravel(), kind="stable")
         eig = lam.ravel()[order]
-        lam_max, min_eig, trace = float(eig[0]), float(eig[-1]), float(eig.sum())
-        if not np.isfinite(trace):  # the PSD margin and the ranks scale with it
+        if not np.isfinite(eig.sum()):  # the PSD margin and the ranks scale with it
             raise GramError("Gram spectrum overflows")
-        psd = min_eig - drift >= -PSD_EIG_TOL * max(lam_max, 1.0)
-        eff = MappingProxyType(
+        return cls(*map(read_only, (eig, vecs, basis, order)), drift)
+
+    lambda_max = property(lambda self: float(self.eigenvalues[0]))
+    min_eig = property(lambda self: float(self.eigenvalues[-1]))
+    trace = property(lambda self: float(self.eigenvalues.sum()))
+
+    @property
+    def psd(self) -> bool:
+        return self.min_eig - self.drift >= -PSD_EIG_TOL * max(self.lambda_max, 1.0)
+
+    @cached_property
+    def effective_rank(self) -> Mapping[float, int]:
+        """A read-only mapping: each of EFFECTIVE_RANK_TOLS to its rank."""
+        eig, trace = self.eigenvalues, self.trace
+        return MappingProxyType(
             {tol: effective_rank(eig, tol, trace) for tol in EFFECTIVE_RANK_TOLS}
         )
-        eig, vecs, basis, order = map(read_only, (eig, vecs, basis, order))
-        return cls(eig, lam_max, min_eig, psd, eff, trace, vecs, basis, order, drift)
 
     def leading_vectors(self, k: int) -> np.ndarray:
         """(k, nd) rows: the unit eigenvectors of eigenvalues[:k]."""
@@ -183,8 +188,9 @@ class BlockGram:
         return self.data[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
     @cached_property
-    def _factorization(self) -> tuple[np.ndarray, float, float]:
-        """(factor, jitter used, accepted bound): see ``factorize``."""
+    def _factorization(self) -> tuple[np.ndarray, float, float] | None:
+        """(factor, jitter used, accepted bound), or None when the whole
+        ladder fails: see ``factorize``."""
         scale = 1.0 + float(np.abs(self.data).max())
         for eps in _jitter_ladder(self):
             try:
@@ -194,14 +200,19 @@ class BlockGram:
             residual += self.spectrum.drift
             if residual <= RECON_TOL * scale:
                 return read_only(_channel_factor(L, self.basis)), eps, residual
-        raise IndefiniteMatrixError(
-            "matrix not factorizable within the jitter ladder (indefinite)"
-        )
+        return None
+
+    def _accepted(self, k: int):
+        if self._factorization is None:
+            raise IndefiniteMatrixError(
+                "matrix not factorizable within the jitter ladder (indefinite)"
+            )
+        return self._factorization[k]
 
     # a square root L of data + jitter_used * I, and a bound on |L L^T - that|
-    factor = property(lambda self: self._factorization[0])
-    jitter_used = property(lambda self: self._factorization[1])
-    factor_residual = property(lambda self: self._factorization[2])
+    factor = property(lambda self: self._accepted(0))
+    jitter_used = property(lambda self: self._accepted(1))
+    factor_residual = property(lambda self: self._accepted(2))
 
 
 def gram_sites(kernel: OperatorKernel, sites) -> np.ndarray:
@@ -297,11 +308,25 @@ def factorize(gram: BlockGram) -> BlockGram:
     factor of G + eps*I and its bound is that factor's residual.
 
     The ladder runs once per Gram, on the first read of its ``factor``,
-    ``jitter_used`` or ``factor_residual`` (the accepted bound); returns the
-    Gram, or raises IndefiniteMatrixError when the whole ladder fails.
+    ``jitter_used`` or ``factor_residual`` (the accepted bound), and its
+    outcome is kept; returns the Gram, or raises IndefiniteMatrixError, on
+    every read, when the whole ladder failed.
     """
     gram.factor  # runs the ladder on the first read only
     return gram
+
+
+def check_site_counts(site_counts) -> list[int]:
+    """The grid sizes of a decay profile as ints, once they are nonempty,
+    positive and strictly increasing."""
+    counts = [int(c) for c in site_counts]
+    if not counts:
+        raise GramError("site_counts must be nonempty")
+    if any(c < 1 for c in counts):
+        raise GramError("site counts must be positive")
+    if any(a >= b for a, b in zip(counts, counts[1:])):
+        raise GramError("site_counts must be increasing")
+    return counts
 
 
 def spectral_decay_profile(
@@ -312,13 +337,7 @@ def spectral_decay_profile(
     Grids include both endpoints; decay of the spectra as the grid grows is
     the finite-size signature of a compact induced operator.
     """
-    counts = [int(c) for c in site_counts]
-    if not counts:
-        raise GramError("site_counts must be nonempty")
-    if any(c < 1 for c in counts):
-        raise GramError("site counts must be positive")
-    if sorted(counts) != counts:
-        raise GramError("site_counts must be increasing")
+    counts = check_site_counts(site_counts)
     if counts[-1] * kernel.dim_h > DEFAULT_SIZE_CAP:
         raise GramError(f"Gram size exceeds cap {DEFAULT_SIZE_CAP}")
     a, b = float(domain[0]), float(domain[1])

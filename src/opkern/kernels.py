@@ -99,7 +99,7 @@ def as_hvec(a, dim: int | None = None) -> np.ndarray:
 def read_only(a: np.ndarray) -> np.ndarray:
     """``a`` itself, made read-only.  Every array a spec caches, ``basis``
     among them, is made so: all Grams of the kernel share it."""
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -464,27 +464,24 @@ def _render(value) -> str:
 # Evaluable kernels
 
 
+@dataclass(frozen=True, eq=False)
 class OperatorKernel:
-    """Evaluable form of a KernelSpec.
+    """Evaluable form of a KernelSpec: a value that stores only its spec.
 
     Every value comes from one path: ``blocks`` forms the pairwise squared
     distances of two site arrays, the spec turns them into its channels (its
     values, for ``twospace``) and ``channel_sum`` into all blocks at once;
     ``eval`` is its one-pair case.  Evaluation is pure and symmetric
-    (eval(s,t) == eval(t,s)^T) for every square builtin variant.
+    (eval(s,t) == eval(t,s)^T) for every square builtin variant; every spec
+    is square but ``twospace``, whatever the shape of its M.
     """
 
-    def __init__(self, spec: KernelSpec):
-        self.spec = spec
-        self.dim_h = spec.dim_h
-        if isinstance(spec, TwoSpaceSpec):
-            self.dim_out, self.dim_in = spec.d2, spec.d1
-        else:
-            self.dim_out = self.dim_in = spec.dim_h
+    spec: KernelSpec
 
-    @property
-    def is_square(self) -> bool:
-        return self.dim_out == self.dim_in
+    # the dimension of H, which is the output space's for ``twospace``
+    dim_h = dim_out = property(lambda self: self.spec.dim_h)
+    dim_in = property(lambda self: self.spec.dim_h if self.is_square else self.spec.d1)
+    is_square = property(lambda self: not isinstance(self.spec, TwoSpaceSpec))
 
     def __call__(self, s, t) -> np.ndarray:
         return self.eval(as_site(s), as_site(t))
@@ -513,7 +510,7 @@ class OperatorKernel:
         """K(S[i], T[j]) for (n, k) and (m, k) site arrays, shape
         (n, m, dim_out, dim_in)."""
         r2 = self.sq_dists(S, T)
-        if isinstance(self.spec, TwoSpaceSpec):
+        if not self.is_square:
             return self.spec.values(r2)
         return self.channel_sum(self.spec.channels(r2), self.spec.basis)
 
@@ -523,9 +520,8 @@ class OperatorKernel:
 
 def make_kernel(spec_or_text) -> OperatorKernel:
     """Build an OperatorKernel from a KernelSpec or spec text."""
-    if isinstance(spec_or_text, str):
-        return OperatorKernel(parse_kernel_spec(spec_or_text))
-    return OperatorKernel(spec_or_text)
+    spec = parse_kernel_spec(spec_or_text) if isinstance(spec_or_text, str) else spec_or_text
+    return OperatorKernel(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +569,7 @@ def two_space_form(kernel: OperatorKernel, s, a, b, t, c, dvec):
     arguments enter only through the swapped evaluation; no positive
     definiteness is claimed.
     """
-    if not isinstance(kernel.spec, TwoSpaceSpec):
+    if kernel.is_square:
         raise ValueError("two_space_form requires the twospace variant")
     d1, d2 = kernel.dim_in, kernel.dim_out
     a = as_hvec(a, d1)

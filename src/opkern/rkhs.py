@@ -11,12 +11,14 @@ identity-verification suite.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .gram import BlockGram, assemble_gram, raw_gram
-from .kernels import OperatorKernel, as_hvec, as_site, continuity_increment, render_spec
+from .kernels import OperatorKernel, as_hvec, as_site, continuity_increment, read_only, render_spec
 
 __all__ = [
     "RkhsContext",
@@ -49,22 +51,11 @@ class RkhsContext:
     kernel: OperatorKernel
     gram: BlockGram
 
-    @property
-    def sites(self) -> np.ndarray:
-        """(n, k): row i is site s_i."""
-        return self.gram.sites
-
-    @property
-    def n(self) -> int:
-        return self.gram.n
-
-    @property
-    def d(self) -> int:
-        return self.gram.d
-
-    @property
-    def size(self) -> int:
-        return self.gram.size
+    # read from the Gram: sites (n, k), row i is site s_i; n; d; size = n * d
+    sites = property(lambda self: self.gram.sites)
+    n = property(lambda self: self.gram.n)
+    d = property(lambda self: self.gram.d)
+    size = property(lambda self: self.gram.size)
 
     def context_hash(self) -> str:
         h = hashlib.sha256()
@@ -74,41 +65,44 @@ class RkhsContext:
         return h.hexdigest()[:16]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RkhsElement:
     """A coefficient vector over the kernel sections of one context.
 
     Equality is modulo the null space of G: two elements agree when their
     G-distance is below NULL_TOL scaled by their G-norms.  The constructor
-    validates its coefficients; elements the library builds from arrays it
-    already holds use ``_trusted`` instead.
+    copies and validates its coefficients and holds them read-only; elements
+    the library builds from read-only arrays it already holds use
+    ``_trusted`` instead.
     """
 
     context: RkhsContext
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float).reshape(-1)
-        if self.coeffs.size != self.context.size:
+        coeffs = np.array(self.coeffs, dtype=float).reshape(-1)
+        if coeffs.size != self.context.size:
             raise ValueError(
-                f"coefficient length {self.coeffs.size} != n*d = {self.context.size}"
+                f"coefficient length {coeffs.size} != n*d = {self.context.size}"
             )
-        if not np.all(np.isfinite(self.coeffs)):
+        if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
+        object.__setattr__(self, "coeffs", read_only(coeffs))
 
     @classmethod
     def _trusted(cls, context: RkhsContext, coeffs: np.ndarray) -> "RkhsElement":
-        """An element over a finite float (n*d,) array, taken unchecked."""
+        """An element over a finite, read-only float (n*d,) array, taken
+        unchecked."""
         el = object.__new__(cls)
-        el.context = context
-        el.coeffs = coeffs
+        object.__setattr__(el, "context", context)
+        object.__setattr__(el, "coeffs", coeffs)
         return el
 
     def g_norm(self) -> float:
         return float(np.sqrt(max(inner_product(self, self), 0.0)))
 
     def g_distance(self, other: "RkhsElement") -> float:
-        diff = RkhsElement._trusted(self.context, self.coeffs - other.coeffs)
+        diff = RkhsElement._trusted(self.context, read_only(self.coeffs - other.coeffs))
         return diff.g_norm()
 
     def is_equal(self, other: "RkhsElement") -> bool:
@@ -116,21 +110,23 @@ class RkhsElement:
         return self.g_distance(other) <= tol
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TransformFamily:
-    """One bounded d x d transform per context site."""
+    """One bounded d x d transform per context site: ``mats`` is a read-only
+    (n, d, d) copy of the transforms it is given, ``mats[i]`` site i's."""
 
     context: RkhsContext
-    mats: list[np.ndarray]
+    mats: np.ndarray
 
     def __post_init__(self):
         d = self.context.d
         if len(self.mats) != self.context.n:
             raise ValueError("need one transform per site")
-        self.mats = [np.asarray(m, dtype=float) for m in self.mats]
-        for m in self.mats:
+        mats = [np.asarray(m, dtype=float) for m in self.mats]
+        for m in mats:
             if m.shape != (d, d) or not np.all(np.isfinite(m)):
                 raise ValueError(f"transforms must be finite {d}x{d} matrices")
+        object.__setattr__(self, "mats", read_only(np.array(mats)))
 
     def is_unitary(self, tol: float = 1e-10) -> bool:
         eye = np.eye(self.context.d)
@@ -176,7 +172,7 @@ def _section(ctx: RkhsContext, i: int, vec: np.ndarray) -> RkhsElement:
     """``section`` for a valid index and a finite length-d vector, unchecked."""
     coeffs = np.zeros(ctx.size)
     coeffs[i * ctx.d : (i + 1) * ctx.d] = vec
-    return RkhsElement._trusted(ctx, coeffs)
+    return RkhsElement._trusted(ctx, read_only(coeffs))
 
 
 def section(ctx: RkhsContext, i: int, a) -> RkhsElement:
@@ -270,7 +266,8 @@ def onb_expansion(ctx: RkhsContext, trunc_tol: float) -> list[RkhsElement]:
     Eigenpairs (lam, u) with lam > trunc_tol * lam_max yield elements with
     coefficients u / sqrt(lam); the pointwise products of the returned
     family reproduce the induced scalar kernel on grid pairs up to the
-    truncated tail.  The elements are the rows of one (k, nd) array.
+    truncated tail.  The elements are the rows of one read-only (k, nd)
+    array.
     """
     report = ctx.gram.spectrum
     lam = report.eigenvalues  # nonincreasing, so the kept pairs lead
@@ -280,6 +277,7 @@ def onb_expansion(ctx: RkhsContext, trunc_tol: float) -> list[RkhsElement]:
     coeffs = np.divide(
         report.leading_vectors(k), np.sqrt(lam[:k])[:, None], order="C"
     )
+    read_only(coeffs)  # and so its rows
     return [RkhsElement._trusted(ctx, row) for row in coeffs]
 
 
@@ -287,22 +285,57 @@ def onb_expansion(ctx: RkhsContext, trunc_tol: float) -> list[RkhsElement]:
 # Identity verification
 
 
-@dataclass
-class IdentityReport:
-    """Per-identity max residuals against their tolerances."""
+# the tolerance of each identity's max residual
+TOLERANCES = MappingProxyType({
+    "factorization_consistency": 1e-8,
+    "covariance_selfadjoint_psd": 1e-10,
+    "factorization": 1e-12,
+    "reproducing": 1e-12,
+    "feature_norm": 1e-12,
+    "adjoint_relation": 1e-10,
+    "norm_bound": 1e-10,
+    "isometry": 1e-10,
+    "projection_idempotent": 1e-8,
+    "projection_selfadjoint": 1e-10,
+    "w_norm": 1e-10,
+    "w_adjoint": 1e-10,
+    "w_chain": 1e-10,
+    "w_isometry": 1e-10,
+    "w_projection_idempotent": 1e-8,
+    "continuity_consistency": 1e-12,
+})
 
-    results: dict[str, dict]
+
+@dataclass(frozen=True, eq=False)
+class IdentityReport:
+    """Per-identity max residuals, a read-only mapping in the order the
+    suite recorded them; each identity's verdict is derived from its
+    residual and its TOLERANCES entry (a NaN fails)."""
+
+    residuals: Mapping[str, float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "residuals", MappingProxyType(dict(self.residuals)))
+
+    @property
+    def results(self) -> dict[str, dict]:
+        """A fresh dict: name -> its max residual, tolerance and verdict,
+        all Python floats and bools."""
+        return {
+            name: {"max_residual": value, "tolerance": TOLERANCES[name],
+                   "pass": value <= TOLERANCES[name]}
+            for name, value in self.residuals.items()
+        }
 
     @property
     def all_pass(self) -> bool:
         return all(r["pass"] for r in self.results.values())
 
     def to_json_dict(self) -> dict:
-        """The results themselves: they hold only Python floats and bools."""
         return self.results
 
     def table(self) -> str:
-        width = max(len(n) for n in self.results)
+        width = max(len(n) for n in self.residuals)
         lines = [
             f"{'identity':<{width}}  {'max residual':>13}  {'tolerance':>10}  status"
         ]
@@ -388,8 +421,8 @@ def verify_identities(
     for _ in range(trials):
         i = int(rng.integers(n))
         a = rng.standard_normal(d)
-        x = RkhsElement._trusted(ctx, rng.standard_normal(n * d))
-        y = RkhsElement._trusted(ctx, rng.standard_normal(n * d))
+        x = RkhsElement._trusted(ctx, read_only(rng.standard_normal(n * d)))
+        y = RkhsElement._trusted(ctx, read_only(rng.standard_normal(n * d)))
         xnorm = x.g_norm()
 
         # factorization: V_i^* x as block i of G c, against
@@ -458,39 +491,13 @@ def verify_identities(
         j = int(rng.integers(n))
         a = rng.standard_normal(d)
         diff = RkhsElement._trusted(
-            ctx, _section(ctx, i, a).coeffs - _section(ctx, j, a).coeffs
+            ctx, read_only(_section(ctx, i, a).coeffs - _section(ctx, j, a).coeffs)
         )
         lhs = inner_product(diff, diff)
         rhs = continuity_increment(kernel, ctx.sites[i], ctx.sites[j], a)
         record("continuity_consistency", _rel(lhs, rhs))
 
-    tolerances = {
-        "factorization_consistency": 1e-8,
-        "covariance_selfadjoint_psd": 1e-10,
-        "factorization": 1e-12,
-        "reproducing": 1e-12,
-        "feature_norm": 1e-12,
-        "adjoint_relation": 1e-10,
-        "norm_bound": 1e-10,
-        "isometry": 1e-10,
-        "projection_idempotent": 1e-8,
-        "projection_selfadjoint": 1e-10,
-        "w_norm": 1e-10,
-        "w_adjoint": 1e-10,
-        "w_chain": 1e-10,
-        "w_isometry": 1e-10,
-        "w_projection_idempotent": 1e-8,
-        "continuity_consistency": 1e-12,
-    }
-    results = {
-        name: {
-            "max_residual": value,
-            "tolerance": tolerances[name],
-            "pass": value <= tolerances[name],
-        }
-        for name, value in res.items()
-    }
-    return IdentityReport(results)
+    return IdentityReport(res)
 
 
 def element_to_json_dict(x: RkhsElement) -> dict:

@@ -43,7 +43,9 @@ class TestParseSites:
         assert sites[0].shape == (2,)
 
     @pytest.mark.parametrize(
-        "text", ["[[0],[1,2]]", "grid(0,1,x)", "grid(a,1,3)", "grid(0,1,2.5)", "grid(0,1,6000)", "[NaN]"]
+        "text",
+        ["[[0],[1,2]]", "grid(0,1,x)", "grid(a,1,3)", "grid(0,1,2.5)", "grid(0,1,6000)", "[NaN]",
+         "[true]", "[false,1]", "[[true,false]]", "[[0,true]]", "[[[true]]]", '[["1"]]'],
     )
     def test_bad_sites_usage_error(self, text):
         with pytest.raises(UsageError):
@@ -57,6 +59,9 @@ class TestParseSites:
             ("grid(0,inf,3)", "grid ends must be finite"),
             ("[[]]", "bad site entry: []"),
             ("[1,[]]", "bad site entry: []"),
+            ("[0,true]", "bad site entry: True"),
+            ("[[1,false]]", "bad site entry: [1, False]"),
+            ("[[[true]]]", "bad site entry: [[True]]"),
         ],
     )
     def test_bad_sites_message(self, text, message):
@@ -770,6 +775,45 @@ class TestNoTraceback:
         argv = ["sample", "--kernel", "diagexp3", "--sites", "[0,1]", "-N", "100000000000"]
         code, err = self.run(tmp_path, capsys, argv)
         assert (code, err) == (2, "error: out of memory: Unable to allocate 4800000000000 bytes\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gram", "--sites", "[0,1]"],
+            ["verify", "--sites", "[0,1]"],
+            ["sample", "--sites", "[0,1]"],
+            ["expand", "--sites", "[0,1]"],
+            ["spectrum", "--counts", "3,5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_square_twospace_exit_two(self, tmp_path, capsys, argv):
+        # M = [[1,2],[3,4]] once counted as square and ended in an AttributeError
+        kernel = ["--kernel", "twospace(M=[[1,2],[3,4]],base=gauss(sigma=1,ell=1))"]
+        code, err = self.run(tmp_path, capsys, argv[:1] + kernel + argv[1:])
+        assert (code, err) == (2, "error: block Gram requires a square kernel\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ("0", "site counts must be positive"),
+            ("-2", "site counts must be positive"),
+            ("5,3", "site_counts must be increasing"),
+            ("3,3", "site_counts must be increasing"),
+            ("2,5,5", "site_counts must be increasing"),
+        ],
+    )
+    def test_bad_counts_exit_one(self, tmp_path, capsys, counts, message):
+        argv = ["spectrum", "--kernel", "diagexp3", "--counts", counts]
+        code, err = self.run(tmp_path, capsys, argv)
+        assert (code, err) == (1, f"usage error: --counts: {message}\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_counts_over_cap_exit_two(self, tmp_path, capsys):
+        argv = ["spectrum", "--kernel", "diagexp3", "--counts", "5,2000"]
+        code, err = self.run(tmp_path, capsys, argv)
+        assert (code, err) == (2, "error: Gram size exceeds cap 5000\n")
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_nonpositive_count_exit_one(self, tmp_path, capsys, count):

@@ -536,6 +536,17 @@ class TestFactorize:
         with pytest.raises(IndefiniteMatrixError):
             factorize(raw_gram([[0.0, 1.0], [1.0, 0.0]]))
 
+    def test_failed_ladder_is_kept(self):
+        # the ladder runs once; every later read raises without a Cholesky
+        g = raw_gram([[0.0, 1.0], [1.0, 0.0]])
+        reads = [lambda: g.factor, lambda: g.jitter_used, lambda: g.factor_residual,
+                 lambda: factorize(g)]
+        with cholesky_shapes() as shapes:
+            for read in reads * 2:
+                with pytest.raises(IndefiniteMatrixError, match="indefinite"):
+                    read()
+        assert len(shapes) == 8
+
     @pytest.mark.parametrize(
         "data", [[[1.0, -0.0], [-0.0, 2.0]], np.ones((3, 3)), [[4.0, 2.0], [2.0, 1.0]]]
     )
@@ -616,6 +627,11 @@ class TestSpectralDecay:
             spectral_decay_profile(make_kernel(GAUSS1), [])
         with pytest.raises(GramError):
             spectral_decay_profile(make_kernel(GAUSS1), [10, 5])
+
+    @pytest.mark.parametrize("counts", [[3, 3], [2, 5, 5]])
+    def test_counts_must_not_repeat(self, counts):
+        with pytest.raises(GramError, match="^site_counts must be increasing$"):
+            spectral_decay_profile(make_kernel(GAUSS1), counts)
 
     @pytest.mark.parametrize("counts", [[0, 5], [-3], [2, 0]])
     def test_counts_must_be_positive(self, counts):

@@ -460,6 +460,17 @@ class TestInducedScalar:
             induced_scalar(k, 1.4, b, 0.2, a), rel=1e-14
         )
 
+    @pytest.mark.parametrize("M", ["[[1,2],[3,4]]", "[[1,0],[0,1]]", "[[1,2,3],[4,5,6]]"])
+    def test_every_twospace_refused(self, M):
+        # twospace is never square, whatever the shape of M
+        k = make_kernel(f"twospace(M={M},base=gauss(sigma=1,ell=1))")
+        assert not k.is_square
+        a, b = np.ones(k.dim_out), np.ones(k.dim_in)
+        with pytest.raises(ValueError, match="^induced scalar kernel requires a square kernel$"):
+            induced_scalar(k, 0.0, a, 1.0, b)
+        with pytest.raises(ValueError, match="^continuity increment requires a square kernel$"):
+            continuity_increment(k, 0.0, 1.0, a)
+
 
 class TestContinuityIncrement:
     def test_zero_at_equal_sites(self):
