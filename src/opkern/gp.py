@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import factorize
+from .gram import factorize, site_blocks
 from .kernels import read_only
 from .reprcsv import write_csv
 from .rkhs import RkhsContext
@@ -54,8 +54,14 @@ class SampleBatch:
     @property
     def target_covariance(self) -> np.ndarray:
         """G + eps*I with the jitter actually used by the factorization."""
-        g = self.context.gram
-        return g.data + g.jitter_used * np.eye(g.size)
+        return _target_rows(self.context.gram, slice(0, self.context.size))
+
+
+def _target_rows(gram, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of G + eps*I, entry for entry (-0.0 too), with no eye."""
+    T = np.add(gram.data[rows], 0.0, order="C")
+    T.reshape(-1)[rows.start :: gram.size + 1] += gram.jitter_used
+    return T
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +155,8 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
     """
     n, d = batch.context.n, batch.context.d
     flat = batch.paths.reshape(batch.count, n * d)
-    emp = flat.T @ flat / batch.count
+    emp = flat.T @ flat
+    emp /= batch.count
     return emp.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
 
@@ -158,24 +165,26 @@ def covariance_error_report(batch: SampleBatch) -> CovErrorReport:
 
     The tolerance is four standard errors of the worst entry:
     4 * max_ij sqrt((T_ii T_jj + T_ij^2) / N) for the target matrix T.  A
-    non-finite error or tolerance fails the gate.
+    non-finite error or tolerance fails the gate.  It goes by blocks of
+    rows (``site_blocks``), with no n*d x n*d temporary.
     """
     n, d = batch.context.n, batch.context.d
-    target = batch.target_covariance
+    gram = batch.context.gram
     emp = empirical_covariance(batch).transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    err = np.abs(emp - target)
-    diag = np.diag(target)
+    diag = gram.data.diagonal() + gram.jitter_used
     # T * 2**-e with 2**e above the largest T_ii (T is PSD, so no |T_ij| is
     # larger): no square overflows, and as the scaling is exact, a tolerance
     # that is finite unscaled comes out bitwise the same
     scale = 2.0 ** -max(math.frexp(float(np.abs(diag).max()))[1], 0)
-    var = target * scale
-    np.square(var, out=var)
-    var += np.outer(diag * scale, diag * scale)
-    mc_tol = MC_SIGMA_FACTOR * float(np.sqrt(var.max() / batch.count)) / scale
-    per_block = err.reshape(n, d, n, d).max(axis=(1, 3))
-    max_err = float(err.max())
-    return CovErrorReport(max_err, read_only(per_block), mc_tol)
+    diag *= scale
+    per_block, var_max = np.empty((n, n)), []
+    for part in site_blocks(n, d):
+        rows = slice(part.start * d, part.stop * d)
+        T = _target_rows(gram, rows)
+        per_block[part] = np.abs(emp[rows] - T).reshape(-1, d, n, d).max(axis=(1, 3))
+        var_max.append((np.square(T * scale) + np.outer(diag[rows], diag)).max())
+    mc_tol = MC_SIGMA_FACTOR * float(np.sqrt(np.max(var_max) / batch.count)) / scale
+    return CovErrorReport(float(per_block.max()), read_only(per_block), mc_tol)
 
 
 # ---------------------------------------------------------------------------

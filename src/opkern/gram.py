@@ -3,6 +3,7 @@ ladder, and spectral-decay diagnostics, plus CSV/JSON export."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,6 +35,8 @@ RECON_TOL = 1e-8
 PSD_EIG_TOL = 1e-10
 DRIFT_TOL = 1e-12
 EFFECTIVE_RANK_TOLS = (1e-2, 1e-4, 1e-6, 1e-8)
+# entries per row block of a blockwise nd x nd pass: 8 MB of float64 scratch
+ROW_BLOCK_ENTRIES = 1 << 20
 
 
 class GramError(ValueError):
@@ -66,12 +69,14 @@ class SpectrumReport:
     drift: float
 
     @classmethod
-    def from_channels(cls, channels, basis, drift: float) -> "SpectrumReport":
-        """One stacked eigh of the (c, N, N) channel Grams K_m of a Gram G
-        at Frobenius distance ``drift`` from sum_m K_m (x) q_m q_m^T,
-        q_m = basis[:, m]."""
-        lam, vecs = np.linalg.eigh(channels)  # (c, N) ascending per channel
-        lam, vecs = lam[:, ::-1], vecs[..., ::-1]
+    def from_channels(cls, distinct, basis, drift: float) -> "SpectrumReport":
+        """One stacked eigh of the distinct ones among the (c, N, N) channel
+        Grams K_m of a Gram G at Frobenius distance ``drift`` from
+        sum_m K_m (x) q_m q_m^T, q_m = basis[:, m]; ``distinct`` is their
+        (stack, index), as ``_group_channels`` gives it."""
+        stack, index = distinct
+        lam, vecs = np.linalg.eigh(stack)  # ascending per channel
+        lam, vecs = lam[index][:, ::-1], vecs[index][..., ::-1]
         order = np.argsort(-lam.ravel(), kind="stable")
         eig = lam.ravel()[order]
         if not np.isfinite(eig.sum()):  # the PSD margin and the ranks scale with it
@@ -103,11 +108,26 @@ class SpectrumReport:
         return (u[:, :, None] * q[:, None, :]).reshape(k, N * c)
 
 
-def _check_symmetric(data: np.ndarray) -> None:
-    if not np.all(np.isfinite(data)):
+def _max_abs(data: np.ndarray) -> float:
+    """max |data[i, j]| (0 when empty) with no temporary; a NaN or an
+    infinity carries through and is refused."""
+    top = max(float(data.max(initial=0.0)), -float(data.min(initial=0.0)))
+    if not math.isfinite(top):
         raise GramError("matrix has non-finite entries")
-    if not np.array_equal(data, data.T):
-        raise GramError("matrix is not symmetric")
+    return top
+
+
+def _group_channels(channels: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+    """(stack, index): the distinct matrices of a (c, N, N) stack by exact
+    equality, and each channel's position in that stack (result[index]
+    expands a result per matrix to one per channel); the stack itself and a
+    full slice, a view, when no two are equal."""
+    first = [next(j for j in range(m + 1) if j == m or np.array_equal(channels[j], K))
+             for m, K in enumerate(channels)]
+    keep = sorted(set(first))
+    if len(keep) == len(channels):
+        return channels, slice(None)
+    return channels[keep], np.searchsorted(keep, first)
 
 
 def effective_rank(eigenvalues: np.ndarray, tol: float, trace=None) -> int:
@@ -123,6 +143,13 @@ def effective_rank(eigenvalues: np.ndarray, tol: float, trace=None) -> int:
     return len(eig)
 
 
+def site_blocks(n: int, d: int) -> list[slice]:
+    """Runs of consecutive sites, covering all n, whose rows of an nd x nd
+    matrix hold about ROW_BLOCK_ENTRIES entries each (at least one site)."""
+    step = max(1, ROW_BLOCK_ENTRIES // (n * d * d))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 @dataclass(frozen=True, eq=False)
 class BlockGram:
     """The n*d x n*d matrix with block (i,j) = K(s_i, s_j): a value, certified
@@ -134,8 +161,10 @@ class BlockGram:
     the data is their sum averaged with its transpose, which must lie within
     DRIFT_TOL * max(lambda_max, 1) of the sum (Frobenius: the drift); from
     data alone (``raw_gram``), the data is its own one channel, Q = [[1]].
-    The data must be finite and exactly symmetric, n = len(sites) and
-    d = len(data) / n.  The arrays are taken, not copied, and made read-only.
+    The data must be finite and exactly symmetric (an averaged sum is so, as
+    IEEE addition commutes), n = len(sites) and d = len(data) / n.  The
+    arrays are taken, not copied, and made read-only.  Equal channel Grams
+    are decomposed once (``_group_channels``).
     """
 
     sites: np.ndarray  # (n, k): row i is site s_i
@@ -145,13 +174,17 @@ class BlockGram:
     n: int = field(init=False)
     d: int = field(init=False)
     size: int = field(init=False)  # n * d
+    max_abs: float = field(init=False)  # max |data[i, j]|
     spectrum: SpectrumReport = field(init=False)
+    _distinct: tuple = field(init=False, repr=False)  # see _group_channels
 
     def __post_init__(self):
         given = (self.data is not None, self.channels is not None, self.basis is not None)
         if given == (True, False, False):
             data = np.asanyarray(self.data, dtype=float)
-            _check_symmetric(data)
+            max_abs = _max_abs(data)
+            if not np.array_equal(data, data.T):
+                raise GramError("matrix is not symmetric")
             channels, basis, drift = data[None], np.ones((1, 1)), 0.0
         elif given == (False, True, True):
             channels, basis = self.channels, self.basis
@@ -164,7 +197,7 @@ class BlockGram:
             St = S.transpose(0, 2, 1, 3)  # (i, a, j, b): G's entry order
             data = np.add(St, St.transpose(2, 3, 0, 1), order="C").reshape(N * c, N * c)
             data *= 0.5
-            _check_symmetric(data)
+            max_abs = _max_abs(data)
             St -= data.reshape(N, c, N, c)
             drift = float(np.linalg.norm(S.ravel()))
         else:
@@ -173,13 +206,15 @@ class BlockGram:
         n = len(sites)
         if n == 0 or len(data) % n:
             raise GramError(f"{len(data)} rows do not split into {n} sites")
-        report = SpectrumReport.from_channels(channels, basis, drift)
+        distinct = _group_channels(channels)
+        report = SpectrumReport.from_channels(distinct, basis, drift)
         if not drift <= DRIFT_TOL * max(report.lambda_max, 1.0):
             raise GramError(f"channels drift {drift:.3e} from the Gram they sum to")
-        for array in (sites, data, channels, basis):
+        for array in (sites, data, channels, basis, distinct[0]):
             read_only(array)
         derived = dict(sites=sites, data=data, channels=channels, basis=basis,
-                       n=n, d=len(data) // n, size=len(data), spectrum=report)
+                       n=n, d=len(data) // n, size=len(data), max_abs=max_abs,
+                       spectrum=report, _distinct=distinct)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -189,17 +224,17 @@ class BlockGram:
 
     @cached_property
     def _factorization(self) -> tuple[np.ndarray, float, float] | None:
-        """(factor, jitter used, accepted bound), or None when the whole
-        ladder fails: see ``factorize``."""
-        scale = 1.0 + float(np.abs(self.data).max())
+        """(the (c, N, N) channel factors L_m, jitter used, accepted bound),
+        or None when the whole ladder fails: see ``factorize``."""
+        stack, index = self._distinct
         for eps in _jitter_ladder(self):
             try:
-                L, residual = _jittered_cholesky(self.channels, eps)
+                L, residual = _jittered_cholesky(stack, eps)
             except np.linalg.LinAlgError:
                 continue
             residual += self.spectrum.drift
-            if residual <= RECON_TOL * scale:
-                return read_only(_channel_factor(L, self.basis)), eps, residual
+            if residual <= RECON_TOL * (1.0 + self.max_abs):
+                return read_only(L[index]), eps, residual
         return None
 
     def _accepted(self, k: int):
@@ -209,8 +244,9 @@ class BlockGram:
             )
         return self._factorization[k]
 
-    # a square root L of data + jitter_used * I, and a bound on |L L^T - that|
-    factor = property(lambda self: self._accepted(0))
+    # a square root F of data + jitter_used * I, formed on first read, and a
+    # bound on |F F^T - that|
+    factor = cached_property(lambda self: _channel_factor(self._accepted(0), self.basis))
     jitter_used = property(lambda self: self._accepted(1))
     factor_residual = property(lambda self: self._accepted(2))
 
@@ -277,7 +313,7 @@ def _jittered_cholesky(A: np.ndarray, eps: float):
     """Stacked Cholesky L of A + eps*I for a (c, N, N) stack A, and its
     residual max |L L^T - (A + eps*I)|."""
     N = A.shape[-1]
-    target = A + 0.0  # A + eps*I entry for entry (-0.0 too), no N x N eye
+    target = np.add(A, 0.0, order="C")  # A + eps*I entry for entry (-0.0 too), no eye
     target.reshape(-1, N * N)[:, :: N + 1] += eps
     L = np.linalg.cholesky(target)
     R = L @ np.swapaxes(L, -1, -2)
@@ -287,11 +323,12 @@ def _jittered_cholesky(A: np.ndarray, eps: float):
 
 
 def _channel_factor(L: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The (nd, nd) factor F[(i,a),(j,m)] = Q[a,m] L_m[i,j] of the stacked
-    channel factors L (c, N, N) and the basis Q."""
+    """The read-only (nd, nd) factor F[(i,a),(j,m)] = Q[a,m] L_m[i,j] of the
+    stacked channel factors L (c, N, N) and the basis Q."""
     c, N, _ = L.shape
-    F = L.transpose(1, 2, 0)[:, None] * basis[None, :, None]  # (i, a, j, m)
-    return F.reshape(N * c, N * c)
+    F = np.empty((N, c, N, c))  # (i, a, j, m), C order: the reshape is a view
+    np.multiply(L.transpose(1, 2, 0)[:, None], basis[None, :, None], out=F)
+    return read_only(F.reshape(N * c, N * c))
 
 
 def factorize(gram: BlockGram) -> BlockGram:
@@ -299,20 +336,21 @@ def factorize(gram: BlockGram) -> BlockGram:
 
     The Gram is factored by channel: G + eps*I =
     sum_m (K_m + eps*I) (x) q_m q_m^T, as sum_m q_m q_m^T = I, so a rung is
-    one stacked Cholesky L_m of the (c, N, N) channel Grams and the factor
-    is F[(i,a),(j,m)] = Q[a,m] L_m[i,j].  The rung is accepted when
-    max_m |L_m L_m^T - (K_m + eps*I)| + drift is within the reconstruction
-    tolerance; it bounds |F F^T - (G + eps*I)| entrywise, since
+    one stacked Cholesky L_m of the distinct channel Grams (equal channels
+    share theirs) and the factor is F[(i,a),(j,m)] = Q[a,m] L_m[i,j].  The
+    rung is accepted when max_m |L_m L_m^T - (K_m + eps*I)| + drift is
+    within the reconstruction tolerance; it bounds |F F^T - (G + eps*I)| entrywise, since
     sum_m |Q[a,m] Q[b,m]| <= 1 (Cauchy-Schwarz over the rows of Q).  F is
     lower triangular when Q = I, so a one-channel Gram's F is the Cholesky
     factor of G + eps*I and its bound is that factor's residual.
 
     The ladder runs once per Gram, on the first read of its ``factor``,
     ``jitter_used`` or ``factor_residual`` (the accepted bound), and its
-    outcome is kept; returns the Gram, or raises IndefiniteMatrixError, on
-    every read, when the whole ladder failed.
+    outcome (the L_m; F is formed on the first read of ``factor``) is kept;
+    returns the Gram, or raises IndefiniteMatrixError, on every read, when
+    the whole ladder failed.
     """
-    gram.factor  # runs the ladder on the first read only
+    gram.jitter_used  # runs the ladder on the first read only
     return gram
 
 

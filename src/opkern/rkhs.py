@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gram import BlockGram, assemble_gram, raw_gram
+from .gram import BlockGram, assemble_gram, raw_gram, site_blocks
 from .kernels import OperatorKernel, as_hvec, as_site, continuity_increment, read_only, render_spec
 
 __all__ = [
@@ -392,7 +392,7 @@ def verify_identities(
     n, d = ctx.n, ctx.d
     eye = np.eye(d)
     kernel = ctx.kernel
-    scale = 1.0 + float(np.abs(G).max())
+    scale = 1.0 + ctx.gram.max_abs
 
     res: dict[str, float] = {}
 
@@ -402,9 +402,13 @@ def verify_identities(
         res[name] = value if value > cur or value != value else cur
 
     # Structural check against fresh kernel evaluations: catches injected
-    # Gram corruption that every G-internal identity would miss.
+    # Gram corruption that every G-internal identity would miss.  By blocks
+    # of rows: no nd x nd temporary.
     blocks = G.reshape(n, d, n, d).transpose(0, 2, 1, 3)
-    drift = np.abs(blocks - kernel.blocks(ctx.sites, ctx.sites)).max()
+    drift = np.max([
+        np.abs(blocks[part] - kernel.blocks(ctx.sites[part], ctx.sites)).max()
+        for part in site_blocks(n, d)
+    ])
     record("factorization_consistency", float(drift) / scale)
 
     # the covariances K(s_i, s_i), decomposed once for the PSD record and

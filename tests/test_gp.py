@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from opkern.gp import (
     empirical_covariance,
     sample_paths,
 )
+from opkern import gram as gram_mod
 from opkern.kernels import make_kernel
 from opkern.rkhs import make_context
 
@@ -214,6 +217,46 @@ class TestCovarianceErrorReport:
         batch = dataclasses.replace(batch, paths=batch.paths * 3.0)  # deliberately wrong scale
         report = covariance_error_report(batch)
         assert not report.pass_
+
+    @pytest.mark.parametrize("entries", [1, 300, None])
+    @pytest.mark.parametrize(
+        "text,n",
+        [("gauss(sigma=1,ell=0.5,dim=8)", 9), ("diagexp3", 7), (GAUSS1, 5),
+         ("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))", 1)],
+    )
+    def test_row_blocks_match_dense_report(self, text, n, entries, monkeypatch):
+        # by blocks of 1 site, of a few sites, and in one block, the report
+        # keeps the bits of the dense computation over the whole of T
+        if entries is not None:
+            monkeypatch.setattr(gram_mod, "ROW_BLOCK_ENTRIES", entries)
+        batch = sample_paths(make_context(make_kernel(text), np.linspace(0, 2, n)[:, None]), 40, seed=2)
+        g, nd = batch.context.gram, batch.context.size
+        target = g.data + g.jitter_used * np.eye(nd)
+        assert target.tobytes() == batch.target_covariance.tobytes()
+        flat = batch.paths.reshape(batch.count, nd)
+        err = np.abs(flat.T @ flat / batch.count - target)
+        report = covariance_error_report(batch)
+        assert report.max_abs_err.hex() == float(err.max()).hex()
+        d = batch.context.d
+        assert report.per_block_err.tobytes() == err.reshape(n, d, n, d).max(axis=(1, 3)).tobytes()
+        diag = np.diag(target)
+        scale = 2.0 ** -max(math.frexp(float(np.abs(diag).max()))[1], 0)
+        var = (target * scale) ** 2 + np.outer(diag * scale, diag * scale)
+        tol = 4.0 * float(np.sqrt(var.max() / batch.count)) / scale
+        assert report.mc_tolerance.hex() == tol.hex()
+
+    def test_row_blocks_hold_no_dense_temporary(self, monkeypatch):
+        # past the empirical covariance itself, scratch of a few row blocks
+        monkeypatch.setattr(gram_mod, "ROW_BLOCK_ENTRIES", 4096)
+        ctx = make_context(make_kernel("gauss(sigma=1,ell=0.5,dim=8)"), np.linspace(0, 4, 40)[:, None])
+        batch = sample_paths(ctx, 20, seed=0)
+        tracemalloc.start()
+        try:
+            covariance_error_report(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * ctx.size**2
 
     @staticmethod
     def unscaled_tolerance(batch, target):

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -77,15 +78,15 @@ def oracle_psd(eig):
 
 
 @contextlib.contextmanager
-def cholesky_shapes():
-    """Record the argument shape of every np.linalg.cholesky call."""
-    shapes, cholesky = [], np.linalg.cholesky
+def linalg_shapes(name):
+    """Record the argument shape of every np.linalg.<name> call."""
+    shapes, real = [], getattr(np.linalg, name)
 
     def counted(a, *args, **kw):
         shapes.append(np.shape(a))
-        return cholesky(a, *args, **kw)
+        return real(a, *args, **kw)
 
-    with mock.patch.object(np.linalg, "cholesky", counted):
+    with mock.patch.object(np.linalg, name, counted):
         yield shapes
 
 
@@ -96,6 +97,47 @@ def dense_jitter(g):
         return factorize(BlockGram(sites=g.sites, data=g.data)).jitter_used
     except IndefiniteMatrixError:
         return None
+
+
+def distinct_count(channels):
+    """The number of distinct matrices in a stack, by exact equality."""
+    firsts = []
+    for K in channels:
+        if not any(np.array_equal(K, F) for F in firsts):
+            firsts.append(K)
+    return len(firsts)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+def every_channel_oracle(g):
+    """Test-local oracle: the spectrum and the ladder's outcome with every
+    channel Gram decomposed, equal or not, as (eigenvalues, eigenvectors,
+    order) and (F, jitter, bound) or None."""
+    lam, vecs = np.linalg.eigh(g.channels)
+    lam, vecs = lam[:, ::-1], vecs[..., ::-1]
+    order = np.argsort(-lam.ravel(), kind="stable")
+    spectrum = (lam.ravel()[order], vecs, order)
+    c, N, _ = g.channels.shape
+    scale = 1.0 + float(np.abs(g.data).max())
+    for eps in _jitter_ladder(g):
+        target = g.channels + 0.0
+        for K in target:
+            K[np.diag_indices(N)] += eps
+        try:
+            L = np.linalg.cholesky(target)
+        except np.linalg.LinAlgError:
+            continue
+        bound = float(np.abs(L @ np.swapaxes(L, -1, -2) - target).max()) + g.spectrum.drift
+        if bound <= RECON_TOL * scale:
+            F = L.transpose(1, 2, 0)[:, None] * g.basis[None, :, None]
+            return spectrum, (F.reshape(c * N, c * N), eps, bound)
+    return spectrum, None
 
 
 @st.composite
@@ -210,6 +252,11 @@ class TestPsdCheck:
     def test_non_finite_rejected(self):
         with pytest.raises(GramError, match="non-finite"):
             psd_check(raw_gram([[np.nan]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_off_diagonal_non_finite_rejected(self, bad):
+        with pytest.raises(GramError, match="^matrix has non-finite entries$"):
+            psd_check(raw_gram([[1.0, bad], [bad, 1.0]]))
 
     @pytest.mark.parametrize("off", [0.4, np.nextafter(0.5, 1.0)])
     def test_asymmetric_rejected(self, off):
@@ -445,13 +492,14 @@ class TestChannelFactor:
         else:  # close sites give near-singular Grams that need jitter
             sites = spread * rng.uniform(-3, 3, size=(n, dim))
         g = assemble_gram(make_kernel(text), sites)
-        with cholesky_shapes() as shapes:
+        with linalg_shapes("cholesky") as shapes:
             try:
                 jitter = factorize(g).jitter_used
             except IndefiniteMatrixError:
                 jitter = None
-        # the channel path ran: stacked (d, n, n) Cholesky calls only
-        assert shapes and set(shapes) == {(g.d, g.n, g.n)}
+        # the channel path ran: stacked Cholesky calls of the distinct
+        # channel Grams only, never an nd x nd one
+        assert shapes and set(shapes) == {(distinct_count(g.channels), g.n, g.n)}
         report = g.spectrum
         dense = dense_jitter(g)
         if jitter != dense:
@@ -516,6 +564,89 @@ class TestChannelFactor:
         assert np.array_equal(g.factor, np.diag(np.sqrt([1.0, 2.0, 3.0, 4.0])))
 
 
+class TestDistinctChannels:
+    """Equal channel Grams (gauss(dim=d) has d) are decomposed once, the
+    dense factor is formed on its first read, and the outputs keep the bits
+    of decomposing every channel."""
+
+    KERNELS = CHANNEL_KERNELS + [
+        "gauss(sigma=1,ell=0.6,dim=4)",
+        "normalized(inner=gauss(sigma=2,ell=1,dim=3))",
+        # eigenvalues 1, 1, 2 of B: two equal channels and one distinct
+        "separable(B=[[1,0,0],[0,2,0],[0,0,1]],base=gauss(sigma=1,ell=0.7))",
+    ]
+
+    @given(
+        text=st.sampled_from(KERNELS),
+        n=st.integers(1, 10),
+        dim=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1.0, 0.1, 1e-3]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bits_of_every_channel_decomposed(self, text, n, dim, seed, spread):
+        sites = spread * np.random.default_rng(seed).uniform(-3, 3, size=(n, dim))
+        g = assemble_gram(make_kernel(text), sites)
+        # the channel path builds G exactly symmetric and checks it no more
+        assert same_bits(g.data, g.data.T)
+        assert same_bits(g.max_abs, np.abs(g.data).max())
+        spectrum, factored = every_channel_oracle(g)
+        report = g.spectrum
+        for got, want in zip((report.eigenvalues, report.eigenvectors, report.order), spectrum):
+            assert same_bits(got, want)
+        if factored is None:
+            with pytest.raises(IndefiniteMatrixError):
+                factorize(g)
+            return
+        F, eps, bound = factored
+        assert same_bits(factorize(g).jitter_used, eps)
+        assert same_bits(g.factor_residual, bound)
+        assert same_bits(g.factor, F)
+
+    @pytest.mark.parametrize(
+        "text, distinct",
+        [
+            ("gauss(sigma=1.5,ell=1,dim=8)", 1),
+            ("normalized(inner=gauss(sigma=2,ell=1,dim=4))", 1),
+            ("separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=gauss(sigma=1,ell=0.7))", 3),
+            ("separable(B=[[1,0,0],[0,2,0],[0,0,1]],base=gauss(sigma=1,ell=0.7))", 2),
+            ("diagexp3", 3),
+        ],
+    )
+    def test_one_decomposition_per_distinct_channel(self, text, distinct):
+        kernel, sites = make_kernel(text), np.linspace(0.0, 3.0, 7)[:, None]
+        kernel.blocks(sites, sites)  # fills every cache the spec keeps
+        with linalg_shapes("eigh") as eighs, linalg_shapes("cholesky") as choleskys:
+            factorize(assemble_gram(kernel, sites)).factor
+        assert eighs == [(distinct, 7, 7)]
+        assert choleskys and set(choleskys) == {(distinct, 7, 7)}
+
+    def test_factor_formed_on_first_read(self, monkeypatch):
+        g = assemble_gram(make_kernel("gauss(sigma=1,ell=0.5,dim=8)"), np.linspace(0, 4, 40)[:, None])
+        formed, form = [], gram_mod._channel_factor
+        monkeypatch.setattr(gram_mod, "_channel_factor", lambda L, Q: formed.append(1) or form(L, Q))
+        tracemalloc.start()
+        try:
+            factorize(g)
+            g.jitter_used, g.factor_residual
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no (nd, nd) float array: 819,200 bytes at nd = 320
+        assert not formed and peak < 8 * g.size**2
+        F = g.factor
+        assert g.factor is F and formed == [1]
+        assert F.flags.c_contiguous and not F.flags.writeable
+
+    def test_fortran_order_data_takes_its_jitter(self):
+        # rank one: rung 0 fails, and a jittered rung must add its jitter
+        # to the diagonal whatever the data's memory layout
+        c, f = (factorize(raw_gram(a)) for a in (np.ones((2, 2)), np.asfortranarray(np.ones((2, 2)))))
+        assert f.jitter_used == c.jitter_used > 0.0
+        assert same_bits(f.factor, c.factor)
+        assert same_bits(f.factor_residual, c.factor_residual)
+
+
 class TestFactorize:
     def test_identity(self):
         g = factorize(raw_gram([[1.0]]))
@@ -541,7 +672,7 @@ class TestFactorize:
         g = raw_gram([[0.0, 1.0], [1.0, 0.0]])
         reads = [lambda: g.factor, lambda: g.jitter_used, lambda: g.factor_residual,
                  lambda: factorize(g)]
-        with cholesky_shapes() as shapes:
+        with linalg_shapes("cholesky") as shapes:
             for read in reads * 2:
                 with pytest.raises(IndefiniteMatrixError, match="indefinite"):
                     read()

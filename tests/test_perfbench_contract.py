@@ -41,7 +41,8 @@ def test_every_traced_binding_exists():
 
 def test_wide_blocks_factors_by_channel(tmp_path, monkeypatch):
     # both specs of wide_blocks (SMOKE sizes) go through the stacked channel
-    # Cholesky, never an nd x nd one, and stop on the dense ladder's rung
+    # Cholesky of their distinct channels (separable: d; gauss(dim=d): one),
+    # never an nd x nd one, and stop on the dense ladder's rung
     wl = load("workloads").WideBlocks(seed=0, smoke=True, out=tmp_path)
     n, d = wl.sizes["n"], wl.sizes["d"]
     shapes, cholesky = [], np.linalg.cholesky
@@ -53,7 +54,7 @@ def test_wide_blocks_factors_by_channel(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     for _, task in wl.tasks():
         task()()
-    assert len(shapes) >= 2 and set(shapes) == {(d, n, n)}
+    assert len(shapes) >= 2 and set(shapes) == {(d, n, n), (1, n, n)}
     monkeypatch.undo()
     for spec, sites in (wl.separable, wl.gauss):
         g = gram.factorize(rkhs.make_context(make_kernel(spec), sites).gram)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opkern import gram as gram_mod
 from opkern.gram import BlockGram, GramError, assemble_gram, factorize, raw_gram
 from opkern.kernels import OperatorKernel, make_kernel, render_spec
 from opkern.rkhs import (
@@ -550,6 +551,24 @@ class TestVerifyIdentities:
         ctx = make_context(k, [[0], [1]], raw_data=corrupted)
         report = verify_identities(ctx, trials=20, seed=0)
         assert not report.results["factorization_consistency"]["pass"]
+
+    @pytest.mark.parametrize("entries", [1, 200, None])
+    def test_consistency_by_row_blocks_keeps_its_bits(self, entries, monkeypatch):
+        # G against fresh kernel blocks, one block of rows at a time: the
+        # same residual as the dense comparison, for blocks of 1 site, of a
+        # few sites and of all of them
+        if entries is not None:
+            monkeypatch.setattr(gram_mod, "ROW_BLOCK_ENTRIES", entries)
+        k = make_kernel("separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=gauss(sigma=1,ell=0.7))")
+        sites = np.linspace(0.0, 3.0, 11)[:, None]
+        raw = assemble_gram(k, sites).data.copy()
+        raw[[7, 20], [20, 7]] += 1e-10
+        ctx = make_context(k, sites, raw_data=raw)
+        blocks = ctx.gram.data.reshape(11, 3, 11, 3).transpose(0, 2, 1, 3)
+        dense = np.abs(blocks - k.blocks(ctx.sites, ctx.sites)).max()
+        dense /= 1.0 + float(np.abs(ctx.gram.data).max())
+        got = verify_identities(ctx, trials=2).residuals["factorization_consistency"]
+        assert got.hex() == float(dense).hex() and got > 0.0
 
     def test_single_site_degenerate(self):
         ctx = make_context(make_kernel(GAUSS1), [[0]])
