@@ -33,7 +33,6 @@ __all__ = [
 DEFAULT_SIZE_CAP = 5000
 RECON_TOL = 1e-8
 PSD_EIG_TOL = 1e-10
-DRIFT_TOL = 1e-12
 EFFECTIVE_RANK_TOLS = (1e-2, 1e-4, 1e-6, 1e-8)
 # entries per row block of a blockwise nd x nd pass: 8 MB of float64 scratch
 ROW_BLOCK_ENTRIES = 1 << 20
@@ -58,8 +57,14 @@ class SpectrumReport:
     their stack of eigenvectors, each channel's in nonincreasing order of
     its eigenvalues, and ``eigenvalues[k]`` belongs to kron(u, basis[:, m])
     with u = eigenvectors[m, :, j] and (m, j) = divmod(order[k], N).
-    ``drift`` bounds the distance of the Gram's eigenvalues from
-    ``eigenvalues`` (Weyl), and the PSD verdict reads ``min_eig - drift``.
+    ``drift`` bounds the Frobenius distance of the Gram's data from
+    sum_m K_m (x) q_m q_m^T, and so the distance of the Gram's eigenvalues
+    from ``eigenvalues`` (Weyl): the PSD verdict reads ``min_eig - drift``.
+    For a channel Gram it is an a-priori bound on the rounding of its data
+    (``_rounding_bound``), fixed before that data is formed and at least
+    its measured distance from the channel sum it averages, so the verdict
+    is never looser than one on a measured drift; for a Gram from data
+    alone it is 0.
     """
 
     eigenvalues: np.ndarray  # sorted nonincreasing
@@ -71,7 +76,7 @@ class SpectrumReport:
     @classmethod
     def from_channels(cls, distinct, basis, drift: float) -> "SpectrumReport":
         """One stacked eigh of the distinct ones among the (c, N, N) channel
-        Grams K_m of a Gram G at Frobenius distance ``drift`` from
+        Grams K_m of a Gram G at Frobenius distance at most ``drift`` from
         sum_m K_m (x) q_m q_m^T, q_m = basis[:, m]; ``distinct`` is their
         (stack, index), as ``_group_channels`` gives it."""
         stack, index = distinct
@@ -109,8 +114,8 @@ class SpectrumReport:
 
 
 def _max_abs(data: np.ndarray) -> float:
-    """max |data[i, j]| (0 when empty) with no temporary; a NaN or an
-    infinity carries through and is refused."""
+    """max |entry| of an array (0 when empty) with no temporary; a NaN or
+    an infinity carries through and is refused."""
     top = max(float(data.max(initial=0.0)), -float(data.min(initial=0.0)))
     if not math.isfinite(top):
         raise GramError("matrix has non-finite entries")
@@ -150,71 +155,142 @@ def site_blocks(n: int, d: int) -> list[slice]:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
+def _dense(channels: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The read-only G = sum_m K_m (x) q_m q_m^T of (c, N, N) channel Grams:
+    their sum S, taken from the kernels' C-order layout, averaged with its
+    transpose into one fresh C-order buffer (exactly symmetric, as IEEE
+    addition commutes)."""
+    c, N, _ = channels.shape
+    layout = np.ascontiguousarray(np.moveaxis(channels, 0, -1))  # (N, N, c)
+    S = OperatorKernel.channel_sum(layout, basis)
+    St = S.transpose(0, 2, 1, 3)  # (i, a, j, b): G's entry order
+    data = np.add(St, St.transpose(2, 3, 0, 1), order="C").reshape(N * c, N * c)
+    data *= 0.5
+    return read_only(data)
+
+
+def _rounding_bound(stack, index, top: float, QQ: np.ndarray, gamma: float) -> float:
+    """A bound on |G - sum_m K_m (x) q_m q_m^T| (Frobenius) for the G that
+    ``_dense`` forms, from the distinct channels ``stack[index]``, their
+    largest |entry| ``top`` and QQ[a, m] = Q[a, m]^2, in O(c N^2).
+
+    Entry ((i,a),(j,b)) of the channel sum S is a c-term dot product of the
+    K_m[i,j] with the rounded products Q[a,m] Q[b,m].  In any order of
+    summation it errs by at most gamma_(c+1) sum_m |K_m[i,j] Q[a,m] Q[b,m]|,
+    gamma_k = k u / (1 - k u), u = 2^-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.1, with the product's rounding
+    as one more step).  S's entries ((i,a),(j,b)) and ((j,b),(i,a)) have the
+    same terms, as K_m is symmetric; averaging them is one addition and an
+    exact halving, so G's entry errs by at most gamma_(c+2) times that sum,
+    and so does its distance from S's (half the two entries' difference,
+    plus the addition's rounding).  The triangle inequality over channels,
+    with | |K_m| (x) |q_m| |q_m|^T |_F = |K_m|_F |q_m|^2, gives
+    gamma_(c+2) sum_m |K_m|_F |q_m|^2.  ``gamma`` is 1.01 (c + 2) u, which
+    covers gamma_(c+2)'s denominator and the rounding of this evaluation;
+    the norms are taken of K_m / top, so no square overflows; and gradual
+    underflow adds at most (c + 2) 2^-1074 to an entry, N c (c + 2) 2^-1074
+    in all.  The bound holds |S - G| (Frobenius), each entry of
+    G - sum_m K_m (x) q_m q_m^T and the shift of G's eigenvalues (Weyl) too.
+    """
+    c, N = len(QQ), stack.shape[-1]
+    scaled = stack / (top or 1.0)
+    norms = np.sqrt(np.einsum("mij,mij->m", scaled, scaled))[index]
+    return gamma * top * float(norms @ QQ.sum(axis=0)) + N * c * (c + 2) * 2.0**-1074
+
+
+class _Data:
+    """``BlockGram.data``: the matrix a Gram is built from or, for a Gram
+    built from channels, G, formed by ``_dense`` on first read and kept."""
+
+    def __get__(self, gram, owner=None):
+        if gram is None:
+            return self
+        if vars(gram)["data"] is None:
+            vars(gram)["data"] = _dense(gram.channels, gram.basis)
+        return vars(gram)["data"]
+
+    def __set__(self, gram, data):  # by the constructor only: a Gram is frozen
+        vars(gram)["data"] = None if data is self else data
+
+
 @dataclass(frozen=True, eq=False)
 class BlockGram:
     """The n*d x n*d matrix with block (i,j) = K(s_i, s_j): a value, certified
-    when it is built, whose factor is computed once, when first read.
+    when it is built, whose data and factor are computed once, when first
+    read.
 
     Every Gram is a channel Gram, data = sum_m K_m (x) q_m q_m^T, with
     (c, N, N) channel Grams K_m and a (c, c) orthogonal basis Q whose column
     q_m belongs to channel m.  From channels and basis (``assemble_gram``),
-    the data is their sum averaged with its transpose, which must lie within
-    DRIFT_TOL * max(lambda_max, 1) of the sum (Frobenius: the drift); from
-    data alone (``raw_gram``), the data is its own one channel, Q = [[1]].
-    The data must be finite and exactly symmetric (an averaged sum is so, as
-    IEEE addition commutes), n = len(sites) and d = len(data) / n.  The
-    arrays are taken, not copied, and made read-only.  Equal channel Grams
-    are decomposed once (``_group_channels``).
+    the data G is their sum averaged with its transpose, formed on its first
+    read.  The constructor does channel-sized work only: it checks that the
+    channels are finite and exactly symmetric, decomposes them, forms
+    diag G = diag(K_m) (Q o Q)^T (the jitter ladder's unit and the scale
+    read it) and bounds G's rounding a priori (the drift,
+    ``_rounding_bound``).  Only a Gram whose entries could reach the largest
+    float forms G at once, to refuse it if one does.  From data alone
+    (``raw_gram``), the data is its own one channel, Q = [[1]], at drift 0,
+    and must be finite and exactly symmetric.  n = len(sites) and
+    d = len(data) / n.  The arrays are taken, not copied, and made
+    read-only.  Equal channel Grams are decomposed once
+    (``_group_channels``).
     """
 
     sites: np.ndarray  # (n, k): row i is site s_i
-    data: np.ndarray | None = None
+    data: np.ndarray | None = field(default=_Data(), repr=False)  # G: see _Data
     channels: np.ndarray | None = None  # (c, N, N): channel m's scalar Gram
     basis: np.ndarray | None = None  # (c, c): column m belongs to channel m
     n: int = field(init=False)
     d: int = field(init=False)
     size: int = field(init=False)  # n * d
-    max_abs: float = field(init=False)  # max |data[i, j]|
+    # max |G_ii| of a channel Gram: max |G_ij| when G is PSD, and never
+    # larger; max |G_ij| of a Gram from data
+    scale: float = field(init=False)
     spectrum: SpectrumReport = field(init=False)
+    _diagonal: np.ndarray = field(init=False, repr=False)  # G's diagonal
     _distinct: tuple = field(init=False, repr=False)  # see _group_channels
 
     def __post_init__(self):
-        given = (self.data is not None, self.channels is not None, self.basis is not None)
+        data = vars(self)["data"]
+        given = (data is not None, self.channels is not None, self.basis is not None)
         if given == (True, False, False):
-            data = np.asanyarray(self.data, dtype=float)
-            max_abs = _max_abs(data)
+            data = np.asanyarray(data, dtype=float)
+            scale = _max_abs(data)
             if not np.array_equal(data, data.T):
                 raise GramError("matrix is not symmetric")
-            channels, basis, drift = data[None], np.ones((1, 1)), 0.0
+            channels, basis, drift, diagonal = data[None], np.ones((1, 1)), 0.0, data.diagonal()
+            distinct = _group_channels(channels)
         elif given == (False, True, True):
             channels, basis = self.channels, self.basis
-            # G is the channels' sum S, taken from the kernels' C-order layout,
-            # averaged with its transpose into one fresh C-order buffer; the
-            # drift, |S - G| (Frobenius), is taken in place in S
-            c, N, _ = channels.shape
-            layout = np.ascontiguousarray(np.moveaxis(channels, 0, -1))  # (N, N, c)
-            S = OperatorKernel.channel_sum(layout, basis)
-            St = S.transpose(0, 2, 1, 3)  # (i, a, j, b): G's entry order
-            data = np.add(St, St.transpose(2, 3, 0, 1), order="C").reshape(N * c, N * c)
-            data *= 0.5
-            max_abs = _max_abs(data)
-            St -= data.reshape(N, c, N, c)
-            drift = float(np.linalg.norm(S.ravel()))
+            distinct = stack, index = _group_channels(channels)
+            top, QQ = _max_abs(stack), basis * basis
+            if not np.array_equal(stack, stack.transpose(0, 2, 1)):
+                raise GramError("channel Grams are not symmetric")
+            gamma = 1.01 * (len(basis) + 2) * 2.0**-53
+            # G's diagonal, entry (i, a) at i * c + a, with the bits of G's own
+            diagonal = (np.ascontiguousarray(np.diagonal(stack, axis1=1, axis2=2)[index].T) @ QQ.T).ravel()
+            scale = _max_abs(diagonal)
+            drift = _rounding_bound(stack, index, top, QQ, gamma)
+            # each entry of S is at most (1 + gamma) top max_a |Q[a, :]|^2
+            # (Cauchy-Schwarz over channels); while twice that is below the
+            # largest float no entry of G overflows, and past it G is formed
+            # now and refused if one does
+            if not 2.0 * (1.0 + 2.0 * gamma) * top * QQ.sum(axis=1).max() < np.finfo(float).max:
+                _max_abs(self.data)
+            data = vars(self)["data"]
         else:
             raise GramError("a Gram is built from data alone or from channels and basis")
         sites = np.asarray(self.sites, dtype=float)
-        n = len(sites)
-        if n == 0 or len(data) % n:
-            raise GramError(f"{len(data)} rows do not split into {n} sites")
-        distinct = _group_channels(channels)
+        n, size = len(sites), len(channels) * channels.shape[-1]
+        if n == 0 or size % n:
+            raise GramError(f"{size} rows do not split into {n} sites")
         report = SpectrumReport.from_channels(distinct, basis, drift)
-        if not drift <= DRIFT_TOL * max(report.lambda_max, 1.0):
-            raise GramError(f"channels drift {drift:.3e} from the Gram they sum to")
-        for array in (sites, data, channels, basis, distinct[0]):
-            read_only(array)
+        for array in (sites, data, channels, basis, diagonal, distinct[0]):
+            if array is not None:  # G not formed yet
+                read_only(array)
         derived = dict(sites=sites, data=data, channels=channels, basis=basis,
-                       n=n, d=len(data) // n, size=len(data), max_abs=max_abs,
-                       spectrum=report, _distinct=distinct)
+                       n=n, d=size // n, size=size, scale=scale, spectrum=report,
+                       _diagonal=diagonal, _distinct=distinct)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -233,7 +309,7 @@ class BlockGram:
             except np.linalg.LinAlgError:
                 continue
             residual += self.spectrum.drift
-            if residual <= RECON_TOL * (1.0 + self.max_abs):
+            if residual <= RECON_TOL * (1.0 + self.scale):
                 return read_only(L[index]), eps, residual
         return None
 
@@ -298,7 +374,7 @@ def psd_check(gram: BlockGram) -> SpectrumReport:
 
 
 def _jitter_ladder(gram: BlockGram):
-    unit = float(np.trace(gram.data)) / gram.size
+    unit = float(gram._diagonal.sum()) / gram.size
     if unit <= 0.0:
         unit = 1.0
     yield 0.0
@@ -339,10 +415,13 @@ def factorize(gram: BlockGram) -> BlockGram:
     one stacked Cholesky L_m of the distinct channel Grams (equal channels
     share theirs) and the factor is F[(i,a),(j,m)] = Q[a,m] L_m[i,j].  The
     rung is accepted when max_m |L_m L_m^T - (K_m + eps*I)| + drift is
-    within the reconstruction tolerance; it bounds |F F^T - (G + eps*I)| entrywise, since
-    sum_m |Q[a,m] Q[b,m]| <= 1 (Cauchy-Schwarz over the rows of Q).  F is
+    within RECON_TOL * (1 + scale); it bounds |F F^T - (G + eps*I)|
+    entrywise, since sum_m |Q[a,m] Q[b,m]| <= 1 (Cauchy-Schwarz over the
+    rows of Q) and the drift bounds every entry of G's rounding.  F is
     lower triangular when Q = I, so a one-channel Gram's F is the Cholesky
-    factor of G + eps*I and its bound is that factor's residual.
+    factor of G + eps*I and its bound is that factor's residual.  The unit
+    tr(G)/(nd) and the scale max|G_ii| are read off the diagonal the Gram
+    keeps; the ladder never forms G (see BlockGram).
 
     The ladder runs once per Gram, on the first read of its ``factor``,
     ``jitter_used`` or ``factor_residual`` (the accepted bound), and its

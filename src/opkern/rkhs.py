@@ -392,7 +392,7 @@ def verify_identities(
     n, d = ctx.n, ctx.d
     eye = np.eye(d)
     kernel = ctx.kernel
-    scale = 1.0 + ctx.gram.max_abs
+    scale = 1.0 + ctx.gram.scale
 
     res: dict[str, float] = {}
 

@@ -246,10 +246,12 @@ class TestCovarianceErrorReport:
         assert report.mc_tolerance.hex() == tol.hex()
 
     def test_row_blocks_hold_no_dense_temporary(self, monkeypatch):
-        # past the empirical covariance itself, scratch of a few row blocks
+        # past the empirical covariance itself, scratch of a few row blocks;
+        # G, formed on its first read, is read before the count starts
         monkeypatch.setattr(gram_mod, "ROW_BLOCK_ENTRIES", 4096)
         ctx = make_context(make_kernel("gauss(sigma=1,ell=0.5,dim=8)"), np.linspace(0, 4, 40)[:, None])
         batch = sample_paths(ctx, 20, seed=0)
+        ctx.gram.data
         tracemalloc.start()
         try:
             covariance_error_report(batch)

@@ -124,7 +124,7 @@ def every_channel_oracle(g):
     order = np.argsort(-lam.ravel(), kind="stable")
     spectrum = (lam.ravel()[order], vecs, order)
     c, N, _ = g.channels.shape
-    scale = 1.0 + float(np.abs(g.data).max())
+    scale = 1.0 + float(np.abs(g.data.diagonal()).max())
     for eps in _jitter_ladder(g):
         target = g.channels + 0.0
         for K in target:
@@ -319,9 +319,10 @@ class TestFixedGram:
             data[0, 0] = 2.0
 
     @pytest.mark.parametrize("text", SQUARE_KERNELS)
-    def test_one_channel_sum_per_assembly(self, text, monkeypatch):
-        # G and its drift come from one channel sum; certifying and
-        # factoring the Gram add none
+    def test_one_channel_sum_on_first_read(self, text, monkeypatch):
+        # certifying, exporting, printing, factoring and expanding a Gram
+        # form no G; its first read takes one channel sum, and later reads
+        # none
         calls = Counter()
         channel_sum = OperatorKernel.channel_sum
 
@@ -329,14 +330,46 @@ class TestFixedGram:
             calls["channel_sum"] += 1
             return channel_sum(channels, basis)
 
+        kernel = make_kernel(text)
         monkeypatch.setattr(OperatorKernel, "channel_sum", staticmethod(counted))
-        g = assemble_gram(make_kernel(text), [[0.0], [1.0], [2.5]])
-        assert calls["channel_sum"] == 1
+        g = assemble_gram(kernel, [[0.0], [1.0], [2.5]])
         psd_check(g)
         spectrum_to_json_dict(g)
+        repr(g)
         if g.spectrum.psd:
             factorize(g)
+            onb_expansion(RkhsContext(kernel, g), 1e-12)
+        assert calls["channel_sum"] == 0
+        G = g.data
         assert calls["channel_sum"] == 1
+        assert g.data is G and calls["channel_sum"] == 1
+        assert same_bits(G, gram_mod._dense(g.channels, g.basis))
+
+    @pytest.mark.parametrize("wide", ["gauss", "separable"])
+    def test_no_dense_gram_until_read(self, wide):
+        # no (nd, nd) float array, 8,652,800 bytes at n = 130, d = 8, through
+        # certify -> factorize -> expand, past the expansion's (k, nd) output
+        B = np.random.default_rng(0).standard_normal((8, 8))
+        B = B @ B.T / 8 + 0.5 * np.eye(8)
+        lit = "[" + ",".join("[" + ",".join(map(repr, map(float, row))) + "]" for row in (B + B.T) / 2) + "]"
+        text = {"gauss": "gauss(sigma=1,ell=1,dim=8)",
+                "separable": f"separable(B={lit},base=gauss(sigma=1,ell=1))"}[wide]
+        kernel, sites = make_kernel(text), np.linspace(0.0, 25.0, 130)[:, None]
+        kernel.blocks(sites[:1], sites[:1])  # fills every cache the spec keeps
+        tracemalloc.start()
+        try:
+            g = assemble_gram(kernel, sites)
+            psd_check(g)
+            spectrum_to_json_dict(g)
+            factorize(g)
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            k = len(onb_expansion(RkhsContext(kernel, g), 1e-12))
+            scratch = tracemalloc.get_traced_memory()[1] - held - 8 * k * g.size
+        finally:
+            tracemalloc.stop()
+        assert g.size == 1040 and peak < 8 * g.size**2 and scratch < 8 * g.size**2
+        assert vars(g)["data"] is None
 
     def test_data_alone_is_its_own_channel(self):
         g = gram_mod.raw_gram(make_kernel(self.TEXT), [[0], [1]], np.diag([1.0, 2.0, 3.0, 4.0]))
@@ -415,22 +448,23 @@ class TestChannelPath:
 
     def test_verdict_allows_for_drift(self):
         # the channel spectrum bounds G's only up to the drift (Weyl): a
-        # smallest channel eigenvalue just inside the PSD margin fails once
-        # the drift could carry G's past it.  The channel is asymmetric by
-        # 2 * off in its upper triangle, which eigh does not read: G is
-        # [[1, off], [off, lam]] at drift sqrt(2) * off from the channel
-        lam = -PSD_EIG_TOL + 1e-13
-        for off, psd in [(0.0, True), (5e-13, False)]:
-            K = np.array([[[1.0, 2 * off], [0.0, lam]]])
-            g = BlockGram(sites=np.zeros((2, 1)), channels=K, basis=np.eye(1))
-            report = psd_check(g)
-            assert np.array_equal(g.data, [[1.0, off], [off, lam]])
-            assert report.basis is not None and report.min_eig == lam
-            assert report.drift == pytest.approx(math.sqrt(2) * off)
+        # smallest channel eigenvalue inside the PSD margin by less than the
+        # drift fails, as G's own could lie past the margin.  The drift of
+        # diag(1, lam) is the rounding bound 1.01 * 3 * 2^-53 * |K|_F plus
+        # 2 * 3 * 2^-1074, the same for every lam this close to the margin
+        def gram(lam):
+            K = np.array([[[1.0, 0.0], [0.0, lam]]])
+            return BlockGram(sites=np.zeros((2, 1)), channels=K, basis=np.eye(1))
+
+        drift = gram(-PSD_EIG_TOL).spectrum.drift
+        assert drift == 1.01 * 3 * 2.0**-53 + 6 * 2.0**-1074
+        for lam, psd in [(-PSD_EIG_TOL + 2 * drift, True), (-PSD_EIG_TOL + drift / 2, False)]:
+            report = psd_check(gram(lam))
+            assert report.min_eig == lam and report.drift == drift
             assert report.psd is psd
-        # a drift past DRIFT_TOL * max(lambda_max, 1) is refused
-        K = np.array([[[1.0, 2e-3], [0.0, 1.0]]])
-        with pytest.raises(GramError, match="^channels drift 1.414e-03 from the Gram they sum to$"):
+        # channels that are not exactly symmetric are refused
+        K = np.array([[[1.0, 2e-16], [0.0, 1.0]]])
+        with pytest.raises(GramError, match="^channel Grams are not symmetric$"):
             BlockGram(sites=np.zeros((2, 1)), channels=K, basis=np.eye(1))
 
     def test_replaced_data_is_certified_itself(self):
@@ -470,6 +504,37 @@ class TestChannelPath:
             assert report.drift <= 1e-14 * big
             assert np.abs(report.eigenvalues - eig).max() <= 1e-12 * big
             assert report.psd and oracle_psd(eig)
+
+
+class TestRoundingBound:
+    """A channel Gram's drift, fixed before G is formed, against G's
+    measured distance from its channels."""
+
+    @given(
+        c=st.integers(1, 8),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.integers(0, 30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bound_holds(self, c, n, seed, spread):
+        # exactly symmetric channels whose entries span 2 * spread decades
+        # and whose scales span 200, and a QR-orthogonal basis
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((c, n, n)) * 10.0 ** rng.uniform(-spread, spread, (c, n, n))
+        K = (X + X.transpose(0, 2, 1)) * 10.0 ** rng.uniform(-100, 100, (c, 1, 1))
+        Q = np.linalg.qr(rng.standard_normal((c, c)))[0]
+        g = BlockGram(sites=np.zeros((n, 1)), channels=K, basis=Q)
+        drift, G = g.spectrum.drift, g.data
+        # sum_m K_m (x) q_m q_m^T in extended precision
+        wide = np.longdouble
+        exact = np.einsum("mij,am,bm->iajb", K.astype(wide), Q.astype(wide), Q.astype(wide))
+        error = np.sqrt(np.square(G.astype(wide) - exact.reshape(n * c, n * c)).sum())
+        assert drift >= error
+        # and G's distance from the channel sum S it averages
+        layout = np.ascontiguousarray(np.moveaxis(K, 0, -1))
+        S = OperatorKernel.channel_sum(layout, Q).transpose(0, 2, 1, 3).reshape(n * c, n * c)
+        assert drift >= np.linalg.norm(S - G)
 
 
 class TestChannelFactor:
@@ -589,7 +654,12 @@ class TestDistinctChannels:
         g = assemble_gram(make_kernel(text), sites)
         # the channel path builds G exactly symmetric and checks it no more
         assert same_bits(g.data, g.data.T)
-        assert same_bits(g.max_abs, np.abs(g.data).max())
+        # the scale is max |G_ii|, no larger than max |G_ij|, and equal to it
+        # where G is PSD
+        assert same_bits(g.scale, np.abs(g.data.diagonal()).max())
+        assert g.scale <= np.abs(g.data).max()
+        if g.spectrum.min_eig >= 0.0:
+            assert same_bits(g.scale, np.abs(g.data).max())
         spectrum, factored = every_channel_oracle(g)
         report = g.spectrum
         for got, want in zip((report.eigenvalues, report.eigenvectors, report.order), spectrum):
