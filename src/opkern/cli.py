@@ -245,6 +245,7 @@ def cmd_sample(args) -> int:
         {
             "max_abs_err": cov.max_abs_err,
             "mc_tolerance": cov.mc_tolerance,
+            "z_max": cov.z_max,
             "pass": bool(cov.pass_),
             "per_block_err": cov.per_block_err.tolist(),
             "seed": batch.seed,

@@ -57,9 +57,10 @@ class SampleBatch:
         return _target_rows(self.context.gram, slice(0, self.context.size))
 
 
-def _target_rows(gram, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of G + eps*I, entry for entry (-0.0 too), with no eye."""
-    T = np.add(gram.data[rows], 0.0, order="C")
+def _target_rows(gram, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``rows`` of G + eps*I, entry for entry (-0.0 too), with no eye;
+    into ``out`` where given."""
+    T = np.add(gram.data[rows], 0.0, out=out, order="C")
     T.reshape(-1)[rows.start :: gram.size + 1] += gram.jitter_used
     return T
 
@@ -67,11 +68,19 @@ def _target_rows(gram, rows: slice) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CovErrorReport:
     """The empirical covariance's largest entry error against its Monte
-    Carlo tolerance; it passes when max_abs_err <= mc_tolerance < inf."""
+    Carlo tolerance; it passes when max_abs_err <= mc_tolerance < inf.
+
+    ``z_max`` is the largest standardized error max_ij |e_ij| / SE_ij, with
+    SE_ij^2 = (T_ii T_jj + T_ij^2) / N the variance of an entry of the
+    empirical covariance of N samples of target T.  An entry with no
+    variance counts 0 if it has no error, else inf.  It is recorded, not
+    gated: the gate allows 4 standard errors of the worst entry to every
+    entry."""
 
     max_abs_err: float
     per_block_err: np.ndarray  # n x n, max abs error within each block; read-only
     mc_tolerance: float
+    z_max: float
 
     pass_ = property(lambda self: self.max_abs_err <= self.mc_tolerance < math.inf)
 
@@ -81,13 +90,49 @@ def _path_words(nd: int) -> int:
     return -(-nd // 4) * 4
 
 
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """((x >> 11) + 0.5) * 2**-53: the top 53 bits of each word, centred in
-    their cell, so never 0."""
-    u = (words >> np.uint64(11)).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    return u
+def _box_muller(z: np.ndarray, scratch: np.ndarray) -> None:
+    """Overwrite the uniforms z, word pairs (x, y) in its rows, with their
+    Box-Muller normals; ``scratch`` holds two rows of one entry per pair.
+
+    The steps and their order are those of stream v2: with r =
+    sqrt(-2 ln u), h = tan(pi v) and s = r / (1 + h^2), the pair becomes
+    ((1 - h^2) s, 2h s).  ``log`` and ``tan`` read contiguous arrays, as
+    they always have, since numpy may take other code paths on strided ones.
+    """
+    x, y = z[:, 0], z[:, 1]
+    u, v = scratch
+    np.copyto(u, x)
+    np.copyto(v, y)
+    np.log(u, out=u)
+    u *= -2.0
+    np.sqrt(u, out=u)  # r
+    v *= np.pi
+    np.tan(v, out=v)  # h
+    np.multiply(v, 2.0, out=y)  # 2h
+    v *= v  # h^2
+    np.add(v, 1.0, out=x)
+    u /= x  # s
+    np.subtract(1.0, v, out=v)
+    np.multiply(v, u, out=x)
+    y *= u
+
+
+def _buffers(words: int) -> tuple[np.ndarray, np.ndarray]:
+    """The normals and the scratch of ``_draw_normals`` for ``words`` words."""
+    return np.empty(words), np.empty((2, words // 2))
+
+
+def _draw_normals(gen: np.random.Generator, z: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill z with the next len(z) normals of the stream ``gen`` draws from.
+
+    ``gen.random`` gives (x >> 11) * 2**-53 for each raw word x; adding
+    2**-54 gives stream v2's uniform ((x >> 11) + 0.5) * 2**-53 bit for bit,
+    as scaling by a power of two commutes with rounding to nearest.  The
+    uniform is never 0.
+    """
+    gen.random(out=z)
+    z += 2.0**-54
+    _box_muller(z.reshape(-1, 2), scratch)
 
 
 def _normals(seed: int, first: int, count: int, nd: int) -> np.ndarray:
@@ -102,15 +147,8 @@ def _normals(seed: int, first: int, count: int, nd: int) -> np.ndarray:
     The first nd of the w normals are kept.
     """
     w = _path_words(nd)
-    words = np.random.Philox(key=seed, counter=first * w // 4).random_raw(count * w)
-    pairs = words.reshape(-1, 2)
-    r = np.sqrt(-2.0 * np.log(_uniforms(pairs[:, 0])))
-    h = np.tan(np.pi * _uniforms(pairs[:, 1]))
-    h2 = h * h
-    s = r / (1.0 + h2)
-    z = np.empty(pairs.shape)
-    np.multiply(1.0 - h2, s, out=z[:, 0])
-    np.multiply(2.0 * h, s, out=z[:, 1])
+    z, scratch = _buffers(count * w)
+    _draw_normals(np.random.Generator(np.random.Philox(key=seed, counter=first * w // 4)), z, scratch)
     return z.reshape(count, w)[:, :nd]
 
 
@@ -128,6 +166,11 @@ def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
     can depend on the row count (one row takes the matrix-vector path),
     and a fixed shape keeps path p independent of ``count``, so a longer
     batch extends a shorter one bitwise.
+    The chunks run in buffers allocated once per call: chunks are
+    consecutive runs of the stream, so one generator draws them all, and
+    each full chunk's product is written straight into its rows of the
+    paths.  Allocated afresh for every chunk, the scratch went back to the
+    operating system between chunks and was faulted in again.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -135,14 +178,20 @@ def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     seed = int(seed)
     gram = ctx.gram
-    L = factorize(gram).factor
+    LT = factorize(gram).factor.T
     nd = gram.size
-    per_chunk = max(1, CHUNK_WORDS // _path_words(nd))
+    w = _path_words(nd)
+    per_chunk = max(1, CHUNK_WORDS // w)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    z, scratch = _buffers(per_chunk * w)
+    Z = z.reshape(per_chunk, w)[:, :nd]
     paths = np.empty((count, nd))
     for start in range(0, count, per_chunk):
-        block = _normals(seed, start, per_chunk, nd) @ L.T
-        stop = min(start + per_chunk, count)
-        paths[start:stop] = block[: stop - start]
+        _draw_normals(gen, z, scratch)
+        if start + per_chunk <= count:
+            np.matmul(Z, LT, out=paths[start : start + per_chunk])
+        else:
+            paths[start:] = (Z @ LT)[: count - start]
     return SampleBatch(ctx, seed, read_only(paths.reshape(count, gram.n, gram.d)))
 
 
@@ -166,7 +215,8 @@ def covariance_error_report(batch: SampleBatch) -> CovErrorReport:
     The tolerance is four standard errors of the worst entry:
     4 * max_ij sqrt((T_ii T_jj + T_ij^2) / N) for the target matrix T.  A
     non-finite error or tolerance fails the gate.  It goes by blocks of
-    rows (``site_blocks``), with no n*d x n*d temporary.
+    rows (``site_blocks``), with no n*d x n*d temporary, in three buffers of
+    the largest block's size.
     """
     n, d = batch.context.n, batch.context.d
     gram = batch.context.gram
@@ -177,14 +227,33 @@ def covariance_error_report(batch: SampleBatch) -> CovErrorReport:
     # that is finite unscaled comes out bitwise the same
     scale = 2.0 ** -max(math.frexp(float(np.abs(diag).max()))[1], 0)
     diag *= scale
-    per_block, var_max = np.empty((n, n)), []
-    for part in site_blocks(n, d):
+    parts = site_blocks(n, d)
+    shape = (max(p.stop - p.start for p in parts) * d, n * d)
+    target, err, var, no_err = np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, bool)
+    per_block, var_max, z_max = np.empty((n, n)), [], []
+    for part in parts:
         rows = slice(part.start * d, part.stop * d)
-        T = _target_rows(gram, rows)
-        per_block[part] = np.abs(emp[rows] - T).reshape(-1, d, n, d).max(axis=(1, 3))
-        var_max.append((np.square(T * scale) + np.outer(diag[rows], diag)).max())
+        k = rows.stop - rows.start
+        T, e, v, zero = _target_rows(gram, rows, target[:k]), err[:k], var[:k], no_err[:k]
+        np.subtract(emp[rows], T, out=e)
+        np.abs(e, out=e)
+        per_block[part] = e.reshape(-1, d, n, d).max(axis=(1, 3))
+        np.multiply(T, scale, out=v)
+        np.square(v, out=v)
+        np.multiply(diag[rows, None], diag, out=T)
+        v += T
+        var_max.append(v.max())
+        # |e_ij| / SE_ij is |e_ij| * scale / sqrt(v_ij) * sqrt(N)
+        np.sqrt(v, out=v)
+        e *= scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(e, v, out=v)
+        np.equal(e, 0.0, out=zero)
+        np.putmask(v, zero, 0.0)
+        z_max.append(v.max())
     mc_tol = MC_SIGMA_FACTOR * float(np.sqrt(np.max(var_max) / batch.count)) / scale
-    return CovErrorReport(float(per_block.max()), read_only(per_block), mc_tol)
+    z = float(np.max(z_max)) * math.sqrt(batch.count)
+    return CovErrorReport(float(per_block.max()), read_only(per_block), mc_tol, z)
 
 
 # ---------------------------------------------------------------------------

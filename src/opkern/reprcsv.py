@@ -19,33 +19,51 @@ with ``.0`` appended to an integer; ``nan`` (whatever its sign bit),
 
 Each value gets a 40-byte slot of five little-endian words: sign and
 leading ``0.000``; three words of digits with the point put in by byte
-masks; exponent and separator.  The words come from small tables by
-(layout, sign, last in row); zeros, nan and inf take a single word and
-skip the digits.  Unused bytes are NUL, and one ``bytes.translate`` per
-chunk drops them.
+masks; exponent and separator.  The 17 digits of d * 10**(17 - digits)
+come four at a time from a table of ``0000``..``9999``, and the digits
+shown without trailing zeros from the groups' trailing zeros.  The layout
+depends only on decpt and the number of digits, so the words and masks
+come from small tables by (decpt, sign), (decpt, digits) and (decpt, last
+in row).  Zeros, nan and inf have rows of their own past the decpt rows:
+their whole text in the first word, no digits, and the separator.  Unused
+bytes are NUL, and one ``bytearray.translate`` per chunk drops them.
+
+A write allocates its scratch once (``_Workspace``, sized by the smaller
+of CHUNK and the array) and runs every chunk in it: each step writes into
+an array of the workspace, so the loop allocates nothing but each chunk's
+text.  Temporaries allocated per chunk were freed at the end of it; under
+a pinned mmap threshold the heap then gave their pages back to the
+operating system, and the next chunk faulted them in again.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
+import itertools
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["write_csv", "write_csv_rows"]
 
-CHUNK = 4096  # values per pass; each scratch array stays far below 1 MB
+CHUNK = 4096  # values per pass; the workspace of a pass is about 1.2 MB
 
 _U64 = np.uint64
 _LE64 = np.dtype("<u8")  # words whose bytes are text, first byte first
 _M32 = _U64(2**32 - 1)
 _M63 = _U64(2**63 - 1)
 _INF = _U64(0x7FF0000000000000)  # magnitude bits of inf; above them, nan
+_ONE = _U64(0x3FF0000000000000)  # the bits of 1.0
 _K_MIN, _K_MAX = -324, 292  # decimal exponents k of the float64 range
-_E_MIN, _E_MAX = -324, 308  # printed exponents
+_DECPTS = range(-323, 310)  # decpt of every finite nonzero float64
+_SPECIAL = len(_DECPTS)  # the rows of 0.0, inf and nan come after them
 _P10 = np.array([10**i for i in range(18)], dtype=np.int64)
 _NO_POINT = 17  # point position of digits printed without a point
+_DIGIT_AT = 3  # the byte of the first digit, after the "000" of its group
+_NUL_QUAD = 10_000  # the entry of ``quads`` past 9999: four NULs
 _LEADS = ("", "0.", "0.0", "0.00", "0.000")
 
 
@@ -53,10 +71,12 @@ class _Tables(NamedTuple):
     g1: np.ndarray  # 126-bit powers of ten g(k) = g1 * 2**63 + g0
     g0: np.ndarray
     quads: np.ndarray  # the 4 characters of 0000..9999, little-endian u4
-    heads: np.ndarray  # [lead * 2 + negative]: sign and _LEADS[lead]
-    others: np.ndarray  # [(kind * 2 + negative) * 2 + last]: 0.0, nan, inf
+    zeros: np.ndarray  # [group]: its trailing zero digits, 4 for 0000
+    shown: np.ndarray  # [((z1 * 5 + z2) * 5 + z3) * 5 + z4]: digits shown
+    heads: np.ndarray  # [row * 2 + negative]: sign and leading "0.000"
+    layouts: np.ndarray  # [row * 18 + digits]: the row of ``masks``
     masks: np.ndarray  # (3, [(point - 1) * 18 + shown], 3 words)
-    tails: np.ndarray  # [(e - E_MIN) * 2 + last]: "e±XX" and separator
+    tails: np.ndarray  # [row * 2 + last]: "e±XX" and separator
 
 
 def _flog2pow10(e):
@@ -77,7 +97,11 @@ def _tables() -> _Tables:
     ``masks`` holds, for the 24 digit bytes of a value whose point follows
     digit ``point`` and which shows ``shown`` digits, the byte masks of the
     digits before the point, of those after it (read one byte later), and
-    the point itself.  The ``tails`` row past the last exponent has none.
+    the point itself; digit j is byte j + _DIGIT_AT.  ``shown`` gives the
+    digits of a 17-digit decimal without its trailing zeros, by the
+    trailing zeros z1..z4 of its four last groups of four.  The other
+    tables have a row per decpt in _DECPTS, then the rows of zeros, inf
+    and nan, whose layout masks out every digit byte.
     """
     g = []
     for k in range(_K_MIN, _K_MAX + 1):
@@ -89,13 +113,25 @@ def _tables() -> _Tables:
             beta = 10**-k << -r if r < 0 else 10**-k >> r
         g.append(beta + 1)
     pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), "<u2")
-    quads = np.empty((100, 100, 2), dtype="<u2")
-    quads[:, :, 0] = pairs[:, None]
-    quads[:, :, 1] = pairs
+    quads = np.zeros(10_001, dtype="<u4")  # the last entry, _NUL_QUAD, NULs
+    halves = quads[:10_000].view("<u2").reshape(100, 100, 2)
+    halves[:, :, 0] = pairs[:, None]
+    halves[:, :, 1] = pairs
+    zeros = np.zeros(10_001, dtype=np.intp)
+    for p in (10, 100, 1000, 10_000):
+        zeros[:10_000:p] += 1
+    kept = []
+    for z in itertools.product(range(5), repeat=4):
+        tz = 0
+        for zj in reversed(z):  # z4, z3, ...: on while a group is all zeros
+            tz += zj
+            if zj < 4:
+                break
+        kept.append(17 - tz)
     masks = bytes(
-        fill * rule(j, point, shown)
+        fill * rule(j - _DIGIT_AT, point, shown)
         for fill, rule in (
-            (0xFF, lambda j, point, shown: j < point and j < shown),
+            (0xFF, lambda j, point, shown: 0 <= j < point and j < shown),
             (0xFF, lambda j, point, shown: point < j <= shown),
             (ord("."), lambda j, point, shown: j == point < _NO_POINT),
         )
@@ -103,154 +139,345 @@ def _tables() -> _Tables:
         for shown in range(18)
         for j in range(24)
     )
-    exps = [f"e{e:+03d}" for e in range(_E_MIN, _E_MAX + 1)] + [""]
+    heads, tails = [], []
+    layouts = np.full((_SPECIAL + 3, 18), (_NO_POINT - 1) * 18, dtype=np.intp)
+    nd = np.arange(18)
+    for row, decpt in enumerate(_DECPTS):
+        if decpt < -3 or decpt > 16:  # exponent form
+            lead, exp = "", f"e{decpt - 1:+03d}"
+            layouts[row] = np.where(nd > 1, 0, _NO_POINT - 1) * 18 + nd
+        else:
+            lead, exp = _LEADS[max(1 - decpt, 0)], ""
+            if decpt > 0:
+                layouts[row] = (decpt - 1) * 18 + np.maximum(nd, decpt + 1)
+            else:
+                layouts[row] += nd
+        heads += [lead, "-" + lead]
+        tails += [exp + ",", exp + "\r\n"]
+    for special in (("0.0", "-0.0"), ("inf", "-inf"), ("nan", "nan")):
+        heads += special  # their layout shows no digit and no point
+        tails += [",", "\r\n"]
     return _Tables(
         g1=np.array([v >> 63 for v in g], dtype=_U64),
         g0=np.array([v & (2**63 - 1) for v in g], dtype=_U64),
-        quads=quads.view("<u4").reshape(-1),
-        heads=_words(s + lead for lead in _LEADS for s in ("", "-")),
-        others=_words(
-            t + sep
-            for t in ("0.0", "-0.0", "nan", "nan", "inf", "-inf")
-            for sep in (",", "\r\n")
-        ),
+        quads=quads,
+        zeros=zeros,
+        shown=np.array(kept, dtype=np.intp),
+        heads=_words(heads),
+        layouts=layouts.reshape(-1),
         masks=np.frombuffer(masks, _LE64).reshape(3, -1, 3),
-        tails=_words(e + sep for e in exps for sep in (",", "\r\n")),
+        tails=_words(tails),
     )
 
 
-def _mulhi(a_lo, a_hi, b):
-    """High 64 bits of the 128-bit product a * b, a given as 32-bit limbs."""
-    b_lo, b_hi = b & _M32, b >> 32
-    lo_hi = a_lo * b_hi
-    hi_lo = a_hi * b_lo
-    mid = (a_lo * b_lo >> 32) + (lo_hi & _M32) + (hi_lo & _M32)
-    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
+_SLOT = np.dtype([("head", _LE64), ("digits", "V24"), ("tail", _LE64)])
 
 
-def _rop(g, cp):
-    """floor(g * cp / 2**127) with the lost bits ORed into bit 0 (round to
-    odd) for g = g1 * 2**63 + g0, given as (g1, g0 limbs, g1 limbs)
-    (Schubfach's figure 8)."""
-    g1, g0_limbs, g1_limbs = g
-    z = (g1 * cp >> 1) + _mulhi(*g0_limbs, cp)
-    return (_mulhi(*g1_limbs, cp) + (z >> 63)) | ((z & _M63) + _M63 >> 63)
+# Rows of a workspace's ``words``: values, last, two rows of flags, then
+# magnitude, sign, d and k; from _STAGE on, rows that _shortest uses and the
+# digit stage of _chunk_text uses again once _shortest is done with them.
+_STAGE = 8
+_WORDS = _STAGE + 23
 
 
-def _shortest(bits: np.ndarray, tables: _Tables):
-    """The shortest decimals d * 10**k that read back as the finite nonzero
-    values with these IEEE bits, each the closest such to its value."""
-    bq = (bits >> 52 & 0x7FF).astype(np.int64)
-    t = bits & 2**52 - 1
-    c = t | (bq > 0).astype(_U64) << 52
-    q = np.maximum(bq, 1) - 1075  # v = c * 2**q
-    irregular = (t == 0) & (bq > 1)  # v = 2**e: a narrower gap below it
+@dataclass(frozen=True, eq=False)
+class _Workspace:
+    """The scratch of one ``write_csv_rows`` call, for chunks of up to m
+    values: every array a chunk's text is made in, reused by every chunk.
+
+    ``text`` holds the m 40-byte slots; ``slot`` views them as (m, 5)
+    words and ``fields`` as head, digits and tail.  Everything else is a
+    view of ``words``, one (_WORDS, m) uint64 block: its rows are named
+    where they are used, and the digit stage reuses the rows of _shortest,
+    so the workspace holds about 290 bytes per value with the text.
+    """
+
+    text: bytearray
+    slot: np.ndarray
+    fields: np.ndarray
+    words: np.ndarray
+    values: np.ndarray  # the padded last chunk
+    last: np.ndarray  # intp: 1 for the last value of a row, else 0
+    flags: np.ndarray  # (16, m) bool
+
+
+def _workspace(m: int) -> _Workspace:
+    text = bytearray(40 * m)
+    words = np.zeros((_WORDS, m), dtype=_U64)
+    return _Workspace(
+        text=text,
+        slot=np.frombuffer(text, _LE64).reshape(m, 5),
+        fields=np.frombuffer(text, _SLOT),
+        words=words,
+        values=words[0].view(np.float64),
+        last=words[1].view(np.intp),
+        flags=words[2:4].view(bool).reshape(16, m),
+    )
+
+
+def _mulhi(a_lo, a_hi, b_lo, b_hi, out, t, u):
+    """out = the high 64 bits of the 128-bit product a * b, both given as
+    32-bit limbs; t and u are scratch.  No partial sum overflows 64 bits."""
+    np.multiply(a_lo, b_lo, out=t)
+    t >>= 32
+    np.multiply(a_hi, b_lo, out=u)
+    u += t
+    np.bitwise_and(u, _M32, out=t)
+    np.multiply(a_lo, b_hi, out=out)
+    t += out  # the middle 64 bits, less the carry out of u
+    u >>= 32
+    t >>= 32
+    np.multiply(a_hi, b_hi, out=out)
+    out += u
+    out += t
+
+
+def _rop(g, cp, out, scratch):
+    """out = floor(g * cp / 2**127) with the lost bits ORed into bit 0
+    (round to odd) for g = g1 * 2**63 + g0, given as (g1, g0 limbs, g1
+    limbs) (Schubfach's figure 8)."""
+    g1, g0_lo, g0_hi, g1_lo, g1_hi = g
+    b_lo, b_hi, z, t1, t2 = scratch
+    np.bitwise_and(cp, _M32, out=b_lo)
+    np.right_shift(cp, 32, out=b_hi)
+    _mulhi(g0_lo, g0_hi, b_lo, b_hi, z, t1, t2)
+    np.multiply(g1, cp, out=t1)
+    t1 >>= 1
+    z += t1  # g1 * cp / 2 + g0 * cp / 2**64, carry in bit 63
+    _mulhi(g1_lo, g1_hi, b_lo, b_hi, out, t1, t2)
+    np.right_shift(z, 63, out=t1)
+    out += t1
+    z &= _M63
+    z += _M63
+    z >>= 63
+    out |= z
+
+
+def _shortest(bits, tables: _Tables, d, k, words, flags) -> None:
+    """d * 10**k: the shortest decimals that read back as the finite
+    nonzero values with these IEEE bits, each the closest such to its
+    value (k as int64)."""
+    c, cb, h, cp, irregular, g1, g0_lo, g0_hi, g1_lo, g1_hi, vb, vbl, vbr, *scratch = words
+    e, t, g0 = scratch[:3]  # done with before the first _rop takes the scratch
+    f, f2 = flags[:2]
+    ki, hi, q = k.view(np.int64), h.view(np.int64), cb.view(np.int64)
+    np.right_shift(bits, 52, out=e)
+    e &= 0x7FF
+    np.bitwise_and(bits, 2**52 - 1, out=t)
+    np.minimum(e, 1, out=c)
+    c <<= 52
+    c |= t
+    np.maximum(e, 1, out=cb)
+    q -= 1075  # v = c * 2**q
+    np.equal(t, 0, out=f)  # v = 2**e: a narrower gap below it
+    np.greater(e, 1, out=f2)
+    f &= f2
+    np.copyto(irregular, f)
     # floor(log10(2**q)), or floor(log10(3/4 * 2**q)) when irregular
-    k = (q * 661971961083 - irregular * 274743187321) >> 41
-    h = (q + _flog2pow10(-k) + 2).astype(_U64)
-    g1, g0 = tables.g1[k - _K_MIN], tables.g0[k - _K_MIN]
-    g = g1, (g0 & _M32, g0 >> 32), (g1 & _M32, g1 >> 32)
-    cb = c << 2
-    vb, vbl, vbr = (_rop(g, cp << h) for cp in (cb, cb - 2 + irregular, cb + 2))
-    odd = c & 1  # an odd significand excludes the ends of the interval
-    s = vb >> 2
+    np.multiply(irregular, 274743187321, out=t)
+    np.multiply(q, 661971961083, out=ki)
+    ki -= t.view(np.int64)
+    ki >>= 41
+    np.multiply(ki, -913124641741, out=hi)  # floor(log2(10**-k))
+    hi >>= 38
+    hi += q
+    hi += 2
+    index = t.view(np.intp)
+    np.subtract(ki, _K_MIN, out=index)
+    np.take(tables.g1, index, out=g1, mode="clip")
+    np.take(tables.g0, index, out=g0, mode="clip")
+    np.bitwise_and(g0, _M32, out=g0_lo)
+    np.right_shift(g0, 32, out=g0_hi)
+    np.bitwise_and(g1, _M32, out=g1_lo)
+    np.right_shift(g1, 32, out=g1_hi)
+    g = g1, g0_lo, g0_hi, g1_lo, g1_hi
+    np.left_shift(c, 2, out=cb)
+    np.left_shift(cb, h, out=cp)
+    _rop(g, cp, vb, scratch)
+    np.subtract(cb, 2, out=cp)
+    cp += irregular
+    cp <<= h
+    _rop(g, cp, vbl, scratch)
+    np.add(cb, 2, out=cp)
+    cp <<= h
+    _rop(g, cp, vbr, scratch)
+
+    odd, s, sp10, tp10, s4, tmp = g0, g1, g0_lo, g0_hi, g1_lo, g1_hi
+    upin, wpin, uin, win, take_s, f = flags[:6]
+    np.bitwise_and(c, 1, out=odd)  # an odd significand excludes the ends of the interval
+    vbl += odd
+    np.right_shift(vb, 2, out=s)
     # a digit fewer, sp10 or tp10, where exactly one lies in the interval
-    sp10 = s // 10 * 10
-    tp10 = sp10 + 10
-    upin = vbl + odd <= sp10 << 2
-    wpin = (tp10 << 2) + odd <= vbr
+    np.floor_divide(s, 10, out=sp10)
+    sp10 *= 10
+    np.add(sp10, 10, out=tp10)
+    np.left_shift(sp10, 2, out=tmp)
+    np.less_equal(vbl, tmp, out=upin)
+    np.left_shift(tp10, 2, out=tmp)
+    tmp += odd
+    np.less_equal(tmp, vbr, out=wpin)
     # else s or s + 1: the one in the interval, else the closer, else the even
-    uin = vbl + odd <= s << 2
-    win = (s << 2) + 4 + odd <= vbr
-    mid = (s << 2) + 2
-    closer_s = (vb < mid) | ((vb == mid) & (s & 1 == 0))
-    take_s = np.where(uin != win, uin, closer_s)
-    d = np.where(upin != wpin, np.where(upin, sp10, tp10), np.where(take_s, s, s + 1))
-    return d, k
+    np.left_shift(s, 2, out=s4)
+    np.less_equal(vbl, s4, out=uin)
+    np.add(s4, 4, out=tmp)
+    tmp += odd
+    np.less_equal(tmp, vbr, out=win)
+    s4 += 2  # the midpoint
+    closer = take_s
+    np.equal(vb, s4, out=closer)
+    np.bitwise_and(s, 1, out=tmp)
+    np.equal(tmp, 0, out=f)
+    closer &= f
+    np.less(vb, s4, out=f)
+    closer |= f
+    np.not_equal(uin, win, out=f)
+    uin &= f
+    np.logical_not(f, out=f)
+    closer &= f
+    np.logical_or(uin, closer, out=take_s)
+    np.copyto(tmp, take_s)
+    np.add(s, 1, out=d)
+    d -= tmp  # s + 1, less one where s is taken
+    # where exactly one is in: d + (sp10 or tp10 - d), as 0/1 * (tp10 - 10 * upin - d)
+    one, pick = s4, tmp
+    np.not_equal(upin, wpin, out=f)
+    np.copyto(one, f)
+    np.copyto(pick, upin)
+    pick *= 10
+    np.subtract(tp10, pick, out=pick)
+    pick -= d
+    pick *= one
+    d += pick
 
 
-def _chunk_text(x: np.ndarray, last: np.ndarray) -> str:
-    """The CSV text of the float64 values x, each followed by "," or, where
-    ``last``, by "\\r\\n".  One function, so that the scratch arrays are
-    freed after the text is made: freed before, the heap gave their pages
-    back and the next chunk ran about 40% slower on fresh pages."""
+def _chunk_text(x: np.ndarray, ws: _Workspace) -> None:
+    """Fill ``ws.text`` with the CSV text of the float64 values x, each
+    followed by "," or, where ``ws.last`` is 1, by "\\r\\n".  Every step
+    writes into ``ws``; the unused bytes are NUL."""
     tables = _tables()
+    m = len(x)
     bits = x.view(_U64)
-    magnitude = bits & _M63
-    plain = (magnitude != 0) & (magnitude < _INF)
-    slot = np.zeros((len(x), 5), dtype=_LE64)
-    # zeros, nan and inf: one word, by kind (0, nan, inf), sign and last
-    other = ~plain
-    kind = (magnitude[other] > 0).astype(np.intp) + (magnitude[other] == _INF)
-    negative = (bits[other] >> 63).astype(np.intp)
-    slot[other, 0] = tables.others[(kind * 2 + negative) * 2 + last[other]]
+    words = ws.words
+    magnitude, negative, d, k = words[_STAGE - 4 : _STAGE]
+    other, special, nan, *flags = ws.flags[:9]
+    count = ws.flags[9].view(np.uint8)
+    np.bitwise_and(bits, _M63, out=magnitude)
+    np.right_shift(bits, 63, out=negative)
+    np.greater_equal(magnitude, _INF, out=special)
+    np.greater(magnitude, _INF, out=nan)
+    np.equal(magnitude, 0, out=other)
+    other |= special
 
-    # the finite nonzero values
-    bits, last = bits[plain], last[plain]
-    m = len(bits)
-    d, k = _shortest(bits, tables)
-    d = d.view(np.int64)  # d < 10**17
-    nlen = np.searchsorted(_P10, d, side="right")
-    decpt = k + nlen
+    # the digits of the finite nonzero values, and of 1.0 in place of the others
+    plain = words[_STAGE]
+    np.copyto(plain, bits)
+    np.putmask(plain, other, _ONE)
+    _shortest(plain, tables, d, k, words[_STAGE + 1 : _STAGE + 19], flags)
 
-    # the 17 digits of d * 10**(17 - nlen), and the same one byte later
-    aligned = d * _P10[17 - nlen]
-    top = aligned // 10**16
-    rest = aligned - top * 10**16
-    hi = rest // 10**8
-    lo = rest - hi * 10**8
-    groups = np.empty((m, 4), dtype=np.intp)
-    groups[:, 0] = hi // 10**4
-    groups[:, 1] = hi - groups[:, 0] * 10**4
-    groups[:, 2] = lo // 10**4
-    groups[:, 3] = lo - groups[:, 2] * 10**4
-    digits = np.zeros((m, 24), dtype=np.uint8)
-    digits[:, 0] = top + ord("0")
-    digits[:, 1:17] = tables.quads[groups].view(np.uint8).reshape(m, 16)
-    shifted = np.zeros_like(digits)
-    shifted[:, 1:18] = digits[:, :17]
-    nd = 17 - np.argmax(digits[:, 16::-1] != ord("0"), axis=1)
+    # the digit stage: registers, then 2-D arrays over the rows _shortest
+    # has finished with ((6, m) words read as (m, 6), and so on)
+    row, lower, index, aligned, hi, nd, layout, word = words[_STAGE : _STAGE + 8].view(np.intp)
+    at = _STAGE + 8
+    groups = words[at : at + 6].view(np.intp).reshape(m, 6)
+    powers = words[at : at + 2].view(bool).reshape(16, m)  # before groups
+    zeros = words[at + 6 : at + 12].view(np.intp).reshape(m, 6)  # before digits
+    digits = words[at + 6 : at + 9].reshape(m, 3)
+    shifted = words[at + 9 : at + 12].reshape(m, 3)
+    mask = words[at + 12 : at + 15].reshape(m, 3)
 
-    exp_form = (decpt < -3) | (decpt > 16)
-    positional_point = np.where(decpt > 0, decpt, _NO_POINT)
-    point = np.where(exp_form, np.where(nd > 1, 1, _NO_POINT), positional_point)
-    shown = np.where(exp_form | (decpt <= 0), nd, np.maximum(nd, decpt + 1))
-    lead = np.where(exp_form | (decpt > 0), 0, 1 - decpt)
-    exp_row = np.where(exp_form, decpt - 1 - _E_MIN, _E_MAX - _E_MIN + 1)
+    di, ki = d.view(np.int64), k.view(np.int64)  # d < 10**17
+    np.greater_equal(di, _P10[1:17, None], out=powers)
+    np.add.reduce(powers.view(np.uint8), axis=0, out=count)
+    np.copyto(lower, count)  # the digits of d, less one
+    np.subtract(16, lower, out=index)
+    np.add(ki, lower, out=row)
+    row += 1 - _DECPTS.start  # the row of decpt = k + digits
+    np.add(special.view(np.uint8), nan.view(np.uint8), out=count)
+    np.copyto(lower, count)  # 0 for zeros, 1 for inf, 2 for nan
+    lower += _SPECIAL
+    np.putmask(row, other, lower)
 
-    mask_row = (point - 1) * 18 + shown
-    before, after, dot = (np.take(t, mask_row, axis=0) for t in tables.masks)
-    before &= digits.view(_LE64)
-    after &= shifted.view(_LE64)
-    words = np.empty((m, 5), dtype=_LE64)
-    words[:, 0] = tables.heads[lead * 2 + (bits >> 63).astype(np.intp)]
-    words[:, 1:4] = before | after | dot
-    words[:, 4] = tables.tails[exp_row * 2 + last]
-    slot.view("V40")[plain, 0] = words.view("V40")[:, 0]  # whole slots at once
-    return slot.tobytes().translate(None, b"\0").decode("ascii")
+    # the 17 digits of d * 10**(17 - digits): the first, then four groups
+    # of four, as the characters "000d", "dddd", ..., "dddd", NULs
+    np.take(_P10, index, out=aligned, mode="clip")
+    aligned *= di
+    np.divmod(aligned, 10**16, out=(groups[:, 0], aligned))
+    np.divmod(aligned, 10**8, out=(hi, aligned))
+    np.divmod(hi, 10**4, out=(groups[:, 1], groups[:, 2]))
+    np.divmod(aligned, 10**4, out=(groups[:, 3], groups[:, 4]))
+    groups[:, 5] = _NUL_QUAD
+    np.take(tables.zeros, groups, out=zeros, mode="clip")
+    np.multiply(zeros[:, 1], 5, out=index)
+    index += zeros[:, 2]
+    index *= 5
+    index += zeros[:, 3]
+    index *= 5
+    index += zeros[:, 4]
+    np.take(tables.shown, index, out=nd, mode="clip")
+    np.take(tables.quads, groups, out=digits.view("<u4"), mode="clip")
+    # each row ends in NULs, so one shift of all the bytes shifts every row;
+    # the first byte is never shown
+    np.copyto(shifted.view(np.uint8).reshape(-1)[1:], digits.view(np.uint8).reshape(-1)[:-1])
+
+    np.multiply(row, 18, out=index)
+    index += nd
+    np.take(tables.layouts, index, out=layout, mode="clip")
+    before, after, dot = tables.masks
+    np.take(before, layout, axis=0, out=mask, mode="clip")
+    digits &= mask
+    np.take(after, layout, axis=0, out=mask, mode="clip")
+    shifted &= mask
+    digits |= shifted
+    np.take(dot, layout, axis=0, out=mask, mode="clip")
+    digits |= mask
+    fields = ws.fields
+    np.copyto(fields["digits"], digits.view("V24")[:, 0])
+    word = word.view(_U64)
+    np.multiply(row, 2, out=index)
+    index += negative.view(np.intp)
+    np.take(tables.heads, index, out=word, mode="clip")
+    np.copyto(fields["head"], word)
+    np.multiply(row, 2, out=index)
+    index += ws.last
+    np.take(tables.tails, index, out=word, mode="clip")
+    np.copyto(fields["tail"], word)
 
 
 def write_csv_rows(fh, matrix: np.ndarray) -> None:
     """One CSV line per row of a 2-D float64 array, each value as
     ``repr(float(v))``, joined by "," and ended by "\\r\\n": the bytes
-    csv.writer writes for those strings (none needs quoting).  The text
-    goes to the text file ``fh`` a chunk of values at a time, so no string
-    of the whole array is held."""
-    matrix = np.asarray(matrix, dtype=np.float64)
+    csv.writer writes for those strings (none needs quoting).  The ASCII
+    text goes to the binary file ``fh`` a chunk of values at a time, so no
+    text of the whole array is held; the chunks run in one workspace,
+    sized by the smaller of CHUNK and the array.  An array that is not
+    C-contiguous is copied once."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.size == 0:
-        fh.write("\r\n" * len(matrix))
+        fh.write(b"\r\n" * len(matrix))
         return
     cols = matrix.shape[1]
-    flat = matrix.flat
-    for start in range(0, matrix.size, CHUNK):
-        x = flat[start : start + CHUNK]
-        last = np.arange(start, start + len(x)) % cols == cols - 1
-        fh.write(_chunk_text(x, last))
+    flat = matrix.reshape(-1)
+    ws = _workspace(min(CHUNK, flat.size))
+    m, last = len(ws.values), ws.last
+    for start in range(0, flat.size, m):
+        x = flat[start : start + m]
+        used = len(x)
+        if used < m:  # the short last chunk, padded with zeros
+            ws.values[:used] = x
+            ws.values[used:] = 0.0
+            x = ws.values
+        last.fill(0)
+        last[(cols - 1 - start) % cols :: cols] = 1
+        _chunk_text(x, ws)
+        ws.slot[used:] = 0  # the padding's slots
+        fh.write(ws.text.translate(None, b"\0"))
 
 
 def write_csv(path, header: list, matrix: np.ndarray) -> None:
     """The CSV file ``path``: one ``header`` row as csv.writer writes it,
     then the rows of ``matrix`` (see ``write_csv_rows``)."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+    line = io.StringIO(newline="")
+    csv.writer(line).writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(line.getvalue().encode())
         write_csv_rows(fh, matrix)

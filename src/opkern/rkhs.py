@@ -206,11 +206,11 @@ def evaluate_element(x: RkhsElement, t, a) -> float:
 
 def feature_adjoint(ctx: RkhsContext, i: int, x: RkhsElement) -> np.ndarray:
     """V_i^* x: block i of G c, an H-vector; on a section (j,b) this is
-    K(s_i, s_j) b."""
+    K(s_i, s_j) b.  Only the d rows of block i are multiplied."""
     _same_context(x, ctx)
     _check_index(ctx, i)
     d = ctx.d
-    return (ctx.gram.data @ x.coeffs)[i * d : (i + 1) * d]
+    return ctx.gram.data[i * d : (i + 1) * d] @ x.coeffs
 
 
 def covariance(ctx: RkhsContext, i: int) -> np.ndarray:

@@ -384,6 +384,7 @@ class TestSampleCommand:
         assert (out1 / "batch.csv").read_bytes() == (out2 / "batch.csv").read_bytes()
         payload = validate(out1 / "cov_report.json", "cov_report.json")
         assert payload["pass"] is True
+        assert payload["z_max"] * payload["mc_tolerance"] >= 4.0 * payload["max_abs_err"] * (1 - 1e-13)
 
     def test_tiny_n_reports_failure(self, tmp_path):
         code = main(
@@ -878,6 +879,7 @@ class TestJsonOutputs:
         payload = strict_json(tmp_path / "cov_report.json")
         jsonschema.validate(payload, schema("cov_report.json"))
         assert payload["max_abs_err"] is None and payload["mc_tolerance"] is None
+        assert payload["z_max"] is None
         assert payload["pass"] is False and None in sum(payload["per_block_err"], [])
 
     def test_sample_summary_is_short(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opkern.gp import (
@@ -179,6 +179,51 @@ class TestStreamV2:
         assert np.array_equal(chunk[per_chunk - 1], ref_normals(seed, per_chunk - 1, nd))
 
 
+class TestStreamV3Chunks:
+    """The chunk loop of sample_paths against its parts, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.integers(0, 2**64 - 1))
+    @example(x=0)
+    @example(x=2**11 - 1)
+    @example(x=2**64 - 2**11)
+    @example(x=(2**52 + 1) * 2**11)
+    def test_shifted_uniform_is_centred_uniform(self, x):
+        # (x >> 11) * 2**-53 + 2**-54, the generator's uniform shifted, is
+        # stream v2's ((x >> 11) + 0.5) * 2**-53: scaling by a power of two
+        # commutes with rounding to nearest
+        top = float(x >> 11)
+        assert (top * 2.0**-53 + 2.0**-54).hex() == ((top + 0.5) * 2.0**-53).hex()
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    def test_generator_uniforms_are_the_raw_words(self, seed):
+        # the generator's uniform of a raw word x is (x >> 11) * 2**-53, and
+        # one generator runs on through consecutive counter blocks
+        words = np.random.Philox(key=seed, counter=5).random_raw(1000)
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=5))
+        got = np.concatenate([gen.random(600), gen.random(400)])
+        assert got.tobytes() == ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53).tobytes()
+
+    @pytest.mark.parametrize("n,dim", [(7, 1), (13, 3), (1, 2), (100, 2)])
+    def test_every_chunk_is_its_normals_times_the_factor(self, n, dim):
+        # full chunks, written in place, and a short last chunk; nd of 7,
+        # 39 and 2 are not multiples of 4, so each path's row of normals is
+        # strided
+        ctx = make_context(
+            make_kernel(f"gauss(sigma=1,ell=1,dim={dim})"),
+            [[x] for x in np.linspace(0, 3, n)],
+        )
+        nd = n * dim
+        per_chunk = CHUNK_WORDS // path_words(nd)
+        count = 2 * per_chunk + 5
+        paths = sample_paths(ctx, count, seed=11).paths.reshape(count, nd)
+        L = ctx.gram.factor
+        for start in range(0, count, per_chunk):
+            stop = min(start + per_chunk, count)
+            block = _normals(11, start, per_chunk, nd) @ L.T
+            assert paths[start:stop].tobytes() == block[: stop - start].tobytes()
+
+
 class TestEmpiricalCovariance:
     def test_single_path_outer_product(self, two_site_ctx):
         batch = sample_paths(two_site_ctx, 1, seed=3)
@@ -244,6 +289,26 @@ class TestCovarianceErrorReport:
         var = (target * scale) ** 2 + np.outer(diag * scale, diag * scale)
         tol = 4.0 * float(np.sqrt(var.max() / batch.count)) / scale
         assert report.mc_tolerance.hex() == tol.hex()
+
+    @pytest.mark.parametrize("entries", [1, 300, None])
+    @pytest.mark.parametrize(
+        "text,n",
+        [("gauss(sigma=1,ell=0.5,dim=8)", 9), ("diagexp3", 7), (GAUSS1, 5),
+         ("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))", 1)],
+    )
+    def test_z_max_matches_dense_standardized_error(self, text, n, entries, monkeypatch):
+        # max_ij |e_ij| / SE_ij, SE_ij^2 = (T_ii T_jj + T_ij^2) / N, over
+        # the whole of T at once
+        if entries is not None:
+            monkeypatch.setattr(gram_mod, "ROW_BLOCK_ENTRIES", entries)
+        batch = sample_paths(make_context(make_kernel(text), np.linspace(0, 2, n)[:, None]), 40, seed=2)
+        T = batch.target_covariance
+        flat = batch.paths.reshape(batch.count, -1)
+        err = np.abs(flat.T @ flat / batch.count - T)
+        se = np.sqrt((np.outer(np.diag(T), np.diag(T)) + T**2) / batch.count)
+        report = covariance_error_report(batch)
+        assert report.z_max == pytest.approx(float((err / se).max()), rel=1e-13)
+        assert report.z_max * report.mc_tolerance >= 4.0 * report.max_abs_err * (1 - 1e-13)
 
     def test_row_blocks_hold_no_dense_temporary(self, monkeypatch):
         # past the empirical covariance itself, scratch of a few row blocks;

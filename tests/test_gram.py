@@ -881,7 +881,7 @@ class TestExport:
                 writer = csv.writer(fh)
                 for row in M:
                     writer.writerow([repr(float(v)) for v in row])
-            with open(new, "w", newline="") as fh:
+            with open(new, "wb") as fh:
                 write_csv_rows(fh, M)
             assert new.read_bytes() == old.read_bytes()
 
@@ -896,9 +896,9 @@ class TestExport:
 
     @staticmethod
     def write_csv_text(M):
-        fh = io.StringIO(newline="")
+        fh = io.BytesIO()
         write_csv_rows(fh, M)
-        return fh.getvalue()
+        return fh.getvalue().decode("ascii")
 
     @settings(max_examples=40, deadline=None)
     @given(

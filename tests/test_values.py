@@ -108,7 +108,7 @@ def value_rows():
         "TransformFamily": (fam, ["context", "mats"], [fam.mats, fam.mats[1]]),
         "IdentityReport": (identities, ["residuals", "results", "all_pass"], []),
         "CovErrorReport": (
-            cov, ["max_abs_err", "per_block_err", "mc_tolerance", "pass_"],
+            cov, ["max_abs_err", "per_block_err", "mc_tolerance", "z_max", "pass_"],
             [cov.per_block_err],
         ),
     }
@@ -162,7 +162,7 @@ SETTABLE = {
     RkhsElement: ["context", "coeffs"],
     TransformFamily: ["context", "mats"],
     IdentityReport: ["residuals"],
-    CovErrorReport: ["max_abs_err", "per_block_err", "mc_tolerance"],
+    CovErrorReport: ["max_abs_err", "per_block_err", "mc_tolerance", "z_max"],
 }
 
 
