@@ -52,11 +52,16 @@ class SpectrumReport:
     the one decomposition every spectral consumer reads.  A value: its
     arrays are read-only, and its verdicts are derived from them.
 
-    It decomposes the Gram's (c, N, N) channel Grams (c = d, N = n for a
-    kernel Gram; c = 1, N = nd for a one-channel Gram): ``eigenvectors`` is
-    their stack of eigenvectors, each channel's in nonincreasing order of
-    its eigenvalues, and ``eigenvalues[k]`` belongs to kron(u, basis[:, m])
-    with u = eigenvectors[m, :, j] and (m, j) = divmod(order[k], N).
+    It decomposes the distinct ones among the Gram's (c, N, N) channel
+    Grams (c = d, N = n for a kernel Gram; c = 1, N = nd for a one-channel
+    Gram): ``vectors`` is the stack of their eigenvectors, each one's in
+    nonincreasing order of its eigenvalues (a reversed view of the one
+    array ``eigh`` returns), and channel m's are ``vectors[index][m]``.
+    ``eigenvectors``, that stack expanded to one per channel, is derived on
+    its first read (a view when no two channels are equal), so a Gram with
+    repeated channels keeps one copy of each distinct stack.
+    ``eigenvalues[k]`` belongs to kron(u, basis[:, m]) with
+    u = eigenvectors[m, :, j] and (m, j) = divmod(order[k], N).
     ``drift`` bounds the Frobenius distance of the Gram's data from
     sum_m K_m (x) q_m q_m^T, and so the distance of the Gram's eigenvalues
     from ``eigenvalues`` (Weyl): the PSD verdict reads ``min_eig - drift``.
@@ -68,7 +73,8 @@ class SpectrumReport:
     """
 
     eigenvalues: np.ndarray  # sorted nonincreasing
-    eigenvectors: np.ndarray
+    vectors: np.ndarray  # (distinct, N, N)
+    index: np.ndarray | slice  # vectors[index]: one stack per channel
     basis: np.ndarray
     order: np.ndarray
     drift: float
@@ -81,12 +87,13 @@ class SpectrumReport:
         (stack, index), as ``_group_channels`` gives it."""
         stack, index = distinct
         lam, vecs = np.linalg.eigh(stack)  # ascending per channel
-        lam, vecs = lam[index][:, ::-1], vecs[index][..., ::-1]
+        lam = lam[index][:, ::-1]
         order = np.argsort(-lam.ravel(), kind="stable")
         eig = lam.ravel()[order]
         if not np.isfinite(eig.sum()):  # the PSD margin and the ranks scale with it
             raise GramError("Gram spectrum overflows")
-        return cls(*map(read_only, (eig, vecs, basis, order)), drift)
+        return cls(read_only(eig), read_only(vecs[..., ::-1]), index,
+                   *map(read_only, (basis, order)), drift)
 
     lambda_max = property(lambda self: float(self.eigenvalues[0]))
     min_eig = property(lambda self: float(self.eigenvalues[-1]))
@@ -97,6 +104,11 @@ class SpectrumReport:
         return self.min_eig - self.drift >= -PSD_EIG_TOL * max(self.lambda_max, 1.0)
 
     @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """(c, N, N), read-only: channel m's eigenvectors, nonincreasing."""
+        return read_only(self.vectors[self.index])
+
+    @cached_property
     def effective_rank(self) -> Mapping[float, int]:
         """A read-only mapping: each of EFFECTIVE_RANK_TOLS to its rank."""
         eig, trace = self.eigenvalues, self.trace
@@ -105,10 +117,13 @@ class SpectrumReport:
         )
 
     def leading_vectors(self, k: int) -> np.ndarray:
-        """(k, nd) rows: the unit eigenvectors of eigenvalues[:k]."""
-        c, N, _ = self.eigenvectors.shape
+        """(k, nd) rows, one fresh C-order array and the only (k, nd) one
+        made: the unit eigenvectors of eigenvalues[:k], gathered from
+        ``vectors`` (``eigenvectors`` is not formed)."""
+        c, N = len(self.basis), self.vectors.shape[-1]
         m, j = np.divmod(self.order[:k], N)
-        u = self.eigenvectors[m, :, j]  # (k, N)
+        place = np.arange(c)[self.index]  # channel m's stack in vectors
+        u = self.vectors[place[m], :, j]  # (k, N)
         q = self.basis.T[m]  # (k, c)
         return (u[:, :, None] * q[:, None, :]).reshape(k, N * c)
 
@@ -126,13 +141,18 @@ def _group_channels(channels: np.ndarray) -> tuple[np.ndarray, np.ndarray | slic
     """(stack, index): the distinct matrices of a (c, N, N) stack by exact
     equality, and each channel's position in that stack (result[index]
     expands a result per matrix to one per channel); the stack itself and a
-    full slice, a view, when no two are equal."""
-    first = [next(j for j in range(m + 1) if j == m or np.array_equal(channels[j], K))
-             for m, K in enumerate(channels)]
+    full slice, a view, when no two are equal.  Unequal diagonals tell most
+    unequal matrices apart at a cost of O(N)."""
+    diag = np.diagonal(channels, axis1=1, axis2=2)
+
+    def equal(j: int, m: int) -> bool:
+        return np.array_equal(diag[j], diag[m]) and np.array_equal(channels[j], channels[m])
+
+    first = [next(j for j in range(m + 1) if j == m or equal(j, m)) for m in range(len(channels))]
     keep = sorted(set(first))
     if len(keep) == len(channels):
         return channels, slice(None)
-    return channels[keep], np.searchsorted(keep, first)
+    return channels[keep], read_only(np.searchsorted(keep, first))
 
 
 def effective_rank(eigenvalues: np.ndarray, tol: float, trace=None) -> int:
@@ -187,14 +207,19 @@ def _rounding_bound(stack, index, top: float, QQ: np.ndarray, gamma: float) -> f
     with | |K_m| (x) |q_m| |q_m|^T |_F = |K_m|_F |q_m|^2, gives
     gamma_(c+2) sum_m |K_m|_F |q_m|^2.  ``gamma`` is 1.01 (c + 2) u, which
     covers gamma_(c+2)'s denominator and the rounding of this evaluation;
-    the norms are taken of K_m / top, so no square overflows; and gradual
-    underflow adds at most (c + 2) 2^-1074 to an entry, N c (c + 2) 2^-1074
-    in all.  The bound holds |S - G| (Frobenius), each entry of
+    the norms are taken of K_m / top, one distinct channel at a time in one
+    (N, N) buffer, so no square overflows; and gradual underflow adds at
+    most (c + 2) 2^-1074 to an entry, N c (c + 2) 2^-1074 in all.  The
+    bound holds |S - G| (Frobenius), each entry of
     G - sum_m K_m (x) q_m q_m^T and the shift of G's eigenvalues (Weyl) too.
     """
     c, N = len(QQ), stack.shape[-1]
-    scaled = stack / (top or 1.0)
-    norms = np.sqrt(np.einsum("mij,mij->m", scaled, scaled))[index]
+    scaled = np.empty((N, N))
+    norms = np.empty(len(stack))
+    for m, K in enumerate(stack):
+        np.divide(K, top or 1.0, out=scaled)
+        norms[m] = np.einsum("ij,ij->", scaled, scaled)
+    norms = np.sqrt(norms)[index]
     return gamma * top * float(norms @ QQ.sum(axis=0)) + N * c * (c + 2) * 2.0**-1074
 
 
@@ -232,8 +257,13 @@ class BlockGram:
     (``raw_gram``), the data is its own one channel, Q = [[1]], at drift 0,
     and must be finite and exactly symmetric.  n = len(sites) and
     d = len(data) / n.  The arrays are taken, not copied, and made
-    read-only.  Equal channel Grams are decomposed once
-    (``_group_channels``).
+    read-only: the channels may be any strided view, such as
+    ``assemble_gram``'s (d, n, n) view of the spec's (n, n, d) array or a
+    broadcast of one channel d times, as ``eigh`` and the Cholesky copy
+    each matrix into LAPACK's own buffer.  Equal channel Grams are
+    decomposed and factored once (``_group_channels``), and only the
+    distinct stacks are kept: the eigenvectors and channel factors of
+    every channel are derived from them when read.
     """
 
     sites: np.ndarray  # (n, k): row i is site s_i
@@ -300,17 +330,19 @@ class BlockGram:
 
     @cached_property
     def _factorization(self) -> tuple[np.ndarray, float, float] | None:
-        """(the (c, N, N) channel factors L_m, jitter used, accepted bound),
-        or None when the whole ladder fails: see ``factorize``."""
-        stack, index = self._distinct
+        """(the stacked factors L of the distinct channel Grams, jitter
+        used, accepted bound), or None when the whole ladder fails: see
+        ``factorize``.  Channel m's factor is L[index][m]."""
+        stack = self._distinct[0]
+        target, scratch = np.empty(stack.shape), np.empty(stack.shape[1:])
         for eps in _jitter_ladder(self):
             try:
-                L, residual = _jittered_cholesky(stack, eps)
+                L, residual = _jittered_cholesky(stack, eps, target, scratch)
             except np.linalg.LinAlgError:
                 continue
             residual += self.spectrum.drift
             if residual <= RECON_TOL * (1.0 + self.scale):
-                return read_only(L[index]), eps, residual
+                return read_only(L), eps, residual
         return None
 
     def _accepted(self, k: int):
@@ -320,9 +352,10 @@ class BlockGram:
             )
         return self._factorization[k]
 
-    # a square root F of data + jitter_used * I, formed on first read, and a
-    # bound on |F F^T - that|
-    factor = cached_property(lambda self: _channel_factor(self._accepted(0), self.basis))
+    # a square root F of data + jitter_used * I, formed on first read from
+    # the distinct channel factors, and a bound on |F F^T - that|
+    factor = cached_property(
+        lambda self: _channel_factor(self._accepted(0)[self._distinct[1]], self.basis))
     jitter_used = property(lambda self: self._accepted(1))
     factor_residual = property(lambda self: self._accepted(2))
 
@@ -351,7 +384,8 @@ def assemble_gram(kernel: OperatorKernel, sites) -> BlockGram:
     """
     S = gram_sites(kernel, sites)
     spec = kernel.spec
-    ch = np.ascontiguousarray(np.moveaxis(spec.channels(kernel.sq_dists(S, S)), -1, 0))
+    # a (d, n, n) view of the spec's (n, n, d) channels: nothing is copied
+    ch = np.moveaxis(spec.channels(kernel.sq_dists(S, S)), -1, 0)
     return BlockGram(sites=S, channels=ch, basis=spec.basis)
 
 
@@ -385,17 +419,22 @@ def _jitter_ladder(gram: BlockGram):
         eps *= 10.0
 
 
-def _jittered_cholesky(A: np.ndarray, eps: float):
+def _jittered_cholesky(A: np.ndarray, eps: float, target: np.ndarray, scratch: np.ndarray):
     """Stacked Cholesky L of A + eps*I for a (c, N, N) stack A, and its
-    residual max |L L^T - (A + eps*I)|."""
+    residual max |L L^T - (A + eps*I)|.  A + eps*I is formed in ``target``,
+    a C-order (c, N, N) buffer, and the residual is measured one channel at
+    a time in ``scratch``, an (N, N) buffer; both are the caller's, so a
+    ladder allocates them once.  L is the one array a rung allocates."""
     N = A.shape[-1]
-    target = np.add(A, 0.0, order="C")  # A + eps*I entry for entry (-0.0 too), no eye
+    np.add(A, 0.0, out=target)  # A + eps*I entry for entry (-0.0 too), no eye
     target.reshape(-1, N * N)[:, :: N + 1] += eps
     L = np.linalg.cholesky(target)
-    R = L @ np.swapaxes(L, -1, -2)
-    R -= target
-    np.abs(R, out=R)
-    return L, float(R.max())
+    maxima = np.empty(len(L))  # a NaN carries through to the max
+    for m, (Lm, Am) in enumerate(zip(L, target)):
+        np.matmul(Lm, Lm.T, out=scratch)
+        scratch -= Am
+        maxima[m] = np.abs(scratch, out=scratch).max()
+    return L, float(maxima.max())
 
 
 def _channel_factor(L: np.ndarray, basis: np.ndarray) -> np.ndarray:

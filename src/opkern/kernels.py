@@ -104,7 +104,20 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 def as_sites(sites) -> np.ndarray:
-    """Stack a sequence of sites into an (n, k) array; all must have k coords."""
+    """Stack a sequence of sites into an (n, k) array; all must have k coords.
+
+    Sites that are all scalars or all equally long coordinate sequences are
+    converted by one numpy call; any other input takes ``as_site`` one site
+    at a time, which raises its error or the dimension mismatch."""
+    sites = list(sites)
+    try:
+        arr = np.array(sites, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        arr = None
+    if arr is not None and len(arr) and (arr.ndim == 1 or (arr.ndim == 2 and arr.shape[1])):
+        if not np.isfinite(arr).all():
+            raise ValueError("site coordinates must be finite")
+        return arr.reshape(len(arr), -1)
     rows = [as_site(s) for s in sites]
     for row in rows[1:]:
         if row.size != rows[0].size:
@@ -147,8 +160,12 @@ class GaussianSpec:
         return read_only(np.eye(self.dim))
 
     def channels(self, r2: np.ndarray) -> np.ndarray:
-        val = self.sigma**2 * np.exp(-r2 / (2.0 * self.ell**2))
-        return np.repeat(val[..., None], self.dim, -1)
+        """The one channel value repeated d times: a read-only view."""
+        # sigma^2 exp(-r2 / (2 ell^2)) bit for bit, in one array, not four
+        val = np.asarray(np.divide(r2, -2.0 * self.ell**2))
+        np.exp(val, out=val)
+        val *= self.sigma**2
+        return np.broadcast_to(val[..., None], val.shape + (self.dim,))
 
 
 @dataclass(frozen=True)
@@ -503,7 +520,8 @@ class OperatorKernel:
         (..., d, d): one GEMM with the d^2 products Q[a,m] Q[b,m]."""
         d = len(basis)
         P = (basis[:, None, :] * basis[None, :, :]).reshape(d * d, d)
-        out = channels.reshape(-1, d) @ P.T
+        # C order, as BLAS takes it, even for a spec's broadcast channels
+        out = np.ascontiguousarray(channels.reshape(-1, d)) @ P.T
         return out.reshape(channels.shape[:-1] + (d, d))
 
     def blocks(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -267,16 +267,16 @@ def onb_expansion(ctx: RkhsContext, trunc_tol: float) -> list[RkhsElement]:
     coefficients u / sqrt(lam); the pointwise products of the returned
     family reproduce the induced scalar kernel on grid pairs up to the
     truncated tail.  The elements are the rows of one read-only (k, nd)
-    array.
+    array, the one ``leading_vectors`` fills, divided in place: the
+    coefficients are written once.
     """
     report = ctx.gram.spectrum
     lam = report.eigenvalues  # nonincreasing, so the kept pairs lead
     k = int(np.count_nonzero(lam > trunc_tol * report.lambda_max))
     if k == 0:
         raise ValueError("expansion is empty: all eigenvalues truncated")
-    coeffs = np.divide(
-        report.leading_vectors(k), np.sqrt(lam[:k])[:, None], order="C"
-    )
+    coeffs = report.leading_vectors(k)
+    coeffs /= np.sqrt(lam[:k])[:, None]
     read_only(coeffs)  # and so its rows
     return [RkhsElement._trusted(ctx, row) for row in coeffs]
 

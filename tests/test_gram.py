@@ -717,6 +717,84 @@ class TestDistinctChannels:
         assert same_bits(f.factor_residual, c.factor_residual)
 
 
+def copying_formulas(g, kernel, trunc_tol=1e-12):
+    """Test-local oracle: the certify path's outputs by the formulas that
+    copied: a contiguous (c, N, N) stack of every channel Gram, one eigh and
+    one stacked Cholesky of all of them, a fresh A + eps*I and a stacked
+    L L^T per rung, and the expansion divided into a second C-order array.
+    Returns (eigenvectors, channel factors, factor, onb coefficients); the
+    factors are None when the ladder fails.  The ladder's rungs, drift and
+    scale are read from g."""
+    spec, S = kernel.spec, g.sites
+    ch = np.ascontiguousarray(np.moveaxis(spec.channels(kernel.sq_dists(S, S)), -1, 0))
+    c, N, _ = ch.shape
+    lam, vecs = np.linalg.eigh(ch)
+    lam, vecs = lam[:, ::-1], vecs[..., ::-1]
+    order = np.argsort(-lam.ravel(), kind="stable")
+    eig = lam.ravel()[order]
+    k = int(np.count_nonzero(eig > trunc_tol * eig[0]))
+    m, j = np.divmod(order[:k], N)
+    V = (vecs[m, :, j][:, :, None] * g.basis.T[m][:, None, :]).reshape(k, N * c)
+    coeffs = np.divide(V, np.sqrt(eig[:k])[:, None], order="C")
+    L = F = None
+    for eps in _jitter_ladder(g):
+        target = np.add(ch, 0.0, order="C")
+        target.reshape(-1, N * N)[:, :: N + 1] += eps
+        try:
+            L = np.linalg.cholesky(target)
+        except np.linalg.LinAlgError:
+            continue
+        R = np.abs(L @ np.swapaxes(L, -1, -2) - target)
+        if float(R.max()) + g.spectrum.drift <= RECON_TOL * (1.0 + g.scale):
+            F = (L.transpose(1, 2, 0)[:, None] * g.basis[None, :, None]).reshape(c * N, c * N)
+            break
+        L = None
+    return vecs, L, F, coeffs
+
+
+class TestKeptArraysKeepTheirBits:
+    """Certifying keeps only the distinct stacks, takes the channels as a
+    view and divides the expansion in place; every output keeps the bits of
+    the formulas that copied (``copying_formulas``), -0.0 included."""
+
+    def check(self, kernel, sites):
+        g = assemble_gram(kernel, sites)
+        vecs, L, F, coeffs = copying_formulas(g, kernel)
+        # same_bits compares bytes: -0.0 != 0.0
+        assert same_bits(g.spectrum.eigenvectors, vecs)
+        got = np.array([el.coeffs for el in onb_expansion(RkhsContext(kernel, g), 1e-12)])
+        assert same_bits(got, coeffs)
+        if L is None:
+            with pytest.raises(IndefiniteMatrixError):
+                factorize(g)
+            return
+        factorize(g)
+        assert same_bits(g._accepted(0)[g._distinct[1]], L)
+        assert same_bits(g.factor, F)
+
+    @given(
+        text=st.sampled_from(TestDistinctChannels.KERNELS),
+        n=st.integers(1, 12),
+        dim=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1.0, 0.1, 1e-3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_channel_kernels(self, text, n, dim, seed, spread):
+        # Q = I with equal channels (gauss, normalized gauss) and distinct
+        # ones (diagexp3), dense Q (separable, rational2), and B's repeated
+        # eigenvalues: two equal channels and one distinct
+        self.check(make_kernel(text), spread * np.random.default_rng(seed).uniform(-3, 3, (n, dim)))
+
+    def test_wide_dense_basis(self):
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((8, 8))
+        B = A @ A.T / 8 + 0.5 * np.eye(8)
+        text = f"separable(B={(0.5 * (B + B.T)).tolist()},base=gauss(sigma=1,ell=1))"
+        for kernel in (make_kernel(text), make_kernel("gauss(sigma=1,ell=1,dim=8)")):
+            self.check(kernel, np.linspace(0.0, 25.0, 40)[:, None])
+
+
 class TestFactorize:
     def test_identity(self):
         g = factorize(raw_gram([[1.0]]))

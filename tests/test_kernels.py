@@ -1,4 +1,5 @@
 import math
+import re
 import typing
 
 import numpy as np
@@ -19,6 +20,8 @@ from opkern.kernels import (
     TwoSpaceSpec,
     SpecDomainError,
     SpecSyntaxError,
+    as_site,
+    as_sites,
     continuity_increment,
     evaluate,
     induced_scalar,
@@ -167,6 +170,18 @@ class TestChannels:
         tol = 1e-14 * (1.0 + np.abs(ref).max())
         assert np.abs(K - ref).max() <= tol
         assert np.abs(np.einsum("am,...m,bm->...ab", Q, ch[:, 0], Q) - ref).max() <= tol
+
+    def test_gauss_channels_are_one_broadcast_value(self):
+        # d equal channels as a read-only view of one value; the blocks keep
+        # the bits of the channels repeated into a C-order array
+        k = make_kernel("gauss(sigma=1.5,ell=0.7,dim=4)")
+        S = np.linspace(0.0, 3.0, 9)[:, None]
+        r2 = k.sq_dists(S, S)
+        ch = k.spec.channels(r2)
+        assert ch.shape == (9, 9, 4) and ch.strides[-1] == 0 and not ch.flags.writeable
+        repeated = np.repeat(ch[..., :1], 4, -1)
+        want = OperatorKernel.channel_sum(repeated, k.spec.basis)
+        assert np.array_equal(k.blocks(S, S).view(np.uint64), want.view(np.uint64))
 
     def test_singular_normalized_channels(self):
         spec = parse_kernel_spec(
@@ -549,3 +564,69 @@ class TestTwoSpaceForm:
         k = make_kernel("diagexp3")
         with pytest.raises(ValueError, match="twospace"):
             two_space_form(k, 0, [1, 0, 0], [1, 0, 0], 1, [0, 1, 0], [0, 1, 0])
+
+
+def as_sites_per_site(sites):
+    """Test-local oracle: ``as_sites`` one site at a time."""
+    rows = [as_site(s) for s in sites]
+    for row in rows[1:]:
+        if row.size != rows[0].size:
+            raise ValueError(f"site dimension mismatch: {rows[0].size} vs {row.size}")
+    return np.stack(rows)
+
+
+def outcome(fn, sites):
+    """(result bits, shape) or (exception type, message) of fn(sites)."""
+    try:
+        out = fn(sites)
+    except Exception as exc:  # the oracle's error, whatever it is
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+COORDS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**400, 10**400),
+    st.booleans(),
+    st.none(),  # JSON null
+    st.sampled_from(["1.5", "x", ""]),
+)
+SITE = st.one_of(
+    COORDS,  # a scalar site
+    st.lists(COORDS, max_size=3),  # a coordinate list, empty included
+    st.lists(st.lists(COORDS, max_size=2), max_size=2),  # nested
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3).map(np.array),
+)
+
+
+class TestAsSites:
+    @given(st.lists(SITE, max_size=6))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_per_site_loop(self, sites):
+        assert outcome(as_sites, sites) == outcome(as_sites_per_site, sites)
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5),
+        st.lists(st.booleans(), min_size=5, max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_scalar_and_one_element_sites(self, values, wrap):
+        sites = [[v] if w else v for v, w in zip(values, wrap)]
+        assert outcome(as_sites, sites) == outcome(as_sites_per_site, sites)
+
+    @pytest.mark.parametrize(
+        "sites, message",
+        [
+            ([[0.0, 1.0], [2.0]], "site dimension mismatch: 2 vs 1"),
+            ([[]], "site must be a nonempty 1-D coordinate sequence"),
+            ([[[0.0]], [[1.0]]], "site must be a nonempty 1-D coordinate sequence"),
+            ([0.0, float("nan")], "site coordinates must be finite"),
+            ([[0.0, float("inf")], [1.0, 2.0]], "site coordinates must be finite"),
+        ],
+    )
+    def test_errors(self, sites, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            as_sites(sites)
+
+    def test_empty(self):
+        assert outcome(as_sites, []) == outcome(as_sites_per_site, [])

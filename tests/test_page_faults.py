@@ -1,11 +1,13 @@
 """The chunk loops of the sampler and the CSV writer run in scratch
-allocated once per call.  With glibc's mmap threshold pinned at 1 MiB, as
-the benchmark pins it, temporaries allocated afresh for every chunk went
-back to the operating system when freed and were faulted in again by the
-next chunk: a warm call took 9k-15k minor page faults where these bounds
-allow about 1k."""
+allocated once per call, and certifying a Gram allocates only the arrays it
+keeps.  With glibc's mmap threshold pinned at 1 MiB, as the benchmark pins
+it, temporaries allocated afresh went back to the operating system when
+freed and were faulted in again: a warm CSV write or sampler call took
+9k-15k minor page faults where these bounds allow about 1k, and a warm
+certify of two n = 130, d = 8 Grams about 6k."""
 
 import ctypes
+import json
 import os
 import subprocess
 import sys
@@ -23,45 +25,95 @@ def has_mallopt() -> bool:
         return False
 
 
-# Minor page faults over one warm call, the mmap threshold pinned first
+# name: (set-up, call, bound), each Python source run by MEASURE.  The call
+# is an expression; its value is ``result``, which the bound may read, with
+# ``pages(*arrays)``: the pages of the distinct buffers that hold them.
+CASES = {
+    # 200,000 values in 49 chunks
+    "csv": (
+        "matrix = np.random.default_rng(0).standard_normal((10_000, 20))",
+        "reprcsv.write_csv(os.devnull, ['# header'], matrix)",
+        "1000",
+    ),
+    # 10,000 paths at n*d = 200 in 25 chunks; the 16 MB of paths are new
+    "sample": (
+        "ctx = rkhs.make_context(make_kernel('normalized(inner=separable("
+        "B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)))'), np.linspace(0, 25, 100)[:, None])",
+        "gp.sample_paths(ctx, 10_000, seed=3)",
+        "pages(result.paths) + 1000",
+    ),
+    # make_context -> factorize -> onb_expansion on a Gram with 8 equal
+    # channels and on one with 8 distinct channels and a dense basis, at
+    # n = 130; what is kept is the channels, the distinct eigenvectors and
+    # channel factors, and the expansion's coefficients
+    "certify": (
+        "rng = np.random.default_rng(7)\n"
+        "A = rng.standard_normal((8, 8))\n"
+        "B = A @ A.T / 8 + 0.5 * np.eye(8)\n"
+        "B = repr((0.5 * (B + B.T)).tolist()).replace(' ', '')\n"
+        "texts = ['gauss(sigma=1,ell=1,dim=8)', f'separable(B={B},base=gauss(sigma=1,ell=1))']\n"
+        "sites = np.linspace(0, 25, 130)[:, None]\n"
+        "def certify(text):\n"
+        "    ctx = rkhs.make_context(make_kernel(text), sites)\n"
+        "    g = gram.factorize(ctx.gram)\n"
+        "    coeffs = rkhs.onb_expansion(ctx, 1e-12)[0].coeffs\n"
+        "    return g.channels, g.spectrum.vectors, g._accepted(0), coeffs",
+        "[array for text in texts for array in certify(text)]",
+        "pages(*result) + 1000",
+    ),
+}
+
+# Minor page faults over one warm call, the mmap threshold pinned first;
+# prints [faults, bound]
 MEASURE = """
-import ctypes, os, resource, sys
+import ctypes, json, os, resource, sys
 assert ctypes.CDLL("libc.so.6").mallopt(-3, 1 << 20) == 1  # M_MMAP_THRESHOLD
 import numpy as np
-from opkern import gp, reprcsv, rkhs
+from opkern import gp, gram, reprcsv, rkhs
 from opkern.kernels import make_kernel
 
-if sys.argv[1] == "csv":
-    matrix = np.random.default_rng(0).standard_normal((10_000, 20))
-    call = lambda: reprcsv.write_csv(os.devnull, ["# header"], matrix)
-else:
-    kernel = make_kernel("normalized(inner=separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)))")
-    ctx = rkhs.make_context(kernel, np.linspace(0, 25, 100)[:, None])
-    call = lambda: gp.sample_paths(ctx, 10_000, seed=3)
-call()  # the tables, the factor and the heap's first growth
+def pages(*arrays):
+    owners = {}
+    for array in arrays:
+        while array.base is not None:
+            array = array.base
+        owners[id(array)] = array.nbytes
+    return sum(owners.values()) // os.sysconf("SC_PAGE_SIZE")
+
+setup, call, bound = json.loads(sys.argv[1])
+exec(setup)
+eval(call)  # the tables, the factor and the heap's first growth
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-result = call()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+result = eval(call)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps([faults, eval(bound)]))
 """
 
 
-def warm_faults(what: str) -> int:
+def warm_faults(case: str) -> tuple[int, int]:
+    """(minor faults of one warm call of a CASES entry, its bound), measured
+    in a fresh process with one BLAS thread."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=str(Path(opkern.__file__).resolve().parent.parent))
-    out = subprocess.run([sys.executable, "-c", MEASURE, what], env=env,
+    out = subprocess.run([sys.executable, "-c", MEASURE, json.dumps(CASES[case])], env=env,
                          capture_output=True, text=True, check=True)
-    return int(out.stdout)
+    faults, bound = json.loads(out.stdout)
+    return faults, bound
 
 
 pytestmark = pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
 
 
 def test_csv_writer_chunks_fault_no_pages():
-    # 200,000 values in 49 chunks
-    assert warm_faults("csv") < 1000
+    faults, bound = warm_faults("csv")
+    assert faults < bound
 
 
 def test_sampler_chunks_fault_only_the_output():
-    # 10,000 paths at n*d = 200 in 25 chunks; the 16 MB of paths are new
-    output_pages = 10_000 * 200 * 8 // os.sysconf("SC_PAGE_SIZE")
-    assert warm_faults("sample") < output_pages + 1000
+    faults, bound = warm_faults("sample")
+    assert faults < bound
+
+
+def test_certify_faults_only_what_it_keeps():
+    faults, bound = warm_faults("certify")
+    assert faults < bound

@@ -92,9 +92,10 @@ def value_rows():
         ),
         "SpectrumReport": (
             report,
-            ["eigenvalues", "eigenvectors", "basis", "order", "drift",
+            ["eigenvalues", "vectors", "index", "eigenvectors", "basis", "order", "drift",
              "lambda_max", "min_eig", "trace", "psd", "effective_rank"],
-            [report.eigenvalues, report.eigenvectors, report.basis, report.order],
+            [report.eigenvalues, report.vectors, report.eigenvectors, report.basis,
+             report.order],
         ),
         "RkhsContext": (ctx, ["kernel", "gram", "sites", "n", "d", "size"], [ctx.sites]),
         "SampleBatch": (batch, ["context", "seed", "paths", "count"], [batch.paths]),
@@ -157,7 +158,7 @@ SETTABLE = {
     BlockGram: ["sites", "data", "channels", "basis"],
     RkhsContext: ["kernel", "gram"],
     SampleBatch: ["context", "seed", "paths"],
-    SpectrumReport: ["eigenvalues", "eigenvectors", "basis", "order", "drift"],
+    SpectrumReport: ["eigenvalues", "vectors", "index", "basis", "order", "drift"],
     OperatorKernel: ["spec"],
     RkhsElement: ["context", "coeffs"],
     TransformFamily: ["context", "mats"],
