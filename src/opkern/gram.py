@@ -168,10 +168,16 @@ def effective_rank(eigenvalues: np.ndarray, tol: float, trace=None) -> int:
     return len(eig)
 
 
+def rows_per_block(row_entries: int) -> int:
+    """How many rows of ``row_entries`` entries hold about
+    ROW_BLOCK_ENTRIES entries (at least one row)."""
+    return max(1, ROW_BLOCK_ENTRIES // row_entries)
+
+
 def site_blocks(n: int, d: int) -> list[slice]:
     """Runs of consecutive sites, covering all n, whose rows of an nd x nd
     matrix hold about ROW_BLOCK_ENTRIES entries each (at least one site)."""
-    step = max(1, ROW_BLOCK_ENTRIES // (n * d * d))
+    step = rows_per_block(n * d * d)
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 

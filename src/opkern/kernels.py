@@ -51,6 +51,7 @@ __all__ = [
     "evaluate",
     "induced_scalar",
     "continuity_increment",
+    "continuity_increments",
     "two_space_form",
 ]
 
@@ -485,12 +486,14 @@ def _render(value) -> str:
 class OperatorKernel:
     """Evaluable form of a KernelSpec: a value that stores only its spec.
 
-    Every value comes from one path: ``blocks`` forms the pairwise squared
-    distances of two site arrays, the spec turns them into its channels (its
-    values, for ``twospace``) and ``channel_sum`` into all blocks at once;
-    ``eval`` is its one-pair case.  Evaluation is pure and symmetric
-    (eval(s,t) == eval(t,s)^T) for every square builtin variant; every spec
-    is square but ``twospace``, whatever the shape of its M.
+    Every value comes from one path, ``values``: the spec turns squared
+    distances into its channels (its values, for ``twospace``) and
+    ``channel_sum`` into all blocks at once.  ``blocks`` feeds it the
+    pairwise squared distances of two site arrays, ``pairs`` those of their
+    matching rows, and ``eval`` is the one-pair case of ``blocks``.
+    Evaluation is pure and symmetric (eval(s,t) == eval(t,s)^T) for every
+    square builtin variant; every spec is square but ``twospace``, whatever
+    the shape of its M.
     """
 
     spec: KernelSpec
@@ -524,13 +527,25 @@ class OperatorKernel:
         out = np.ascontiguousarray(channels.reshape(-1, d)) @ P.T
         return out.reshape(channels.shape[:-1] + (d, d))
 
-    def blocks(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """K(S[i], T[j]) for (n, k) and (m, k) site arrays, shape
-        (n, m, dim_out, dim_in)."""
-        r2 = self.sq_dists(S, T)
+    def values(self, r2: np.ndarray) -> np.ndarray:
+        """K at an array of squared distances, shape r2.shape + (dim_out, dim_in)."""
         if not self.is_square:
             return self.spec.values(r2)
         return self.channel_sum(self.spec.channels(r2), self.spec.basis)
+
+    def blocks(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """K(S[i], T[j]) for (n, k) and (m, k) site arrays, shape
+        (n, m, dim_out, dim_in)."""
+        return self.values(self.sq_dists(S, T))
+
+    def pairs(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """K(S[m], T[m]) for two (m, k) site arrays, shape (m, dim_out, dim_in)."""
+        if S.shape[1] != T.shape[1]:
+            raise ValueError(
+                f"site dimension mismatch: {S.shape[1]} vs {T.shape[1]}"
+            )
+        diff = S - T
+        return self.values(np.einsum("mk,mk->m", diff, diff))
 
     def eval(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         return self.blocks(s[None], t[None])[0, 0]
@@ -561,20 +576,29 @@ def induced_scalar(kernel: OperatorKernel, s, a, t, b) -> float:
 
 
 def continuity_increment(kernel: OperatorKernel, s, t, a) -> float:
-    """Squared increment |V_s a - V_t a|^2 in the induced RKHS.
+    """Squared increment |V_s a - V_t a|^2 in the induced RKHS: the one-pair
+    case of ``continuity_increments``."""
+    if not kernel.is_square:
+        raise ValueError("continuity increment requires a square kernel")
+    S, T = as_site(s)[None], as_site(t)[None]
+    return float(continuity_increments(kernel, S, T, as_hvec(a, kernel.dim_h)[None])[0])
 
-    Computed exactly as a^T (K(s,s) - K(s,t) - K(t,s) + K(t,t)) a, with
-    roundoff in [-1e-12, 0) clamped to zero.
+
+def continuity_increments(kernel: OperatorKernel, S, T, A) -> np.ndarray:
+    """|V_s a - V_t a|^2 for each row (s, t, a) of two (m, k) site arrays
+    and an (m, d) array of H-vectors, shape (m,).
+
+    Computed exactly as a^T (K(s,s) - K(s,t) - K(t,s) + K(t,t)) a, the 4m
+    values from one ``pairs`` evaluation, with roundoff in [-1e-12, 0)
+    clamped to zero.
     """
     if not kernel.is_square:
         raise ValueError("continuity increment requires a square kernel")
-    a = as_hvec(a, kernel.dim_h)
-    s = as_site(s)
-    t = as_site(t)
-    M = kernel.eval(s, s) - kernel.eval(s, t) - kernel.eval(t, s) + kernel.eval(t, t)
-    val = float(a @ M @ a)
-    if -1e-12 <= val < 0.0:
-        return 0.0
+    m, d = len(S), kernel.dim_h
+    K = kernel.pairs(np.concatenate([S, S, T, T]), np.concatenate([S, T, S, T]))
+    Kss, Kst, Kts, Ktt = K.reshape(4, m, d, d)
+    val = np.einsum("ma,mab,mb->m", A, Kss - Kst - Kts + Ktt, A)
+    val[(-1e-12 <= val) & (val < 0.0)] = 0.0
     return val
 
 

@@ -17,8 +17,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gram import BlockGram, assemble_gram, raw_gram, site_blocks
-from .kernels import OperatorKernel, as_hvec, as_site, continuity_increment, read_only, render_spec
+from .gram import BlockGram, assemble_gram, raw_gram, rows_per_block, site_blocks
+from .kernels import OperatorKernel, as_hvec, as_site, continuity_increments, read_only, render_spec
 
 __all__ = [
     "RkhsContext",
@@ -119,20 +119,23 @@ class TransformFamily:
     mats: np.ndarray
 
     def __post_init__(self):
-        d = self.context.d
-        if len(self.mats) != self.context.n:
+        n, d = self.context.n, self.context.d
+        if len(self.mats) != n:
             raise ValueError("need one transform per site")
-        mats = [np.asarray(m, dtype=float) for m in self.mats]
-        for m in mats:
-            if m.shape != (d, d) or not np.all(np.isfinite(m)):
-                raise ValueError(f"transforms must be finite {d}x{d} matrices")
-        object.__setattr__(self, "mats", read_only(np.array(mats)))
+        try:  # one conversion for the whole family
+            mats = np.array(self.mats, dtype=float)
+        except (ValueError, TypeError):
+            # ragged: each transform converted alone raises its own error
+            mats = [np.asarray(m, dtype=float) for m in self.mats]
+            mats = np.array(mats) if all(m.shape == (d, d) for m in mats) else None
+        if mats is None or mats.shape != (n, d, d) or not np.isfinite(mats).all():
+            raise ValueError(f"transforms must be finite {d}x{d} matrices")
+        object.__setattr__(self, "mats", read_only(mats))
 
     def is_unitary(self, tol: float = 1e-10) -> bool:
-        eye = np.eye(self.context.d)
-        return all(
-            float(np.abs(m.T @ m - eye).max()) <= tol for m in self.mats
-        )
+        m = self.mats
+        defect = np.abs(m.transpose(0, 2, 1) @ m - np.eye(self.context.d))
+        return float(defect.max()) <= tol
 
 
 def make_context(
@@ -348,28 +351,78 @@ class IdentityReport:
         return "\n".join(lines)
 
 
-def _w_chain_matrix(fam: TransformFamily, indices) -> np.ndarray:
-    """The nd x nd coefficient-space matrix of the product
-    (W_{i1} W_{i1}^*) ... (W_{ik} W_{ik}^*), built without ``chain_apply``.
+def _w_chain_strips(fam: TransformFamily, chains: np.ndarray) -> np.ndarray:
+    """The nonzero rows of the coefficient-space matrix of the product
+    (W_{i1} W_{i1}^*) ... (W_{ik} W_{ik}^*), one product per row
+    (i1, ..., ik) of the (m, k) index array ``chains``: shape (m, d, nd).
+    Built without ``chain_apply``.
 
     The matrix of W_p W_p^* is zero outside the d rows of block p, where it
-    is B_p B_p^T G[rows of p]; so each factor multiplies only the d columns
-    of the running product that meet those rows.  This equals the dense
-    selector product up to the order in which BLAS sums those d terms.
+    is B_p B_p^T G[rows of p]; so the product is zero outside the d rows of
+    block i1, and each further factor multiplies only the d columns of the
+    running d x nd strip that meet its rows.  The strip equals those rows
+    of the dense selector product up to the order in which BLAS sums the d
+    terms of each entry.
     """
     ctx = fam.context
-    d = ctx.d
-    M = np.eye(ctx.size)
-    for p in indices:
-        rows = slice(p * d, (p + 1) * d)
-        B = fam.mats[p]
-        M = M[:, rows] @ ((B @ B.T) @ ctx.gram.data[rows])
-    return M
+    n, d = ctx.n, ctx.d
+    rows = ctx.gram.data.reshape(n, d, ctx.size)  # rows[p]: the d rows of block p
+    B = fam.mats
+
+    def factor(p):  # B_p B_p^T G[rows of p], per chain
+        return (B[p] @ B[p].transpose(0, 2, 1)) @ rows[p]
+
+    strip = factor(chains[:, 0])
+    for p in chains.T[1:]:
+        meet = strip.reshape(len(chains), d, n, d)[np.arange(len(chains)), :, p]
+        strip = meet @ factor(p)
+    return strip
 
 
-def _rel(lhs: float, rhs: float) -> float:
-    """|lhs - rhs| relative to 1 + |lhs| + |rhs|."""
+def _rel(lhs, rhs):
+    """|lhs - rhs| relative to 1 + |lhs| + |rhs|, elementwise."""
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+
+
+def _self_product(v: np.ndarray) -> np.ndarray:
+    """Self-products x^T G x, with roundoff in [-1e-12, 0) clamped to 0 as
+    ``inner_product`` clamps it."""
+    return np.where((-1e-12 <= v) & (v < 0.0), 0.0, v)
+
+
+def _quad(u: np.ndarray, M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[t]^T M[t] v[t] for stacks of d-vectors and d x d matrices."""
+    return np.einsum("ta,tab,tb->t", u, M, v)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[t] . v[t] for two stacks of vectors."""
+    return np.einsum("ta,ta->t", u, v)
+
+
+def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M[t] v[t] for stacks of d x d matrices and d-vectors."""
+    return np.einsum("tab,tb->ta", M, v)
+
+
+def _trial_inputs(rng, n: int, d: int, count: int, with_family: bool):
+    """``count`` trials' draws in the suite's order, trial by trial: i, then
+    a, x, y (one draw of d + 2nd normals), then, with a family, j, b and a
+    chain of 1 to 4 indices (at most 2n).  Returns I, the (count, d + 2nd)
+    normals, J, the b's and the chains."""
+    nd = n * d
+    I, J = np.empty(count, dtype=np.intp), np.zeros(count, dtype=np.intp)
+    normals, bs = np.empty((count, d + 2 * nd)), np.empty((count, d))
+    chains = []
+    for t in range(count):
+        I[t] = rng.integers(n)
+        rng.standard_normal(out=normals[t])
+        if with_family:
+            J[t] = rng.integers(n)
+            rng.standard_normal(out=bs[t])
+            k = min(int(rng.integers(1, 5)), n * 2)
+            chains.append([int(rng.integers(n)) for _ in range(k)])
+    return I, normals, J, bs, chains
 
 
 def verify_identities(
@@ -384,31 +437,42 @@ def verify_identities(
     NaN residual fails.  Normalization-dependent identities (isometry,
     projection laws) run only when K(s,s) = I on the context sites; the
     W-block runs only when a transform family is supplied.
+
+    The trials run a block at a time, as many as keep the block's
+    (trials, nd, d) arrays within ``ROW_BLOCK_ENTRIES``: per block, one
+    product X G and one Y G of the stacked x's and y's, whose block-i rows
+    give every product of G with a section, and one kernel row
+    K(s_i, s_j) for all j per trial, from one ``kernel.blocks`` call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if fam is not None:
+        _same_context(fam, ctx)
     rng = np.random.default_rng(seed)
     G = ctx.gram.data
-    n, d = ctx.n, ctx.d
+    n, d, nd = ctx.n, ctx.d, ctx.size
     eye = np.eye(d)
     kernel = ctx.kernel
     scale = 1.0 + ctx.gram.scale
 
     res: dict[str, float] = {}
 
-    def record(name: str, value: float):
+    def record(name: str, values):
         # the running maximum, except that a NaN sticks (max() would drop it)
+        value = float(np.max(values))
         cur = res.get(name, 0.0)
         res[name] = value if value > cur or value != value else cur
 
     # Structural check against fresh kernel evaluations: catches injected
     # Gram corruption that every G-internal identity would miss.  By blocks
     # of rows: no nd x nd temporary.
-    blocks = G.reshape(n, d, n, d).transpose(0, 2, 1, 3)
-    drift = np.max([
-        np.abs(blocks[part] - kernel.blocks(ctx.sites[part], ctx.sites)).max()
-        for part in site_blocks(n, d)
-    ])
+    blocks = G.reshape(n, d, n, d).transpose(0, 2, 1, 3)  # blocks[i, j] = G_ij
+
+    def gap(part):  # max |G_ij - K(s_i, s_j)| over the part's rows, in K's buffer
+        K = kernel.blocks(ctx.sites[part], ctx.sites)
+        return np.abs(np.subtract(blocks[part], K, out=K), out=K).max()
+
+    drift = np.max([gap(part) for part in site_blocks(n, d)])
     record("factorization_consistency", float(drift) / scale)
 
     # the covariances K(s_i, s_i), decomposed once for the PSD record and
@@ -418,88 +482,96 @@ def verify_identities(
     lam = np.linalg.eigvalsh(cov)  # ascending per site
     sym_defect = np.abs(cov - cov.transpose(0, 2, 1)).max(axis=(1, 2)) / scale
     neg = np.maximum(0.0, -lam[:, 0]) / np.maximum(lam[:, -1], 1.0)
-    record("covariance_selfadjoint_psd", float(np.maximum(sym_defect, neg).max()))
-    op_norms = lam[:, -1].tolist()
+    record("covariance_selfadjoint_psd", np.maximum(sym_defect, neg))
+    op_norms = lam[:, -1]
     w_unitary = normalized and fam is not None and fam.is_unitary()
 
-    for _ in range(trials):
-        i = int(rng.integers(n))
-        a = rng.standard_normal(d)
-        x = RkhsElement._trusted(ctx, read_only(rng.standard_normal(n * d)))
-        y = RkhsElement._trusted(ctx, read_only(rng.standard_normal(n * d)))
-        xnorm = x.g_norm()
+    # Each identity compares a G route (the rows of X G and Y G, blocks of
+    # G) with a kernel route (the trial's kernel row), or two G routes that
+    # reach one quantity through different products.
+    step = rows_per_block(nd * d)
+    for first in range(0, trials, step):
+        T = min(step, trials - first)
+        I, normals, J, bs, chains = _trial_inputs(rng, n, d, T, fam is not None)
+        A, X, Y = normals[:, :d], normals[:, d : d + nd], normals[:, d + nd :]
+        XG, YG = X @ G, Y @ G  # G symmetric: row t is (G x_t)^T
+        t = np.arange(T)
+        u = XG.reshape(T, n, d)[t, I]  # V_i^* x, block i of G c
+        Kr = kernel.blocks(ctx.sites[I], ctx.sites)  # (T, n, d, d): K(s_i, s_j)
+        kx = np.einsum("tjab,tjb->ta", Kr, X.reshape(T, n, d))  # V_i^* x, kernel route
+        Gii, Kii = blocks[I, I], Kr[t, I]
+        xnorm = np.sqrt(np.maximum(_dot(X, XG), 0.0))
 
-        # factorization: V_i^* x as block i of G c, against
-        # sum_j K(s_i, s_j) c_j from one fresh kernel row at s_i; by
-        # linearity this checks V_i^* V_j = K(s_i, s_j) for every j at once
-        adj = feature_adjoint(ctx, i, x)
-        value = _value_at(x, ctx.sites[i])
-        record("factorization", float(np.abs(adj - value).max()) / scale)
+        def g_norm(w):  # |section(i, w)|_G
+            return np.sqrt(np.maximum(_quad(w, Gii, w), 0.0))
 
-        # reproducing property, every axis from the same kernel row
-        for e in eye:
-            lhs = float(e @ value)
-            record("reproducing", _rel(lhs, inner_product(_section(ctx, i, e), x)))
-
-        # feature norm vs covariance quadratic form
-        emb = _section(ctx, i, a)
-        nrm2 = inner_product(emb, emb)
-        quad = float(a @ covariance(ctx, i) @ a)
-        record("feature_norm", abs(nrm2 - quad) / (1.0 + abs(quad)))
-
-        record("adjoint_relation", _rel(inner_product(emb, x), float(a @ adj)))
-
-        # repaired operator-norm bound on the frame projection V_i V_i^* x;
-        # record's running maximum starts at 0, so only an excess counts
-        px = _section(ctx, i, adj)
-        excess = inner_product(x, px) - op_norms[i] * xnorm**2
+        # factorization: by linearity V_i^* V_j = K(s_i, s_j) for every j
+        record("factorization", np.abs(u - kx).max(axis=1) / scale)
+        # e . x(s_i) from the kernel row vs <V_i e, x>_G, every axis e
+        record("reproducing", _rel(kx, u))
+        quad = _quad(A, Kii, A)
+        record("feature_norm", abs(_self_product(_quad(A, Gii, A)) - quad) / (1.0 + abs(quad)))
+        record("adjoint_relation", _rel(_dot(A, u), _dot(A, kx)))
+        # repaired operator-norm bound on V_i V_i^* x; record's running
+        # maximum starts at 0, so only an excess counts
+        excess = _dot(u, u) - op_norms[I] * xnorm**2
         record("norm_bound", excess / (1.0 + xnorm**2))
 
-        if normalized:
-            anorm = float(np.linalg.norm(a))
-            unit = a / anorm if anorm > 0 else a  # also w_isometry's direction
-            unorm = float(np.linalg.norm(unit))
-            record("isometry", abs(_section(ctx, i, unit).g_norm() - unorm))
-            ppx = frame_projection(ctx, i, px)
-            record("projection_idempotent", ppx.g_distance(px) / max(xnorm, 1e-300))
-            py = frame_projection(ctx, i, y)
-            record("projection_selfadjoint", _rel(inner_product(px, y), inner_product(x, py)))
+        if normalized:  # as w_unitary implies
+            anorm = np.linalg.norm(A, axis=1)
+            unit = A / np.where(anorm > 0, anorm, 1.0)[:, None]
+            unorm = np.linalg.norm(unit, axis=1)
+            floor = np.maximum(xnorm, 1e-300)
+            record("isometry", abs(g_norm(unit) - unorm))
+            # P_i P_i x = section(i, G_ii u) against P_i x = section(i, u)
+            record("projection_idempotent", g_norm(_apply(Gii, u) - u) / floor)
+            # <P_i x, y> and <x, P_i y>, each projection from the kernel row
+            v = YG.reshape(T, n, d)[t, I]
+            ky = np.einsum("tjab,tjb->ta", Kr, Y.reshape(T, n, d))
+            record("projection_selfadjoint", _rel(_dot(kx, v), _dot(u, ky)))
 
         if fam is not None:
-            j = int(rng.integers(n))
-            b = rng.standard_normal(d)
-            Bi, Bj = fam.mats[i], fam.mats[j]
-            wemb = transformed_embed(fam, i, a)
-            target = float((Bi @ a) @ ctx.gram.block(i, i) @ (Bi @ a))
-            record("w_norm", abs(inner_product(wemb, wemb) - target) / (1.0 + abs(target)))
-            lhs_v = transformed_adjoint(fam, i, transformed_embed(fam, j, b))
-            rhs_v = Bi.T @ ctx.gram.block(i, j) @ Bj @ b
-            record("w_adjoint", float(np.abs(lhs_v - rhs_v).max()) / scale)
-            k = min(int(rng.integers(1, 5)), n * 2)
-            idx = [int(rng.integers(n)) for _ in range(k)]
-            chained = chain_apply(fam, idx, x)
-            # left-to-right product applied to coeffs: P_{i1} ... P_{ik} c
-            mx = _w_chain_matrix(fam, idx) @ x.coeffs
-            chain_err = float(np.abs(chained.coeffs - mx).max())
-            record("w_chain", chain_err / (1.0 + float(np.abs(mx).max())))
+            Bi, Bj = fam.mats[I], fam.mats[J]
+            BiT = Bi.transpose(0, 2, 1)
+            wa = _apply(Bi, A)
+            target = _quad(wa, Kii, wa)
+            record("w_norm", abs(_self_product(_quad(wa, Gii, wa)) - target) / (1.0 + abs(target)))
+            wb = _apply(Bj, bs)
+            lhs = _apply(BiT, _apply(blocks[I, J], wb))
+            rhs = _apply(BiT, _apply(Kr[t, J], wb))
+            record("w_adjoint", np.abs(lhs - rhs).max(axis=1) / scale)
+            # chain_apply's route, rightmost factor first, against the strip
+            # of the product's matrix, one group of equally long chains at a time
+            chain_res = np.empty(T)
+            lengths = np.array([len(c) for c in chains])
+            for k in sorted(set(lengths.tolist())):
+                group = np.flatnonzero(lengths == k)
+                idx = np.array([chains[g] for g in group])
+                vec = XG.reshape(T, n, d)[group, idx[:, -1]]
+                for col in range(k - 1, -1, -1):
+                    p = idx[:, col]
+                    if col < k - 1:
+                        vec = _apply(blocks[p, idx[:, col + 1]], vec)
+                    vec = _apply(fam.mats[p], np.einsum("tba,tb->ta", fam.mats[p], vec))
+                mx = np.einsum("tak,tk->ta", _w_chain_strips(fam, idx), X[group])
+                chain_res[group] = np.abs(vec - mx).max(axis=1) / (1.0 + np.abs(mx).max(axis=1))
+            record("w_chain", chain_res)
             if w_unitary:
-                wu = transformed_embed(fam, i, unit)
-                record("w_isometry", abs(wu.g_norm() - unorm))
-                once = chain_apply(fam, [i], x)
-                twice = chain_apply(fam, [i, i], x)
-                record("w_projection_idempotent", twice.g_distance(once) / max(xnorm, 1e-300))
+                record("w_isometry", abs(g_norm(_apply(Bi, unit)) - unorm))
+                once = _apply(Bi, _apply(BiT, u))
+                twice = _apply(Bi, _apply(BiT, _apply(Gii, once)))
+                record("w_projection_idempotent", g_norm(twice - once) / floor)
 
     # continuity: the G-internal increment agrees with the kernel-side one
-    for _ in range(min(trials, 20)):
-        i = int(rng.integers(n))
-        j = int(rng.integers(n))
-        a = rng.standard_normal(d)
-        diff = RkhsElement._trusted(
-            ctx, read_only(_section(ctx, i, a).coeffs - _section(ctx, j, a).coeffs)
-        )
-        lhs = inner_product(diff, diff)
-        rhs = continuity_increment(kernel, ctx.sites[i], ctx.sites[j], a)
-        record("continuity_consistency", _rel(lhs, rhs))
+    count = min(trials, 20)
+    I, J, A = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp), np.empty((count, d))
+    for r in range(count):
+        I[r], J[r] = rng.integers(n), rng.integers(n)
+        rng.standard_normal(out=A[r])
+    M = blocks[I, I] - blocks[I, J] - blocks[J, I] + blocks[J, J]
+    lhs = _self_product(_quad(A, M, A))
+    rhs = continuity_increments(kernel, ctx.sites[I], ctx.sites[J], A)
+    record("continuity_consistency", _rel(lhs, rhs))
 
     return IdentityReport(res)
 

@@ -23,6 +23,7 @@ from opkern.kernels import (
     as_site,
     as_sites,
     continuity_increment,
+    continuity_increments,
     evaluate,
     induced_scalar,
     make_kernel,
@@ -523,6 +524,37 @@ class TestContinuityIncrement:
             s, t = rng.uniform(-1, 1, 2)
             a = rng.standard_normal(2)
             assert continuity_increment(k, s, t, a) >= 0.0
+
+
+    @pytest.mark.parametrize("text", ALL_SQUARE_SPECS + NESTED_SPECS)
+    def test_batched_increments_match_per_pair_closed_form(self, text):
+        # the oracle: a^T (K(s,s) - K(s,t) - K(t,s) + K(t,t)) a from four
+        # one-pair evaluations, clamped; equal sites give exactly 0
+        k = make_kernel(text)
+        d = k.dim_h
+        rng = np.random.default_rng(7)
+        S, T = rng.uniform(-2, 2, (25, 2)), rng.uniform(-2, 2, (25, 2))
+        T[::5] = S[::5]
+        A = rng.standard_normal((25, d))
+        got = continuity_increments(k, S, T, A)
+        for s, t, a, value in zip(S, T, A, got):
+            M = k.eval(s, s) - k.eval(s, t) - k.eval(t, s) + k.eval(t, t)
+            want = float(a @ M @ a)
+            want = 0.0 if -1e-12 <= want < 0.0 else want
+            # a^T M a sums d^2 products in another order
+            mag = float(np.abs(a) @ np.abs(M) @ np.abs(a)) + 4.0 * np.abs(k.eval(s, s)).max()
+            assert abs(value - want) <= 4 * (d * d + 4) * np.finfo(float).eps * mag
+        assert np.all(got[::5] == 0.0)
+
+    def test_pairs_are_the_matching_blocks(self):
+        k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
+        rng = np.random.default_rng(3)
+        S, T = rng.standard_normal((30, 3)), rng.standard_normal((30, 3))
+        full = k.blocks(S, T)
+        np.testing.assert_allclose(k.pairs(S, T), full[np.arange(30), np.arange(30)],
+                                   rtol=0, atol=4 * np.finfo(float).eps * np.abs(full).max())
+        with pytest.raises(ValueError, match="^site dimension mismatch: 3 vs 2$"):
+            k.pairs(S, T[:, :2])
 
 
 class TestTwoSpaceForm:
