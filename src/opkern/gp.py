@@ -168,9 +168,10 @@ def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
     batch extends a shorter one bitwise.
     The chunks run in buffers allocated once per call: chunks are
     consecutive runs of the stream, so one generator draws them all, and
-    each full chunk's product is written straight into its rows of the
-    paths.  Allocated afresh for every chunk, the scratch went back to the
-    operating system between chunks and was faulted in again.
+    each chunk's product is written straight into its rows of the paths,
+    which are allocated for whole chunks; the batch is their first
+    ``count`` rows.  Allocated afresh for every chunk, the scratch went
+    back to the operating system between chunks and was faulted in again.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -185,14 +186,11 @@ def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
     gen = np.random.Generator(np.random.Philox(key=seed))
     z, scratch = _buffers(per_chunk * w)
     Z = z.reshape(per_chunk, w)[:, :nd]
-    paths = np.empty((count, nd))
+    paths = np.empty((-(-count // per_chunk) * per_chunk, nd))
     for start in range(0, count, per_chunk):
         _draw_normals(gen, z, scratch)
-        if start + per_chunk <= count:
-            np.matmul(Z, LT, out=paths[start : start + per_chunk])
-        else:
-            paths[start:] = (Z @ LT)[: count - start]
-    return SampleBatch(ctx, seed, read_only(paths.reshape(count, gram.n, gram.d)))
+        np.matmul(Z, LT, out=paths[start : start + per_chunk])
+    return SampleBatch(ctx, seed, read_only(paths[:count].reshape(count, gram.n, gram.d)))
 
 
 def empirical_covariance(batch: SampleBatch) -> np.ndarray:

@@ -65,11 +65,11 @@ class SpectrumReport:
     ``drift`` bounds the Frobenius distance of the Gram's data from
     sum_m K_m (x) q_m q_m^T, and so the distance of the Gram's eigenvalues
     from ``eigenvalues`` (Weyl): the PSD verdict reads ``min_eig - drift``.
-    For a channel Gram it is an a-priori bound on the rounding of its data
-    (``_rounding_bound``), fixed before that data is formed and at least
+    It is an a-priori bound on the rounding of that data
+    (``_rounding_bound``), fixed before the data is formed and at least
     its measured distance from the channel sum it averages, so the verdict
-    is never looser than one on a measured drift; for a Gram from data
-    alone it is 0.
+    is never looser than one on a measured drift; for one channel, which
+    is its own data, it is 0.
     """
 
     eigenvalues: np.ndarray  # sorted nonincreasing
@@ -111,9 +111,8 @@ class SpectrumReport:
     @cached_property
     def effective_rank(self) -> Mapping[float, int]:
         """A read-only mapping: each of EFFECTIVE_RANK_TOLS to its rank."""
-        eig, trace = self.eigenvalues, self.trace
         return MappingProxyType(
-            {tol: effective_rank(eig, tol, trace) for tol in EFFECTIVE_RANK_TOLS}
+            {tol: effective_rank(self.eigenvalues, tol) for tol in EFFECTIVE_RANK_TOLS}
         )
 
     def leading_vectors(self, k: int) -> np.ndarray:
@@ -155,17 +154,22 @@ def _group_channels(channels: np.ndarray) -> tuple[np.ndarray, np.ndarray | slic
     return channels[keep], read_only(np.searchsorted(keep, first))
 
 
-def effective_rank(eigenvalues: np.ndarray, tol: float, trace=None) -> int:
+def effective_rank(eigenvalues: np.ndarray, tol: float) -> int:
     """Smallest k with spectral tail-sum beyond k at most tol * trace."""
     eig = np.asarray(eigenvalues, dtype=float)
-    if trace is None:
-        trace = float(eig.sum())
+    trace = float(eig.sum())
     tails = trace - np.cumsum(eig)
     budget = tol * trace
     for k, tail in enumerate(tails, start=1):
         if tail <= budget:
             return k
     return len(eig)
+
+
+def check_site_index(owner, i: int) -> None:
+    """Refuse a site index outside [0, n) of a Gram or a context."""
+    if not 0 <= i < owner.n:
+        raise IndexError(f"site index {i} out of range [0, {owner.n})")
 
 
 def rows_per_block(row_entries: int) -> int:
@@ -185,8 +189,11 @@ def _dense(channels: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The read-only G = sum_m K_m (x) q_m q_m^T of (c, N, N) channel Grams:
     their sum S, taken from the kernels' C-order layout, averaged with its
     transpose into one fresh C-order buffer (exactly symmetric, as IEEE
-    addition commutes)."""
+    addition commutes).  One channel, whose orthogonal Q is [[+-1]], is G
+    itself: it is returned, not copied."""
     c, N, _ = channels.shape
+    if c == 1:
+        return read_only(channels[0])
     layout = np.ascontiguousarray(np.moveaxis(channels, 0, -1))  # (N, N, c)
     S = OperatorKernel.channel_sum(layout, basis)
     St = S.transpose(0, 2, 1, 3)  # (i, a, j, b): G's entry order
@@ -211,7 +218,8 @@ def _rounding_bound(stack, index, top: float, QQ: np.ndarray, gamma: float) -> f
     and so does its distance from S's (half the two entries' difference,
     plus the addition's rounding).  The triangle inequality over channels,
     with | |K_m| (x) |q_m| |q_m|^T |_F = |K_m|_F |q_m|^2, gives
-    gamma_(c+2) sum_m |K_m|_F |q_m|^2.  ``gamma`` is 1.01 (c + 2) u, which
+    gamma_(c+2) sum_m |K_m|_F |q_m|^2.  One channel is G itself, and
+    its bound is 0.  ``gamma`` is 1.01 (c + 2) u, which
     covers gamma_(c+2)'s denominator and the rounding of this evaluation;
     the norms are taken of K_m / top, one distinct channel at a time in one
     (N, N) buffer, so no square overflows; and gradual underflow adds at
@@ -220,6 +228,8 @@ def _rounding_bound(stack, index, top: float, QQ: np.ndarray, gamma: float) -> f
     G - sum_m K_m (x) q_m q_m^T and the shift of G's eigenvalues (Weyl) too.
     """
     c, N = len(QQ), stack.shape[-1]
+    if c == 1:
+        return 0.0
     scaled = np.empty((N, N))
     norms = np.empty(len(stack))
     for m, K in enumerate(stack):
@@ -229,108 +239,79 @@ def _rounding_bound(stack, index, top: float, QQ: np.ndarray, gamma: float) -> f
     return gamma * top * float(norms @ QQ.sum(axis=0)) + N * c * (c + 2) * 2.0**-1074
 
 
-class _Data:
-    """``BlockGram.data``: the matrix a Gram is built from or, for a Gram
-    built from channels, G, formed by ``_dense`` on first read and kept."""
-
-    def __get__(self, gram, owner=None):
-        if gram is None:
-            return self
-        if vars(gram)["data"] is None:
-            vars(gram)["data"] = _dense(gram.channels, gram.basis)
-        return vars(gram)["data"]
-
-    def __set__(self, gram, data):  # by the constructor only: a Gram is frozen
-        vars(gram)["data"] = None if data is self else data
-
-
 @dataclass(frozen=True, eq=False)
 class BlockGram:
     """The n*d x n*d matrix with block (i,j) = K(s_i, s_j): a value, certified
     when it is built, whose data and factor are computed once, when first
     read.
 
-    Every Gram is a channel Gram, data = sum_m K_m (x) q_m q_m^T, with
-    (c, N, N) channel Grams K_m and a (c, c) orthogonal basis Q whose column
-    q_m belongs to channel m.  From channels and basis (``assemble_gram``),
-    the data G is their sum averaged with its transpose, formed on its first
-    read.  The constructor does channel-sized work only: it checks that the
-    channels are finite and exactly symmetric, decomposes them, forms
-    diag G = diag(K_m) (Q o Q)^T (the jitter ladder's unit and the scale
-    read it) and bounds G's rounding a priori (the drift,
+    A Gram is built from (c, N, N) channel Grams K_m and a (c, c)
+    orthogonal basis Q whose column q_m belongs to channel m; its data is
+    G = sum_m K_m (x) q_m q_m^T (``_dense``), formed on its first read.  A
+    kernel's Gram has its d channels on N = n sites (``assemble_gram``); a
+    raw matrix is its own one channel, Q = [[1]] (``raw_gram``), and so is
+    G, at drift 0.  The constructor does channel-sized work only: it checks
+    that the channels are finite and exactly symmetric, decomposes them,
+    forms diag G = diag(K_m) (Q o Q)^T (the jitter ladder's unit and the
+    scale read it) and bounds G's rounding a priori (the drift,
     ``_rounding_bound``).  Only a Gram whose entries could reach the largest
-    float forms G at once, to refuse it if one does.  From data alone
-    (``raw_gram``), the data is its own one channel, Q = [[1]], at drift 0,
-    and must be finite and exactly symmetric.  n = len(sites) and
-    d = len(data) / n.  The arrays are taken, not copied, and made
-    read-only: the channels may be any strided view, such as
-    ``assemble_gram``'s (d, n, n) view of the spec's (n, n, d) array or a
-    broadcast of one channel d times, as ``eigh`` and the Cholesky copy
-    each matrix into LAPACK's own buffer.  Equal channel Grams are
-    decomposed and factored once (``_group_channels``), and only the
-    distinct stacks are kept: the eigenvectors and channel factors of
-    every channel are derived from them when read.
+    float forms G at once, to refuse it if one does.  n = len(sites) and
+    d = c * N / n.  The arrays are taken, not copied, and made read-only:
+    the channels may be any strided view, such as ``assemble_gram``'s
+    (d, n, n) view of the spec's (n, n, d) array or a broadcast of one
+    channel d times, as ``eigh`` and the Cholesky copy each matrix into
+    LAPACK's own buffer.  Equal channel Grams are decomposed and factored
+    once (``_group_channels``), and only the distinct stacks are kept: the
+    eigenvectors and channel factors of every channel are derived from them
+    when read.
     """
 
     sites: np.ndarray  # (n, k): row i is site s_i
-    data: np.ndarray | None = field(default=_Data(), repr=False)  # G: see _Data
-    channels: np.ndarray | None = None  # (c, N, N): channel m's scalar Gram
-    basis: np.ndarray | None = None  # (c, c): column m belongs to channel m
+    channels: np.ndarray  # (c, N, N): channel m's scalar Gram
+    basis: np.ndarray  # (c, c): column m belongs to channel m
     n: int = field(init=False)
     d: int = field(init=False)
     size: int = field(init=False)  # n * d
-    # max |G_ii| of a channel Gram: max |G_ij| when G is PSD, and never
-    # larger; max |G_ij| of a Gram from data
-    scale: float = field(init=False)
+    scale: float = field(init=False)  # max |G_ii|: max |G_ij| when G is PSD
     spectrum: SpectrumReport = field(init=False)
     _diagonal: np.ndarray = field(init=False, repr=False)  # G's diagonal
     _distinct: tuple = field(init=False, repr=False)  # see _group_channels
 
     def __post_init__(self):
-        data = vars(self)["data"]
-        given = (data is not None, self.channels is not None, self.basis is not None)
-        if given == (True, False, False):
-            data = np.asanyarray(data, dtype=float)
-            scale = _max_abs(data)
-            if not np.array_equal(data, data.T):
-                raise GramError("matrix is not symmetric")
-            channels, basis, drift, diagonal = data[None], np.ones((1, 1)), 0.0, data.diagonal()
-            distinct = _group_channels(channels)
-        elif given == (False, True, True):
-            channels, basis = self.channels, self.basis
-            distinct = stack, index = _group_channels(channels)
-            top, QQ = _max_abs(stack), basis * basis
-            if not np.array_equal(stack, stack.transpose(0, 2, 1)):
-                raise GramError("channel Grams are not symmetric")
-            gamma = 1.01 * (len(basis) + 2) * 2.0**-53
-            # G's diagonal, entry (i, a) at i * c + a, with the bits of G's own
-            diagonal = (np.ascontiguousarray(np.diagonal(stack, axis1=1, axis2=2)[index].T) @ QQ.T).ravel()
-            scale = _max_abs(diagonal)
-            drift = _rounding_bound(stack, index, top, QQ, gamma)
-            # each entry of S is at most (1 + gamma) top max_a |Q[a, :]|^2
-            # (Cauchy-Schwarz over channels); while twice that is below the
-            # largest float no entry of G overflows, and past it G is formed
-            # now and refused if one does
-            if not 2.0 * (1.0 + 2.0 * gamma) * top * QQ.sum(axis=1).max() < np.finfo(float).max:
-                _max_abs(self.data)
-            data = vars(self)["data"]
-        else:
-            raise GramError("a Gram is built from data alone or from channels and basis")
+        channels, basis = self.channels, self.basis
+        distinct = stack, index = _group_channels(channels)
+        top, QQ = _max_abs(stack), basis * basis
+        if not np.array_equal(stack, stack.transpose(0, 2, 1)):
+            raise GramError("channel Grams are not symmetric")
+        gamma = 1.01 * (len(basis) + 2) * 2.0**-53
+        # G's diagonal, entry (i, a) at i * c + a, with the bits of G's own
+        diagonal = (np.ascontiguousarray(np.diagonal(stack, axis1=1, axis2=2)[index].T) @ QQ.T).ravel()
+        scale = _max_abs(diagonal)
+        drift = _rounding_bound(stack, index, top, QQ, gamma)
+        # each entry of S is at most (1 + gamma) top max_a |Q[a, :]|^2
+        # (Cauchy-Schwarz over channels); while twice that is below the
+        # largest float no entry of G overflows, and past it G is formed
+        # now and refused if one does
+        if not 2.0 * (1.0 + 2.0 * gamma) * top * QQ.sum(axis=1).max() < np.finfo(float).max:
+            _max_abs(self.data)
         sites = np.asarray(self.sites, dtype=float)
         n, size = len(sites), len(channels) * channels.shape[-1]
         if n == 0 or size % n:
             raise GramError(f"{size} rows do not split into {n} sites")
         report = SpectrumReport.from_channels(distinct, basis, drift)
-        for array in (sites, data, channels, basis, diagonal, distinct[0]):
-            if array is not None:  # G not formed yet
-                read_only(array)
-        derived = dict(sites=sites, data=data, channels=channels, basis=basis,
-                       n=n, d=size // n, size=size, scale=scale, spectrum=report,
-                       _diagonal=diagonal, _distinct=distinct)
+        for array in (sites, channels, basis, diagonal, stack):
+            read_only(array)
+        derived = dict(sites=sites, n=n, d=size // n, size=size, scale=scale,
+                       spectrum=report, _diagonal=diagonal, _distinct=distinct)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
+    # G, formed on first read
+    data = cached_property(lambda self: _dense(self.channels, self.basis))
+
     def block(self, i: int, j: int) -> np.ndarray:
+        check_site_index(self, i)
+        check_site_index(self, j)
         d = self.d
         return self.data[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
@@ -404,7 +385,7 @@ def raw_gram(kernel: OperatorKernel, sites, data) -> BlockGram:
     raw = np.asarray(data, dtype=float)
     if raw.shape != (nd, nd):
         raise GramError(f"raw Gram shape {raw.shape} != expected {(nd, nd)}")
-    return BlockGram(sites=S, data=0.5 * (raw + raw.T))
+    return BlockGram(sites=S, channels=(0.5 * (raw + raw.T))[None], basis=np.ones((1, 1)))
 
 
 def psd_check(gram: BlockGram) -> SpectrumReport:

@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gram import BlockGram, assemble_gram, raw_gram, rows_per_block, site_blocks
+from .gram import BlockGram, assemble_gram, check_site_index, raw_gram, rows_per_block, site_blocks
 from .kernels import OperatorKernel, as_hvec, as_site, continuity_increments, read_only, render_spec
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 NULL_TOL = 1e-10
+UNITARY_TOL = 1e-10  # max |M^T M - I| of a unitary transform
 DEFAULT_SEED = 0x5EED
 
 
@@ -132,10 +133,10 @@ class TransformFamily:
             raise ValueError(f"transforms must be finite {d}x{d} matrices")
         object.__setattr__(self, "mats", read_only(mats))
 
-    def is_unitary(self, tol: float = 1e-10) -> bool:
+    def is_unitary(self) -> bool:
         m = self.mats
         defect = np.abs(m.transpose(0, 2, 1) @ m - np.eye(self.context.d))
-        return float(defect.max()) <= tol
+        return float(defect.max()) <= UNITARY_TOL
 
 
 def make_context(
@@ -154,11 +155,6 @@ def make_context(
             f"Gram is not PSD (min_eig = {report.min_eig:.3e}); cannot build context"
         )
     return RkhsContext(kernel=kernel, gram=gram)
-
-
-def _check_index(ctx: RkhsContext, i: int) -> None:
-    if not 0 <= i < ctx.n:
-        raise IndexError(f"site index {i} out of range [0, {ctx.n})")
 
 
 def _same_context(x: RkhsElement, y) -> None:
@@ -181,7 +177,7 @@ def _section(ctx: RkhsContext, i: int, vec: np.ndarray) -> RkhsElement:
 def section(ctx: RkhsContext, i: int, a) -> RkhsElement:
     """The kernel section at site i in direction a: coefficients e_i (x) a.
     This is V_i a, the feature embedding of a at site i."""
-    _check_index(ctx, i)
+    check_site_index(ctx, i)
     return _section(ctx, i, as_hvec(a, ctx.d))
 
 
@@ -211,15 +207,14 @@ def feature_adjoint(ctx: RkhsContext, i: int, x: RkhsElement) -> np.ndarray:
     """V_i^* x: block i of G c, an H-vector; on a section (j,b) this is
     K(s_i, s_j) b.  Only the d rows of block i are multiplied."""
     _same_context(x, ctx)
-    _check_index(ctx, i)
+    check_site_index(ctx, i)
     d = ctx.d
     return ctx.gram.data[i * d : (i + 1) * d] @ x.coeffs
 
 
 def covariance(ctx: RkhsContext, i: int) -> np.ndarray:
     """The covariance operator K(s_i, s_i) on H."""
-    _check_index(ctx, i)
-    return ctx.gram.block(i, i).copy()
+    return ctx.gram.block(i, i).copy()  # block refuses an index out of range
 
 
 def frame_projection(ctx: RkhsContext, i: int, x: RkhsElement) -> RkhsElement:
@@ -230,7 +225,7 @@ def frame_projection(ctx: RkhsContext, i: int, x: RkhsElement) -> RkhsElement:
 def transformed_embed(fam: TransformFamily, i: int, a) -> RkhsElement:
     """W_i a = section(i, B_i a)."""
     ctx = fam.context
-    _check_index(ctx, i)
+    check_site_index(ctx, i)
     a = as_hvec(a, ctx.d)
     return _section(ctx, i, fam.mats[i] @ a)
 
@@ -239,7 +234,7 @@ def transformed_adjoint(fam: TransformFamily, i: int, x: RkhsElement) -> np.ndar
     """W_i^* x = B_i^T (G c)_i."""
     ctx = fam.context
     _same_context(x, ctx)
-    _check_index(ctx, i)
+    check_site_index(ctx, i)
     return fam.mats[i].T @ feature_adjoint(ctx, i, x)
 
 
@@ -255,7 +250,7 @@ def chain_apply(fam: TransformFamily, indices, x: RkhsElement) -> RkhsElement:
     if not idx:
         raise ValueError("index sequence must be nonempty")
     for i in idx:
-        _check_index(ctx, i)
+        check_site_index(ctx, i)
     out = x
     for i in reversed(idx):
         vec = fam.mats[i] @ transformed_adjoint(fam, i, out)

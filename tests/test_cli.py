@@ -736,14 +736,18 @@ class TestNoTraceback:
         [
             ("separable(B=[[1e300]],base=gauss(sigma=1e150,ell=1))", "[0,1]"),
             ("separable(B=[[1e308]],base=gauss(sigma=1,ell=1))", "[0,1]"),
-            ("gauss(sigma=1e154,ell=1)", "grid(0,1,5)"),  # overflows in G + G^T
+            ("gauss(sigma=1e154,ell=1)", "grid(0,1,5)"),
             ("separable(B=[[1e200,0],[0,1e200]],base=gauss(sigma=1e60,ell=1))", "grid(0,1,5)"),
         ],
         ids=lambda t: t[:40],
     )
     def test_overflowing_gram_exit_two(self, tmp_path, capsys, kernel, sites):
         code, err = self.run(tmp_path, capsys, ["gram", "--kernel", kernel, "--sites", sites])
-        assert (code, err) == (2, "error: matrix has non-finite entries\n")
+        # a one-channel G is its own finite channel: the sum of its
+        # eigenvalues overflows
+        message = {"gauss(sigma=1e154,ell=1)": "Gram spectrum overflows"}.get(
+            kernel, "matrix has non-finite entries")
+        assert (code, err) == (2, f"error: {message}\n")
 
     HUGE = ["--kernel", "gauss(sigma=1e100,ell=1)", "--sites", "[0,1]"]
 

@@ -34,6 +34,8 @@ from opkern.kernels import OperatorKernel, make_kernel
 from opkern.reprcsv import CHUNK, write_csv_rows
 from opkern.rkhs import RkhsContext, make_context, onb_expansion
 
+from helpers import one_channel_gram
+
 GAUSS1 = "gauss(sigma=1,ell=1,dim=1)"
 
 # kernels whose Grams are PSD on arbitrary site sets (rational2 is not:
@@ -63,7 +65,28 @@ EPS = np.finfo(np.float64).eps
 def raw_gram(data):
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
-    return BlockGram(sites=[np.array([float(i)]) for i in range(n)], data=data)
+    return one_channel_gram([np.array([float(i)]) for i in range(n)], data)
+
+
+def averaged_channel_sum(channels, basis):
+    """Test-local oracle: G as the channel sum S, taken from the kernels'
+    C-order layout, averaged with its transpose (the formula every Gram
+    once took, one channel included)."""
+    c, N, _ = channels.shape
+    S = OperatorKernel.channel_sum(np.ascontiguousarray(np.moveaxis(channels, 0, -1)), basis)
+    St = S.transpose(0, 2, 1, 3)
+    return 0.5 * (St + St.transpose(2, 3, 0, 1)).reshape(N * c, N * c)
+
+
+# one-channel kernels, a zero B among them: its Gram is all -0.0
+ONE_CHANNEL_KERNELS = [
+    GAUSS1,
+    "gauss(sigma=1e-3,ell=30,dim=1)",
+    "separable(B=[[3.5]],base=gauss(sigma=2,ell=0.3))",
+    "separable(B=[[-0.0]],base=gauss(sigma=1,ell=1))",
+    "normalized(inner=gauss(sigma=7,ell=0.5))",
+    "separable(B=[[0.25]],base=normalized(inner=gauss(sigma=2,ell=0.7)))",
+]
 
 
 def dense_eigh(data):
@@ -94,7 +117,7 @@ def dense_jitter(g):
     """The ladder's rung for g's matrix as its own one channel, a dense
     Cholesky per rung (None: indefinite)."""
     try:
-        return factorize(BlockGram(sites=g.sites, data=g.data)).jitter_used
+        return factorize(one_channel_gram(g.sites, g.data)).jitter_used
     except IndefiniteMatrixError:
         return None
 
@@ -170,6 +193,13 @@ class TestAssemble:
     def test_rational2_off_diagonal_block(self):
         g = assemble_gram(make_kernel("rational2"), [[0], [1]])
         np.testing.assert_allclose(g.block(0, 1), 0.5 * np.ones((2, 2)))
+
+    @pytest.mark.parametrize("i, j, bad", [(-1, 0, -1), (3, 0, 3), (0, -1, -1), (2, 3, 3)])
+    def test_block_index_out_of_range(self, i, j, bad):
+        # an index outside [0, n) once sliced an empty (0, 3) block
+        g = assemble_gram(make_kernel("diagexp3"), [[0], [1], [2]])
+        with pytest.raises(IndexError, match=rf"^site index {bad} out of range \[0, 3\)$"):
+            g.block(i, j)
 
     def test_symmetric_exactly(self):
         rng = np.random.default_rng(0)
@@ -311,18 +341,18 @@ class TestFixedGram:
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
         # an array handed to the constructor is taken as it is, not copied,
-        # and cannot be written through afterwards
-        data = np.eye(2)
-        raw = BlockGram(sites=np.zeros((2, 1)), data=data)
-        assert raw.data is data and not raw.channels.flags.writeable
+        # and cannot be written through afterwards; one channel is G itself
+        channels = np.eye(2)[None]
+        raw = BlockGram(sites=np.zeros((2, 1)), channels=channels, basis=np.ones((1, 1)))
+        assert raw.channels is channels and np.shares_memory(raw.data, channels)
         with pytest.raises(ValueError, match="read-only"):
-            data[0, 0] = 2.0
+            channels[0, 0, 0] = 2.0
 
     @pytest.mark.parametrize("text", SQUARE_KERNELS)
     def test_one_channel_sum_on_first_read(self, text, monkeypatch):
         # certifying, exporting, printing, factoring and expanding a Gram
-        # form no G; its first read takes one channel sum, and later reads
-        # none
+        # form no G; its first read takes one channel sum (none for one
+        # channel, which is G), and later reads none
         calls = Counter()
         channel_sum = OperatorKernel.channel_sum
 
@@ -341,9 +371,12 @@ class TestFixedGram:
             onb_expansion(RkhsContext(kernel, g), 1e-12)
         assert calls["channel_sum"] == 0
         G = g.data
-        assert calls["channel_sum"] == 1
-        assert g.data is G and calls["channel_sum"] == 1
+        sums = int(len(g.channels) > 1)
+        assert calls["channel_sum"] == sums
+        assert g.data is G and calls["channel_sum"] == sums
         assert same_bits(G, gram_mod._dense(g.channels, g.basis))
+        if not sums:
+            assert np.shares_memory(G, g.channels)
 
     @pytest.mark.parametrize("wide", ["gauss", "separable"])
     def test_no_dense_gram_until_read(self, wide):
@@ -369,7 +402,7 @@ class TestFixedGram:
         finally:
             tracemalloc.stop()
         assert g.size == 1040 and peak < 8 * g.size**2 and scratch < 8 * g.size**2
-        assert vars(g)["data"] is None
+        assert "data" not in vars(g)
 
     def test_data_alone_is_its_own_channel(self):
         g = gram_mod.raw_gram(make_kernel(self.TEXT), [[0], [1]], np.diag([1.0, 2.0, 3.0, 4.0]))
@@ -437,6 +470,26 @@ class TestChannelPath:
             U, W = report.leading_vectors(m), vecs[:, :m].T
             assert np.abs(U.T @ U - W.T @ W).max() <= 1e-8
 
+    @given(
+        text=st.sampled_from(ONE_CHANNEL_KERNELS),
+        n=st.integers(1, 12),
+        spread=st.sampled_from([1e-3, 1.0, 40.0]),  # 40: entries underflow
+        seed=st.integers(0, 2**32 - 1),
+        raw=symmetric_matrices(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_channel_data_is_the_averaged_sum(self, text, n, spread, seed, raw):
+        # a one-channel G is its channel: the averaged channel sum, bit for
+        # bit, but for the sign of a zero (the sum wrote -0.0 as +0.0)
+        sites = spread * np.random.default_rng(seed).uniform(-1, 1, size=(n, 1))
+        kernel_gram = assemble_gram(make_kernel(text), sites)
+        raw_one = gram_mod.raw_gram(make_kernel(GAUSS1), np.arange(len(raw))[:, None], raw)
+        for g in (kernel_gram, raw_one):
+            oracle = averaged_channel_sum(g.channels, g.basis)
+            negative_zero = (g.data == 0.0) & np.signbit(g.data)
+            assert same_bits(np.where(negative_zero, 0.0, g.data), np.where(negative_zero, 0.0, oracle))
+            assert np.all(oracle[negative_zero] == 0.0)
+
     def test_leading_vectors_are_eigenvectors(self):
         text = "separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=gauss(sigma=1,ell=1))"
         g = assemble_gram(make_kernel(text), [[0.0], [0.4], [1.5]])
@@ -450,14 +503,15 @@ class TestChannelPath:
         # the channel spectrum bounds G's only up to the drift (Weyl): a
         # smallest channel eigenvalue inside the PSD margin by less than the
         # drift fails, as G's own could lie past the margin.  The drift of
-        # diag(1, lam) is the rounding bound 1.01 * 3 * 2^-53 * |K|_F plus
-        # 2 * 3 * 2^-1074, the same for every lam this close to the margin
+        # two channels diag(1, lam) on the basis I is the rounding bound
+        # 1.01 * 4 * 2^-53 * 2 |K|_F plus 2 * 2 * 4 * 2^-1074, the same for
+        # every lam this close to the margin
         def gram(lam):
-            K = np.array([[[1.0, 0.0], [0.0, lam]]])
-            return BlockGram(sites=np.zeros((2, 1)), channels=K, basis=np.eye(1))
+            K = np.array([[[1.0, 0.0], [0.0, lam]]] * 2)
+            return BlockGram(sites=np.zeros((2, 1)), channels=K, basis=np.eye(2))
 
         drift = gram(-PSD_EIG_TOL).spectrum.drift
-        assert drift == 1.01 * 3 * 2.0**-53 + 6 * 2.0**-1074
+        assert drift == 1.01 * 4 * 2.0**-53 * 2.0 + 16 * 2.0**-1074
         for lam, psd in [(-PSD_EIG_TOL + 2 * drift, True), (-PSD_EIG_TOL + drift / 2, False)]:
             report = psd_check(gram(lam))
             assert report.min_eig == lam and report.drift == drift
@@ -468,15 +522,15 @@ class TestChannelPath:
             BlockGram(sites=np.zeros((2, 1)), channels=K, basis=np.eye(1))
 
     def test_replaced_data_is_certified_itself(self):
-        # channel Grams cannot come with data they do not match: the data
-        # comes alone, as its own one channel
+        # channel Grams cannot come with data they do not match: data is
+        # its own one channel
         ref = assemble_gram(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]])
         data = np.diag([1.0, 1.0, 1.0, -1.0])
-        with pytest.raises(GramError, match="^a Gram is built from data alone or from channels and basis$"):
+        with pytest.raises(TypeError):
             BlockGram(sites=ref.sites, data=data, channels=ref.channels, basis=ref.basis)
-        with pytest.raises(GramError, match="^a Gram is built from data alone or from channels"):
+        with pytest.raises(TypeError):
             BlockGram(sites=ref.sites, channels=ref.channels)
-        g = BlockGram(sites=ref.sites, data=data)
+        g = one_channel_gram(ref.sites, data)
         report = psd_check(g)
         assert g.channels.shape == (1, 4, 4) and np.array_equal(g.channels[0], data)
         assert np.array_equal(report.basis, [[1.0]]) and report.drift == 0.0
@@ -623,7 +677,7 @@ class TestChannelFactor:
         # a Gram of a channel kernel's shape built from data alone is its
         # own one channel, factored by one dense Cholesky
         ref = assemble_gram(make_kernel("gauss(sigma=1,ell=1,dim=2)"), [[0], [1]])
-        g = factorize(BlockGram(sites=ref.sites, data=np.diag([1.0, 2.0, 3.0, 4.0])))
+        g = factorize(one_channel_gram(ref.sites, np.diag([1.0, 2.0, 3.0, 4.0])))
         assert (g.n, g.d) == (ref.n, ref.d)
         assert g.channels.shape == (1, 4, 4)
         assert np.array_equal(g.factor, np.diag(np.sqrt([1.0, 2.0, 3.0, 4.0])))

@@ -12,6 +12,8 @@ import pytest
 from opkern import gram, rkhs
 from opkern.kernels import OperatorKernel, make_kernel
 
+from helpers import one_channel_gram
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -58,7 +60,7 @@ def test_wide_blocks_factors_by_channel(tmp_path, monkeypatch):
     monkeypatch.undo()
     for spec, sites in (wl.separable, wl.gauss):
         g = gram.factorize(rkhs.make_context(make_kernel(spec), sites).gram)
-        dense = gram.BlockGram(sites=g.sites, data=g.data)
+        dense = one_channel_gram(g.sites, g.data)
         assert g.spectrum.basis is not None
         assert g.jitter_used == gram.factorize(dense).jitter_used
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opkern import gram as gram_mod
-from opkern.gram import BlockGram, GramError, assemble_gram, factorize, raw_gram
+from opkern.gram import GramError, assemble_gram, factorize, raw_gram
 from opkern.kernels import OperatorKernel, continuity_increment, make_kernel, render_spec
 from opkern.rkhs import (
     RkhsContext,
@@ -32,6 +32,8 @@ from opkern.rkhs import (
     zero_element,
 )
 from opkern.rkhs import _w_chain_strips
+
+from helpers import one_channel_gram
 
 GAUSS1 = "gauss(sigma=1,ell=1,dim=1)"
 
@@ -221,7 +223,7 @@ class TestContext:
         # whatever the array's memory layout
         k = make_kernel("gauss(sigma=1,ell=1,dim=2)")
         ctx = make_context(k, [[0.0, 1.0], [0.5, -2.0], [3.0, 0.25]])
-        fortran = RkhsContext(k, BlockGram(sites=np.asfortranarray(ctx.sites), data=ctx.gram.data))
+        fortran = RkhsContext(k, one_channel_gram(np.asfortranarray(ctx.sites), ctx.gram.data))
         assert fortran.sites.flags.f_contiguous and not fortran.sites.flags.c_contiguous
         h = hashlib.sha256()
         h.update(render_spec(k.spec).encode())
@@ -796,7 +798,7 @@ class TestVerifyIdentities:
         kernel = make_kernel("normalized(inner=gauss(sigma=2,ell=1,dim=2))")
         for n in (3, 12):
             g = make_context(kernel, [[0.7 * s] for s in range(n)]).gram
-            counted = BlockGram(sites=g.sites, data=g.data.view(CountingGram))
+            counted = one_channel_gram(g.sites, g.data.view(CountingGram))
             ctx = RkhsContext(kernel=kernel, gram=counted)
             fam = TransformFamily(ctx, [rotation(i * 0.5) for i in range(n)])
             CountingGram.width = ctx.size
@@ -1024,7 +1026,7 @@ class TestVerifyIdentities:
         data = ctx.gram.data.copy()
         data[0, 1] = data[1, 0] = np.nan
         with pytest.raises(GramError, match="non-finite"):
-            BlockGram(sites=ctx.sites, data=data)
+            one_channel_gram(ctx.sites, data)
 
     @given(
         d=st.sampled_from([1, 2, 3, 8]),

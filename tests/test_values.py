@@ -32,6 +32,8 @@ from opkern.rkhs import (
     verify_identities,
 )
 
+from helpers import one_channel_gram
+
 ZOO = [
     "gauss(sigma=1,ell=1,dim=2)",
     "diagexp3",
@@ -155,7 +157,7 @@ def test_residuals_and_tolerances_cannot_be_written():
 
 
 SETTABLE = {
-    BlockGram: ["sites", "data", "channels", "basis"],
+    BlockGram: ["sites", "channels", "basis"],
     RkhsContext: ["kernel", "gram"],
     SampleBatch: ["context", "seed", "paths"],
     SpectrumReport: ["eigenvalues", "vectors", "index", "basis", "order", "drift"],
@@ -222,12 +224,12 @@ class TestReproductions:
 
     def test_shape_derived_from_data(self):
         # n = 5, d = 2 once came with one site and a 3 x 3 matrix
-        one = BlockGram(sites=SITES[:1], data=np.eye(3))
+        one = one_channel_gram(SITES[:1], np.eye(3))
         assert (one.n, one.d, one.size) == (1, 3, 3)
         with pytest.raises(GramError, match="^3 rows do not split into 2 sites$"):
-            BlockGram(sites=SITES, data=np.eye(3))
+            one_channel_gram(SITES, np.eye(3))
         with pytest.raises(TypeError):
-            BlockGram(n=5, d=2, sites=SITES[:1], data=np.eye(3))
+            BlockGram(n=5, d=2, sites=SITES[:1], channels=np.eye(3)[None], basis=np.ones((1, 1)))
 
     def test_certificate_edit(self):
         report = make_context(make_kernel(SEPARABLE), SITES).gram.spectrum
