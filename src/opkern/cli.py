@@ -255,7 +255,7 @@ def cmd_sample(args) -> int:
     )
     print(
         f"sample: N={batch.count} max_err={cov.max_abs_err:.3e} "
-        f"tol={cov.mc_tolerance:.3e} pass={cov.pass_}"
+        f"tol={cov.mc_tolerance:.3e} z_max={cov.z_max:.2f} pass={cov.pass_}"
     )
     return EXIT_OK if cov.pass_ else EXIT_NUMERIC
 

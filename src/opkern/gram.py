@@ -4,6 +4,7 @@ ladder, and spectral-decay diagnostics, plus CSV/JSON export."""
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,6 +37,11 @@ PSD_EIG_TOL = 1e-10
 EFFECTIVE_RANK_TOLS = (1e-2, 1e-4, 1e-6, 1e-8)
 # entries per row block of a blockwise nd x nd pass: 8 MB of float64 scratch
 ROW_BLOCK_ENTRIES = 1 << 20
+UNIT_ROUNDOFF = 2.0**-53
+# a channel joins a proportional class when the bound on its residual from
+# the class reference is at most this many units of roundoff times its own
+# Frobenius norm: the drift then keeps its order, gamma_(c+2) sum |K_m|_F
+PROPORTIONAL_ULPS = 16.0
 
 
 class GramError(ValueError):
@@ -52,42 +58,59 @@ class SpectrumReport:
     the one decomposition every spectral consumer reads.  A value: its
     arrays are read-only, and its verdicts are derived from them.
 
-    It decomposes the distinct ones among the Gram's (c, N, N) channel
-    Grams (c = d, N = n for a kernel Gram; c = 1, N = nd for a one-channel
-    Gram): ``vectors`` is the stack of their eigenvectors, each one's in
+    It decomposes one reference of each proportional class among the
+    Gram's (c, N, N) channel Grams (c = d, N = n for a kernel Gram; c = 1,
+    N = nd for a one-channel Gram): channel m is r_m R for its class's
+    reference R and a ratio r_m > 0 up to a bounded residual
+    (``_proportional_classes``; equal channels share a class with r_m = 1),
+    so its eigenvalues are r_m mu(R) and its eigenvectors R's.  ``vectors``
+    is the stack of the references' eigenvectors, each one's in
     nonincreasing order of its eigenvalues (a reversed view of the one
     array ``eigh`` returns), and channel m's are ``vectors[index][m]``.
     ``eigenvectors``, that stack expanded to one per channel, is derived on
-    its first read (a view when no two channels are equal), so a Gram with
-    repeated channels keeps one copy of each distinct stack.
+    its first read (a view when every channel is its own class), so a Gram
+    with proportional channels keeps one copy of each reference's stack.
     ``eigenvalues[k]`` belongs to kron(u, basis[:, m]) with
     u = eigenvectors[m, :, j] and (m, j) = divmod(order[k], N).
-    ``drift`` bounds the Frobenius distance of the Gram's data from
-    sum_m K_m (x) q_m q_m^T, and so the distance of the Gram's eigenvalues
-    from ``eigenvalues`` (Weyl): the PSD verdict reads ``min_eig - drift``.
-    It is an a-priori bound on the rounding of that data
-    (``_rounding_bound``), fixed before the data is formed and at least
-    its measured distance from the channel sum it averages, so the verdict
-    is never looser than one on a measured drift; for one channel, which
-    is its own data, it is 0.
+    ``drift`` bounds the distance of the Gram's eigenvalues from
+    ``eigenvalues`` (Weyl): the PSD verdict reads ``min_eig - drift``.  It
+    is the sum of a-priori bounds, each fixed before G is formed: on the
+    Frobenius distance of G from sum_m K_m (x) q_m q_m^T
+    (``_rounding_bound``; at least G's measured distance from the channel
+    sum it averages, so the verdict is never looser than one on a measured
+    drift), on that of sum_m K_m (x) q_m q_m^T from
+    sum_m r_m R_m (x) q_m q_m^T (``_proportional_residual``, times |q_m|^2),
+    and on the rounding of the products r_m mu (``from_channels``).  One
+    channel is its own data and its own class: its drift is 0.
     """
 
     eigenvalues: np.ndarray  # sorted nonincreasing
-    vectors: np.ndarray  # (distinct, N, N)
+    vectors: np.ndarray  # (references, N, N)
     index: np.ndarray | slice  # vectors[index]: one stack per channel
     basis: np.ndarray
     order: np.ndarray
     drift: float
 
     @classmethod
-    def from_channels(cls, distinct, basis, drift: float) -> "SpectrumReport":
-        """One stacked eigh of the distinct ones among the (c, N, N) channel
-        Grams K_m of a Gram G at Frobenius distance at most ``drift`` from
-        sum_m K_m (x) q_m q_m^T, q_m = basis[:, m]; ``distinct`` is their
-        (stack, index), as ``_group_channels`` gives it."""
-        stack, index = distinct
-        lam, vecs = np.linalg.eigh(stack)  # ascending per channel
+    def from_channels(cls, classes, basis, drift: float) -> "SpectrumReport":
+        """One stacked eigh of the class references among the (c, N, N)
+        channel Grams K_m of a Gram G whose eigenvalues lie within ``drift``
+        of those of sum_m r_m R_m (x) q_m q_m^T, q_m = basis[:, m];
+        ``classes`` is (references, index, ratio), as
+        ``_proportional_classes`` gives it, with R_m = references[index][m]
+        and r_m = ratio[m] (None: every r_m is 1).
+
+        Channel m's eigenvalues are the products fl(r_m mu) of R_m's.  Each
+        errs by at most u |r_m mu| + 2^-1075 (gradual underflow), and
+        |r_m mu| <= |fl(r_m mu)| / (1 - u), so the drift gains
+        1.01 u max_k |eigenvalues[k]| + 2^-1074 when some r_m is not 1;
+        the 1.01 covers 1 / (1 - u) and this evaluation's own rounding."""
+        references, index, ratio = classes
+        lam, vecs = np.linalg.eigh(references)  # ascending per channel
         lam = lam[index][:, ::-1]
+        if ratio is not None:
+            lam = lam * ratio[:, None]  # r_m > 0 keeps each channel's order
+            drift += 1.01 * UNIT_ROUNDOFF * float(np.abs(lam).max()) + 2.0**-1074
         order = np.argsort(-lam.ravel(), kind="stable")
         eig = lam.ravel()[order]
         if not np.isfinite(eig.sum()):  # the PSD margin and the ranks scale with it
@@ -167,7 +190,15 @@ def effective_rank(eigenvalues: np.ndarray, tol: float) -> int:
 
 
 def check_site_index(owner, i: int) -> None:
-    """Refuse a site index outside [0, n) of a Gram or a context."""
+    """Refuse a site index that is not an integer (a bool or an array of
+    one is not; a numpy integer is) or lies outside [0, n) of a Gram or a
+    context."""
+    try:
+        if isinstance(i, (bool, np.bool_)):
+            raise TypeError
+        operator.index(i)
+    except TypeError:
+        raise TypeError(f"site index {i!r} is not an integer") from None
     if not 0 <= i < owner.n:
         raise IndexError(f"site index {i} out of range [0, {owner.n})")
 
@@ -202,10 +233,22 @@ def _dense(channels: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return read_only(data)
 
 
-def _rounding_bound(stack, index, top: float, QQ: np.ndarray, gamma: float) -> float:
+def _channel_norms(stack: np.ndarray, top: float, scratch: np.ndarray) -> np.ndarray:
+    """|K_j|_F / top of each matrix K_j of a (k, N, N) stack whose largest
+    |entry| is ``top``: the norms are taken of K_j / top, one matrix at a
+    time in ``scratch``, an (N, N) buffer, so no square overflows."""
+    norms = np.empty(len(stack))
+    for j, K in enumerate(stack):
+        np.divide(K, top or 1.0, out=scratch)
+        norms[j] = np.einsum("ij,ij->", scratch, scratch)
+    return np.sqrt(norms)
+
+
+def _rounding_bound(norms: np.ndarray, top: float, QQ: np.ndarray, gamma: float) -> float:
     """A bound on |G - sum_m K_m (x) q_m q_m^T| (Frobenius) for the G that
-    ``_dense`` forms, from the distinct channels ``stack[index]``, their
-    largest |entry| ``top`` and QQ[a, m] = Q[a, m]^2, in O(c N^2).
+    ``_dense`` forms from c >= 2 channel Grams K_m, from their norms
+    |K_m|_F / top (``_channel_norms``, one per channel), their largest
+    |entry| ``top`` and QQ[a, m] = Q[a, m]^2, in O(c^2).
 
     Entry ((i,a),(j,b)) of the channel sum S is a c-term dot product of the
     K_m[i,j] with the rounded products Q[a,m] Q[b,m].  In any order of
@@ -218,25 +261,97 @@ def _rounding_bound(stack, index, top: float, QQ: np.ndarray, gamma: float) -> f
     and so does its distance from S's (half the two entries' difference,
     plus the addition's rounding).  The triangle inequality over channels,
     with | |K_m| (x) |q_m| |q_m|^T |_F = |K_m|_F |q_m|^2, gives
-    gamma_(c+2) sum_m |K_m|_F |q_m|^2.  One channel is G itself, and
-    its bound is 0.  ``gamma`` is 1.01 (c + 2) u, which
-    covers gamma_(c+2)'s denominator and the rounding of this evaluation;
-    the norms are taken of K_m / top, one distinct channel at a time in one
-    (N, N) buffer, so no square overflows; and gradual underflow adds at
-    most (c + 2) 2^-1074 to an entry, N c (c + 2) 2^-1074 in all.  The
-    bound holds |S - G| (Frobenius), each entry of
-    G - sum_m K_m (x) q_m q_m^T and the shift of G's eigenvalues (Weyl) too.
+    gamma_(c+2) sum_m |K_m|_F |q_m|^2.  ``gamma`` is 1.01 (c + 2) u, which
+    covers gamma_(c+2)'s denominator and the rounding of this evaluation
+    and of the norms; and gradual underflow adds at most (c + 2) 2^-1074 to
+    an entry, N c (c + 2) 2^-1074 in all.  The bound holds |S - G|
+    (Frobenius), each entry of G - sum_m K_m (x) q_m q_m^T and the shift of
+    G's eigenvalues (Weyl) too.  (One channel is G itself, at bound 0.)
     """
-    c, N = len(QQ), stack.shape[-1]
-    if c == 1:
-        return 0.0
-    scaled = np.empty((N, N))
-    norms = np.empty(len(stack))
-    for m, K in enumerate(stack):
-        np.divide(K, top or 1.0, out=scaled)
-        norms[m] = np.einsum("ij,ij->", scaled, scaled)
-    norms = np.sqrt(norms)[index]
+    c, N = len(QQ), len(norms)
     return gamma * top * float(norms @ QQ.sum(axis=0)) + N * c * (c + 2) * 2.0**-1074
+
+
+def _proportional_residual(K, R, r: float, top: float, norm_R: float, scratch) -> float:
+    """A bound on |K - r R|_F for (N, N) matrices K and R whose entries are
+    at most ``top`` in size, a float r > 0 and norm_R = |R|_F / top, in
+    O(N^2) and in ``scratch``, an (N, N) buffer.
+
+    With u = 2^-53 and gradual underflow, the product P = fl(r R) is
+    r R (1 + alpha) + eta entrywise, |alpha| <= u, |eta| <= 2^-1075, so
+    |P - r R|_F <= u r |R|_F + N 2^-1075.  The difference D = fl(K - P) is
+    (K - P)(1 + beta), |beta| <= u (a subnormal difference is exact), and
+    D / top is formed with one more relative u and absolute 2^-1075 per
+    entry.  The sum s of the squares of D / top, in any order of summation,
+    is at least (1 - gamma_(N^2)) times their exact sum (Higham, section
+    3.1, the squares' rounding as one more step), less N^2 2^-1075 for
+    squares that underflow.  So |D / top|_F <= sqrt(s) (1 + (N^2 / 2 + 2) u
+    + O(u^2)) + N 2^-537, and |K - r R|_F is at most
+    top (sqrt(s) (1 + (N^2 + 8) u) + 1.01 u r norm_R + N 2^-537)
+    + N 2^-1073, the slack covering the 1 / (1 - u) factors, the rounding
+    of norm_R and that of this evaluation.  As | E (x) q q^T |_F =
+    |E|_F |q|^2, the triangle inequality over channels bounds the Frobenius
+    distance of sum_m K_m (x) q_m q_m^T from sum_m r_m R_m (x) q_m q_m^T,
+    and so the shift of its eigenvalues (Weyl), by sum_m of these bounds
+    times |q_m|^2.
+    """
+    N = len(K)
+    np.multiply(R, r, out=scratch)
+    np.subtract(K, scratch, out=scratch)
+    scratch /= top
+    s = float(np.einsum("ij,ij->", scratch, scratch))
+    u = UNIT_ROUNDOFF
+    return (top * (math.sqrt(s) * (1.0 + (N * N + 8) * u) + 1.01 * u * r * norm_R + N * 2.0**-537)
+            + N * 2.0**-1073)
+
+
+def _proportional_classes(stack, index, diag, norms, top: float, scratch):
+    """((references, place, ratio), residual): the distinct matrices K_j of
+    a (k, N, N) stack (``_group_channels``) grouped by proportion.  K_j
+    joins the first earlier class whose reference R has K_j = r R up to a
+    residual bound (``_proportional_residual``) of at most
+    PROPORTIONAL_ULPS u |K_j|_F, with r > 0 one division of the two largest
+    diagonal entries; otherwise it is a class of its own.  A matrix whose
+    diagonal has no positive entry, a zero one among them, is always its
+    own class.  Before the O(N^2) bound two O(N) lower bounds on
+    |K_j - r R|_F reject most unequal pairs: the largest |entry| of the
+    difference of the diagonals and of the rows through R's largest
+    diagonal entry.  An overflow on the way (a NaN or an infinity) rejects
+    the pair.
+
+    ``diag`` is the stack's (k, N) diagonals and ``norms`` its
+    ``_channel_norms``.  Per channel m (``index`` as ``_group_channels``
+    gives it), ``references[place][m]`` is its class's reference,
+    ``ratio[m]`` its r (None when every r is 1) and ``residual[m]`` the
+    bound on its distance from r R (0 for a reference).  With no two
+    classes merged it is the stack itself, ``index``, None and zeros."""
+    k = len(stack)
+    dmax = diag.max(axis=1)
+    refs, place = [], np.empty(k, dtype=np.intp)
+    ratio, residual = np.ones(k), np.zeros(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(k):
+            limit = PROPORTIONAL_ULPS * UNIT_ROUNDOFF * top * norms[j]
+            for p_at, p in enumerate(refs):
+                if not dmax[p] > 0.0:
+                    continue
+                r, i = float(dmax[j]) / float(dmax[p]), int(np.argmax(diag[p]))
+                if not (0.0 < r < math.inf
+                        and np.abs(diag[j] - r * diag[p]).max() <= limit
+                        and np.abs(stack[j, i] - r * stack[p, i]).max() <= limit):
+                    continue
+                bound = _proportional_residual(stack[j], stack[p], r, top, norms[p], scratch)
+                if bound <= limit:
+                    place[j], ratio[j], residual[j] = p_at, r, bound
+                    break
+            else:
+                place[j] = len(refs)
+                refs.append(j)
+    if len(refs) == k:
+        return (stack, index, None), residual[index]
+    ratio = ratio[index]
+    classes = stack[refs], read_only(place[index]), None if np.all(ratio == 1.0) else read_only(ratio)
+    return classes, residual[index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,17 +368,20 @@ class BlockGram:
     G, at drift 0.  The constructor does channel-sized work only: it checks
     that the channels are finite and exactly symmetric, decomposes them,
     forms diag G = diag(K_m) (Q o Q)^T (the jitter ladder's unit and the
-    scale read it) and bounds G's rounding a priori (the drift,
-    ``_rounding_bound``).  Only a Gram whose entries could reach the largest
+    scale read it) and bounds a priori G's rounding (``_rounding_bound``)
+    and the residuals of its proportional classes (the drift, see
+    SpectrumReport).  Only a Gram whose entries could reach the largest
     float forms G at once, to refuse it if one does.  n = len(sites) and
     d = c * N / n.  The arrays are taken, not copied, and made read-only:
     the channels may be any strided view, such as ``assemble_gram``'s
     (d, n, n) view of the spec's (n, n, d) array or a broadcast of one
     channel d times, as ``eigh`` and the Cholesky copy each matrix into
-    LAPACK's own buffer.  Equal channel Grams are decomposed and factored
-    once (``_group_channels``), and only the distinct stacks are kept: the
-    eigenvectors and channel factors of every channel are derived from them
-    when read.
+    LAPACK's own buffer.  Equal channel Grams are factored once
+    (``_group_channels``), and proportional ones, K_m = r_m R such as a
+    separable kernel's lam_m K, decomposed once (``_proportional_classes``):
+    only the distinct factors and the references' eigenvectors are kept,
+    and every channel's are derived from them when read.  G, the factor
+    and what reads them do not depend on the proportional classes.
     """
 
     sites: np.ndarray  # (n, k): row i is site s_i
@@ -283,11 +401,19 @@ class BlockGram:
         top, QQ = _max_abs(stack), basis * basis
         if not np.array_equal(stack, stack.transpose(0, 2, 1)):
             raise GramError("channel Grams are not symmetric")
-        gamma = 1.01 * (len(basis) + 2) * 2.0**-53
+        gamma = 1.01 * (len(basis) + 2) * UNIT_ROUNDOFF
+        diag = np.diagonal(stack, axis1=1, axis2=2)
         # G's diagonal, entry (i, a) at i * c + a, with the bits of G's own
-        diagonal = (np.ascontiguousarray(np.diagonal(stack, axis1=1, axis2=2)[index].T) @ QQ.T).ravel()
+        diagonal = (np.ascontiguousarray(diag[index].T) @ QQ.T).ravel()
         scale = _max_abs(diagonal)
-        drift = _rounding_bound(stack, index, top, QQ, gamma)
+        if len(basis) == 1:  # G is its one channel, its own class
+            drift, classes = 0.0, (stack, index, None)
+        else:
+            scratch = np.empty(stack.shape[1:])
+            norms = _channel_norms(stack, top, scratch)
+            classes, residual = _proportional_classes(stack, index, diag, norms, top, scratch)
+            drift = (_rounding_bound(norms[index], top, QQ, gamma)
+                     + (1.0 + gamma) * float(residual @ QQ.sum(axis=0)))
         # each entry of S is at most (1 + gamma) top max_a |Q[a, :]|^2
         # (Cauchy-Schwarz over channels); while twice that is below the
         # largest float no entry of G overflows, and past it G is formed
@@ -298,7 +424,7 @@ class BlockGram:
         n, size = len(sites), len(channels) * channels.shape[-1]
         if n == 0 or size % n:
             raise GramError(f"{size} rows do not split into {n} sites")
-        report = SpectrumReport.from_channels(distinct, basis, drift)
+        report = SpectrumReport.from_channels(classes, basis, drift)
         for array in (sites, channels, basis, diagonal, stack):
             read_only(array)
         derived = dict(sites=sites, n=n, d=size // n, size=size, scale=scale,

@@ -892,10 +892,12 @@ class TestJsonOutputs:
         main(argv)
         line = capsys.readouterr().out
         assert re.fullmatch(
-            r"sample: N=10 max_err=\d\.\d{3}e\+\d{3} tol=\d\.\d{3}e\+\d{3} pass=(True|False)\n",
+            r"sample: N=10 max_err=\d\.\d{3}e\+\d{3} tol=\d\.\d{3}e\+\d{3} z_max=\d+\.\d{2} pass=(True|False)\n",
             line,
         ), line
         assert len(line) <= 80
+        # the z_max of cov_report.json
+        assert f"z_max={strict_json(tmp_path / 'cov_report.json')['z_max']:.2f} " in line
 
 
 class TestFuzz:

@@ -3,8 +3,10 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -163,6 +165,27 @@ def every_channel_oracle(g):
     return spectrum, None
 
 
+def class_oracle(channels, index):
+    """Test-local oracle: the spectrum of a Gram whose channels share
+    proportional classes (read off its report's ``index``), from one eigh
+    of the first channel R of each class: channel m's eigenvalues are
+    fl(r_m mu(R)), r_m the quotient of the two channels' largest diagonal
+    entries (1 for R's equals), and its eigenvectors are R's; as
+    (eigenvalues, eigenvectors, order)."""
+    c = len(channels)
+    place = np.arange(c)[index]
+    first = [int(np.flatnonzero(place == p)[0]) for p in range(place.max() + 1)]
+    lam, vecs = np.linalg.eigh(np.ascontiguousarray(channels[first]))
+    lam, vecs = lam[place][:, ::-1], vecs[place][..., ::-1]
+    top = channels.diagonal(axis1=1, axis2=2).max(axis=1)
+    R = [first[p] for p in place]
+    ratio = [1.0 if np.array_equal(channels[m], channels[R[m]]) else float(top[m]) / float(top[R[m]])
+             for m in range(c)]
+    lam = lam * np.array(ratio)[:, None]
+    order = np.argsort(-lam.ravel(), kind="stable")
+    return lam.ravel()[order], vecs, order
+
+
 @st.composite
 def symmetric_matrices(draw):
     """Exactly symmetric n x n matrices, n in 1-12, scaled by 1e-3 to 1e3:
@@ -200,6 +223,19 @@ class TestAssemble:
         g = assemble_gram(make_kernel("diagexp3"), [[0], [1], [2]])
         with pytest.raises(IndexError, match=rf"^site index {bad} out of range \[0, 3\)$"):
             g.block(i, j)
+
+    @pytest.mark.parametrize("bad", [1.0, 0.5, True, np.True_, "1", None, np.array([1]), np.array([1, 2])])
+    def test_block_index_not_an_integer(self, bad):
+        # a float or an array once ended in numpy's TypeError or ValueError,
+        # and True read as 1
+        g = assemble_gram(make_kernel("diagexp3"), [[0], [1], [2]])
+        for i, j in [(bad, 0), (0, bad)]:
+            with pytest.raises(TypeError, match=rf"^site index {re.escape(repr(bad))} is not an integer$"):
+                g.block(i, j)
+
+    def test_block_takes_numpy_integers(self):
+        g = assemble_gram(make_kernel("diagexp3"), [[0], [1], [2]])
+        assert np.array_equal(g.block(np.int64(1), np.uint8(2)), g.block(1, 2))
 
     def test_symmetric_exactly(self):
         rng = np.random.default_rng(0)
@@ -591,6 +627,129 @@ class TestRoundingBound:
         assert drift >= np.linalg.norm(S - G)
 
 
+@st.composite
+def separable_texts(draw):
+    """A separable kernel over a gauss or a normalized gauss base whose B is
+    PSD of dim d <= 8: distinct eigenvalues, repeated ones, or some of them
+    0 (singular); diagonal, so that eigh gives them exactly, or rotated by a
+    random orthogonal matrix; and, where B is nonsingular, possibly wrapped
+    in normalized."""
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["distinct", "repeated", "singular"]))
+    lam = rng.uniform(0.1, 10.0, d)
+    if kind == "repeated":
+        lam = rng.choice(lam[: max(1, d // 2)], d)
+    elif kind == "singular":
+        lam[rng.random(d) < 0.5] = 0.0
+    B = np.diag(lam)
+    if draw(st.booleans()):
+        Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        B = Q @ B @ Q.T
+        B = 0.5 * (B + B.T)
+    base = draw(st.sampled_from(["gauss(sigma=1.3,ell=0.8)", "normalized(inner=gauss(sigma=2,ell=0.7))"]))
+    text = f"separable(B={B.tolist()},base={base})"
+    if kind != "singular" and draw(st.booleans()):
+        text = f"normalized(inner={text})"
+    return text
+
+
+class TestProportionalClasses:
+    """A separable kernel's channel Grams lam_m K are one class, decomposed
+    once: its spectrum against the channels' own and the dense G's."""
+
+    @given(
+        text=separable_texts(),
+        n=st.integers(1, 25),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1.0, 0.1, 1e-3]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_spectrum_within_drift(self, text, n, seed, spread):
+        sites = spread * np.random.default_rng(seed).uniform(-3, 3, size=(n, 1))
+        g = assemble_gram(make_kernel(text), sites)
+        report, channels = g.spectrum, g.channels
+        c, N, _ = channels.shape
+        place = np.arange(c)[report.index]
+        # the bits of one eigh per class, scaled
+        for got, want in zip((report.eigenvalues, report.eigenvectors, report.order),
+                             class_oracle(channels, report.index)):
+            assert same_bits(got, want)
+        # a zero channel is a class of its own (or of equal zero channels)
+        for m in range(c):
+            if not channels[m].any():
+                assert not channels[place == place[m]].any()
+        # channels whose diagonals are positive, lam_m > 0, are one class
+        if (channels.diagonal(axis1=1, axis2=2).max(axis=1) > 0.0).all():
+            assert len(report.vectors) == 1
+        # each eigenvalue lies within the drift plus eigh's backward error
+        # of the stored channels' own, and of the dense G's
+        own = np.sort(np.concatenate([np.linalg.eigvalsh(K) for K in channels]))[::-1]
+        big = max(float(np.abs(own).max()), np.finfo(float).tiny)
+        assert np.abs(report.eigenvalues - own).max() <= report.drift + 2 * N * EPS * big
+        eig = np.linalg.eigvalsh(g.data)[::-1]
+        assert np.abs(report.eigenvalues - eig).max() <= report.drift + 2 * g.size * EPS * big
+        # and the PSD verdict is the dense oracle's, away from the margin
+        margin = PSD_EIG_TOL * max(eig[0], 1.0)
+        if abs(eig[-1] + margin) > 1e-12 * max(eig[0], 1.0):
+            assert report.psd == oracle_psd(eig)
+
+    @given(
+        text=separable_texts(),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1.0, 0.1, 1e-3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drift_covers_the_classes(self, text, n, seed, spread):
+        # what grouping adds to the drift is at least, in exact rational
+        # arithmetic, sum_m |K_m - r_m R_m|_F |q_m|^2 plus the largest
+        # rounding of a scaled eigenvalue fl(r_m mu)
+        kernel = make_kernel(text)
+        sites = spread * np.random.default_rng(seed).uniform(-3, 3, size=(n, 1))
+        g = assemble_gram(kernel, sites)
+        with mock.patch.object(gram_mod, "PROPORTIONAL_ULPS", -1.0):
+            ungrouped = assemble_gram(kernel, sites)
+        report, channels = g.spectrum, g.channels
+        c = len(channels)
+        assert len(ungrouped.spectrum.vectors) == distinct_count(channels)
+        place = np.arange(c)[report.index]
+        first = [int(np.flatnonzero(place == p)[0]) for p in range(place.max() + 1)]
+        mu = np.linalg.eigh(np.ascontiguousarray(channels[first]))[0]
+        top = channels.diagonal(axis1=1, axis2=2).max(axis=1)
+        residual, rounding = Fraction(0), Fraction(0)
+        for m in range(c):
+            R = channels[first[place[m]]]
+            if np.array_equal(channels[m], R):
+                continue
+            r = Fraction(float(top[m]) / float(top[first[place[m]]]))
+            square = sum((Fraction(k) - r * Fraction(x)) ** 2
+                         for k, x in zip(channels[m].ravel().tolist(), R.ravel().tolist()))
+            q2 = sum(Fraction(x) ** 2 for x in g.basis[:, m].tolist())
+            residual += Fraction(math.sqrt(float(square)) * (1 + 4 * EPS)) * q2
+            for v in mu[place[m]].tolist():
+                rounding = max(rounding, abs(Fraction(float(r) * v) - r * Fraction(v)))
+        assert Fraction(report.drift) - Fraction(ungrouped.spectrum.drift) >= residual + rounding
+
+    @given(
+        text=st.sampled_from(["rational2", "diagexp3", "normalized(inner=normalized(inner=diagexp3))"]),
+        n=st.integers(1, 12),
+        dim=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1.0, 0.1, 1e-3]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unlike_channels_never_group(self, text, n, dim, seed, spread):
+        # rational2's a - b has a zero diagonal; diagexp3's channels differ
+        # at every pair of distinct sites (by more than rounding while
+        # e^-r does: sites here are at most 6 sqrt(2) apart)
+        sites = spread * np.random.default_rng(seed).uniform(-3, 3, size=(n, dim))
+        g = assemble_gram(make_kernel(text), sites)
+        assert len(g.spectrum.vectors) == distinct_count(g.channels)
+        spectrum, _ = every_channel_oracle(g)
+        assert same_bits(g.spectrum.eigenvalues, spectrum[0])
+
+
 class TestChannelFactor:
     """factorize on kernel Grams with d > 1 (one stacked Cholesky of the
     channel Grams per rung) against the dense ladder on the same matrix."""
@@ -684,9 +843,10 @@ class TestChannelFactor:
 
 
 class TestDistinctChannels:
-    """Equal channel Grams (gauss(dim=d) has d) are decomposed once, the
+    """Equal channel Grams (gauss(dim=d) has d) are factored once and
+    proportional ones (a separable kernel's, lam_m K) decomposed once, the
     dense factor is formed on its first read, and the outputs keep the bits
-    of decomposing every channel."""
+    of decomposing every channel, or every class where channels share one."""
 
     KERNELS = CHANNEL_KERNELS + [
         "gauss(sigma=1,ell=0.6,dim=4)",
@@ -716,6 +876,8 @@ class TestDistinctChannels:
             assert same_bits(g.scale, np.abs(g.data).max())
         spectrum, factored = every_channel_oracle(g)
         report = g.spectrum
+        if len(report.vectors) < distinct_count(g.channels):  # proportional classes
+            spectrum = class_oracle(g.channels, report.index)
         for got, want in zip((report.eigenvalues, report.eigenvectors, report.order), spectrum):
             assert same_bits(got, want)
         if factored is None:
@@ -727,23 +889,47 @@ class TestDistinctChannels:
         assert same_bits(g.factor_residual, bound)
         assert same_bits(g.factor, F)
 
-    @pytest.mark.parametrize(
-        "text, distinct",
-        [
-            ("gauss(sigma=1.5,ell=1,dim=8)", 1),
-            ("normalized(inner=gauss(sigma=2,ell=1,dim=4))", 1),
-            ("separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=gauss(sigma=1,ell=0.7))", 3),
-            ("separable(B=[[1,0,0],[0,2,0],[0,0,1]],base=gauss(sigma=1,ell=0.7))", 2),
-            ("diagexp3", 3),
-        ],
-    )
-    def test_one_decomposition_per_distinct_channel(self, text, distinct):
-        kernel, sites = make_kernel(text), np.linspace(0.0, 3.0, 7)[:, None]
+    @staticmethod
+    def decompositions(text, sites):
+        """The argument shapes of the eigh and Cholesky calls of certifying
+        and factoring a Gram of ``text`` on ``sites``."""
+        kernel = make_kernel(text)
         kernel.blocks(sites, sites)  # fills every cache the spec keeps
         with linalg_shapes("eigh") as eighs, linalg_shapes("cholesky") as choleskys:
             factorize(assemble_gram(kernel, sites)).factor
-        assert eighs == [(distinct, 7, 7)]
-        assert choleskys and set(choleskys) == {(distinct, 7, 7)}
+        return eighs, set(choleskys)
+
+    @pytest.mark.parametrize(
+        "text, classes, distinct",
+        [
+            ("gauss(sigma=1.5,ell=1,dim=8)", 1, 1),
+            ("normalized(inner=gauss(sigma=2,ell=1,dim=4))", 1, 1),
+            ("separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=gauss(sigma=1,ell=0.7))", 1, 3),
+            ("separable(B=[[1,0,0],[0,2,0],[0,0,1]],base=gauss(sigma=1,ell=0.7))", 1, 2),
+            ("diagexp3", 3, 3),
+        ]
+        + [(text, 1, make_kernel(text).dim_h) for text in SQUARE_KERNELS if "separable" in text],
+    )
+    def test_one_decomposition_per_distinct_channel(self, text, classes, distinct):
+        # one eigh row per proportional class, one Cholesky row per distinct
+        # channel
+        eighs, choleskys = self.decompositions(text, np.linspace(0.0, 3.0, 7)[:, None])
+        assert eighs == [(classes, 7, 7)]
+        assert choleskys == {(distinct, 7, 7)}
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_wide_separable_takes_one_eigh(self, seed):
+        # the benchmark's wide Gram: an 8 x 8 SPD B, its 8 distinct
+        # eigenvalues one class, at n = 130
+        A = np.random.default_rng(seed).standard_normal((8, 8))
+        B = A @ A.T / 8 + 0.5 * np.eye(8)
+        text = f"separable(B={(0.5 * (B + B.T)).tolist()},base=gauss(sigma=1,ell=1))"
+        sites = np.linspace(0.0, 25.0, 130)[:, None]
+        eighs, choleskys = self.decompositions(text, sites)
+        assert eighs == [(1, 130, 130)]
+        assert choleskys == {(8, 130, 130)}
+        eighs, choleskys = self.decompositions("gauss(sigma=1,ell=1,dim=8)", sites)
+        assert eighs == [(1, 130, 130)] and choleskys == {(1, 130, 130)}
 
     def test_factor_formed_on_first_read(self, monkeypatch):
         g = assemble_gram(make_kernel("gauss(sigma=1,ell=0.5,dim=8)"), np.linspace(0, 4, 40)[:, None])
@@ -773,8 +959,8 @@ class TestDistinctChannels:
 
 def copying_formulas(g, kernel, trunc_tol=1e-12):
     """Test-local oracle: the certify path's outputs by the formulas that
-    copied: a contiguous (c, N, N) stack of every channel Gram, one eigh and
-    one stacked Cholesky of all of them, a fresh A + eps*I and a stacked
+    copied: a contiguous (c, N, N) stack of every channel Gram, one eigh of
+    every class (``class_oracle``), one stacked Cholesky of all of them, a fresh A + eps*I and a stacked
     L L^T per rung, and the expansion divided into a second C-order array.
     Returns (eigenvectors, channel factors, factor, onb coefficients); the
     factors are None when the ladder fails.  The ladder's rungs, drift and
@@ -782,10 +968,7 @@ def copying_formulas(g, kernel, trunc_tol=1e-12):
     spec, S = kernel.spec, g.sites
     ch = np.ascontiguousarray(np.moveaxis(spec.channels(kernel.sq_dists(S, S)), -1, 0))
     c, N, _ = ch.shape
-    lam, vecs = np.linalg.eigh(ch)
-    lam, vecs = lam[:, ::-1], vecs[..., ::-1]
-    order = np.argsort(-lam.ravel(), kind="stable")
-    eig = lam.ravel()[order]
+    eig, vecs, order = class_oracle(ch, g.spectrum.index)
     k = int(np.count_nonzero(eig > trunc_tol * eig[0]))
     m, j = np.divmod(order[:k], N)
     V = (vecs[m, :, j][:, :, None] * g.basis.T[m][:, None, :]).reshape(k, N * c)

@@ -8,9 +8,15 @@ outputs, and say which in its notes:
 
     PYTHONPATH=src python tests/test_outputs_pinned.py
 
-prints the DRIFTS and PINNED tables to paste over the ones below.
+prints the DRIFTS and PINNED tables to paste over the ones below, and
+
+    PYTHONPATH=src python tests/test_outputs_pinned.py --moved
+
+prints, as a Markdown table of pinned -> now, only the outputs and drifts
+that differ from them.
 """
 
+import argparse
 import hashlib
 import tempfile
 from pathlib import Path
@@ -171,19 +177,19 @@ PINNED = {
         'ae3c32c6f479fbd9', 'ece0e512d4cfd64b', '91acbe115338747d', '1b9c819dc519efd4',
     ),
     'separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)) n=1': (
-        '4ecf4c1d5f478a3b', '929a08cd32a220d2', '7a206cc43663f2d3', '5f07eef034c5a21f',
+        '4ecf4c1d5f478a3b', '929a08cd32a220d2', '7a206cc43663f2d3', '6c3c396ed6b5c36d',
         '9ebe86bf8c4147a0', '28a059e0266670d3', '1d4243c7f1832d2e', '0a90c47965927629',
     ),
     'separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)) n=2': (
-        '7308296422118671', '7bdb0f10b38421b0', 'd1c7dfbc58d7f2ed', '4216fbb99724481b',
+        '7308296422118671', '7bdb0f10b38421b0', 'bc2667f3a3194a79', 'c3b7664aebf8e7b9',
         '9ebe86bf8c4147a0', '87a3ea373a356913', 'ad3cf8c9e67e6a75', 'dfb9833f763ac291',
     ),
     'separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)) n=5': (
-        '3b6f526f12c1ca6b', '85a762eaa9e16b1a', '2c30bf9e51067bd6', 'f917628d37018687',
+        '3b6f526f12c1ca6b', '85a762eaa9e16b1a', '1c229db34dcefcc6', '8804b693931532e3',
         '9ebe86bf8c4147a0', 'f1efdf44c363d9ea', '782bff7b32337fa9', '170fba1596d823a5',
     ),
     'separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)) n=30': (
-        'aa171c361e9144bd', '4d8c2ff2eae96132', '3687a02d36b9f97e', '77b1ebf8b59c5914',
+        'aa171c361e9144bd', '4d8c2ff2eae96132', '10b32ec152ab1f5b', '2bacc5288a16d8fd',
         'f485a22435118691', 'e62d510b7da7149b', '3e97a66c2db58eb5', '019f94eda533e5e5',
     ),
     'normalized(inner=gauss(sigma=3,ell=1,dim=2)) n=1': (
@@ -235,19 +241,19 @@ PINNED = {
         'c13466e185699097', '4693d21db15a767a', 'c13466e185699097', 'acc3828a0cfdb36b',
     ),
     'separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7))) n=1': (
-        'b2bcef3c3f068214', '19bf54019fea117d', '98247b1a44b6fc1d', 'cc143326a2646c60',
+        'b2bcef3c3f068214', '19bf54019fea117d', '98247b1a44b6fc1d', '6c3c396ed6b5c36d',
         '9ebe86bf8c4147a0', '263a6503857e4df6', 'c8a2aa769bd00b3c', '677be0b50adec49f',
     ),
     'separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7))) n=2': (
-        'b9d8b27747e869bb', '3fc6d0b0a8f709fe', 'ea843f83642539fa', '53afdaaa567cb5f6',
+        'b9d8b27747e869bb', '3fc6d0b0a8f709fe', '106aa66c37e5893b', 'c3b7664aebf8e7b9',
         '9ebe86bf8c4147a0', 'eac45bb7e4fbbaa6', '40332d8f150e8146', '10970c19b310311c',
     ),
     'separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7))) n=5': (
-        'fe970a5bc14b3dc0', 'b2f23b4ffa9f2f80', '00fb8e0d74a9b9bb', '15fc35c3b0b52d0b',
+        'fe970a5bc14b3dc0', 'b2f23b4ffa9f2f80', 'd4a9367c61505bb3', 'fa2ed499c679137f',
         '9ebe86bf8c4147a0', 'df6c2c26f91167d3', 'ae59cf39c0c78f45', '8ec6f178c0d5edf9',
     ),
     'separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7))) n=30': (
-        'a624be50bce960db', 'f506926f877a2b09', '66ed9f7e2bb875a0', '3726608f885adbba',
+        'a624be50bce960db', 'f506926f877a2b09', 'edaa2f52d2136851', 'bc6b6eb8e62ae5a6',
         'f485a22435118691', 'c7d602afdb7c1d3c', '7eb9f4e854c75dac', '40529bee97200039',
     ),
     'normalized(inner=separable(B=[[2,1],[1,3]],base=gauss(sigma=1,ell=0.8))) n=1': (
@@ -259,11 +265,11 @@ PINNED = {
         '9ebe86bf8c4147a0', '4da6751856e49e4d', 'e1ee5f560c906d97', 'e1e87626492f48c2',
     ),
     'normalized(inner=separable(B=[[2,1],[1,3]],base=gauss(sigma=1,ell=0.8))) n=5': (
-        'e0e82002af7db8e6', '18dfe6fca26477b0', '33c79c2703213285', '6aafd7acf04880c4',
+        'e0e82002af7db8e6', '18dfe6fca26477b0', '57c0abf14566a36a', '69b2a8f2025a1f47',
         '9ebe86bf8c4147a0', '4583f74c0ff91b7e', '7b7bc87223a5ac29', '7621fcb8e907b7f0',
     ),
     'normalized(inner=separable(B=[[2,1],[1,3]],base=gauss(sigma=1,ell=0.8))) n=30': (
-        '676fbcabba688a22', '7ca9c282a79e3b73', 'cda2dae168dd6942', 'f462a83150d5bb2b',
+        '676fbcabba688a22', '7ca9c282a79e3b73', 'f654b0287bf118ad', '96952f268b2c629c',
         '1e97cf3416a67d79', 'a2bc24cab1f6dd20', '113af90ac319d382', 'b45777bba9f295d0',
     ),
     'normalized(inner=normalized(inner=diagexp3)) n=1': (
@@ -310,10 +316,10 @@ DRIFTS = {
     'diagexp3 n=2': '0x1.86474844e3544p-49',
     'diagexp3 n=5': '0x1.a5be57f979928p-48',
     'diagexp3 n=30': '0x1.40600ea87fd35p-45',
-    'separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)) n=1': '0x1.028f5c28f5c28p-49',
-    'separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)) n=2': '0x1.6dae7eb5ddcdep-49',
-    'separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)) n=5': '0x1.9d3726f42ebdcp-48',
-    'separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)) n=30': '0x1.4b7887f2a4c6dp-45',
+    'separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)) n=1': '0x1.63851eb851eb8p-49',
+    'separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)) n=2': '0x1.e343f716c1dbap-49',
+    'separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)) n=5': '0x1.16a349444488cp-47',
+    'separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1)) n=30': '0x1.c1bd3325d3056p-45',
     'normalized(inner=gauss(sigma=3,ell=1,dim=2)) n=1': '0x1.028f5c28f5c29p-50',
     'normalized(inner=gauss(sigma=3,ell=1,dim=2)) n=2': '0x1.6dae7eb5ddcdfp-50',
     'normalized(inner=gauss(sigma=3,ell=1,dim=2)) n=5': '0x1.9d3726f42ebddp-49',
@@ -326,14 +332,14 @@ DRIFTS = {
     'rational2 n=2': '0x1.8ea3f26f7f58cp-50',
     'rational2 n=5': '0x1.a134379606a26p-49',
     'rational2 n=30': '0x1.42febabebb5cbp-46',
-    'separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7))) n=1': '0x1.e4ccccccccccbp-49',
-    'separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7))) n=2': '0x1.56ce2caf295d1p-48',
-    'separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7))) n=5': '0x1.4e1b9cb670bc2p-47',
-    'separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7))) n=30': '0x1.0c89ed3fdf088p-44',
+    'separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7))) n=1': '0x1.3e71d893b6083p-48',
+    'separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7))) n=2': '0x1.b55fb6093d832p-48',
+    'separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7))) n=5': '0x1.d9d98b68d3636p-47',
+    'separable(B=[[2,1,0],[1,3,1],[0,1,1]],base=normalized(inner=gauss(sigma=2,ell=0.7))) n=30': '0x1.80b77d1247439p-44',
     'normalized(inner=separable(B=[[2,1],[1,3]],base=gauss(sigma=1,ell=0.8))) n=1': '0x1.028f5c28f5c28p-50',
     'normalized(inner=separable(B=[[2,1],[1,3]],base=gauss(sigma=1,ell=0.8))) n=2': '0x1.6da8c16e063d5p-50',
-    'normalized(inner=separable(B=[[2,1],[1,3]],base=gauss(sigma=1,ell=0.8))) n=5': '0x1.78f388131faaap-49',
-    'normalized(inner=separable(B=[[2,1],[1,3]],base=gauss(sigma=1,ell=0.8))) n=30': '0x1.2f010687bff3fp-46',
+    'normalized(inner=separable(B=[[2,1],[1,3]],base=gauss(sigma=1,ell=0.8))) n=5': '0x1.b1de401f8830ap-49',
+    'normalized(inner=separable(B=[[2,1],[1,3]],base=gauss(sigma=1,ell=0.8))) n=30': '0x1.67ed0645135c1p-46',
     'normalized(inner=normalized(inner=diagexp3)) n=1': '0x1.e4cccccccccccp-50',
     'normalized(inner=normalized(inner=diagexp3)) n=2': '0x1.86474844e3544p-49',
     'normalized(inner=normalized(inner=diagexp3)) n=5': '0x1.a5be57f979928p-48',
@@ -391,7 +397,20 @@ class TestMovedOutputs:
             assemble_gram(make_kernel("gauss(sigma=1e154,ell=1)"), np.linspace(0.0, 1.0, 5)[:, None])
 
 
-if __name__ == "__main__":
+def moved_rows():
+    """(case, output, pinned, now) of every digest and drift that differs
+    from its pin."""
+    for case in CASES:
+        for name, got, want in zip(OUTPUTS, digests(case), PINNED[case]):
+            if got != want:
+                yield case, name, want, got
+        if case in DRIFTS:
+            got, want = float.hex(build(case)[1].spectrum.drift), DRIFTS[case]
+            if got != want:
+                yield case, "drift", f"{want} ({float.fromhex(want):.3e})", f"{got} ({float.fromhex(got):.3e})"
+
+
+def print_pins():
     print("DRIFTS = {")
     for case in DRIFT_CASES:
         print(f"    {case!r}: {float.hex(build(case)[1].spectrum.drift)!r},")
@@ -404,3 +423,15 @@ if __name__ == "__main__":
             print("        " + " ".join(f"{h!r}," for h in d[k:k + 4]))
         print("    ),")
     print("}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print the pinned tables, or what moved from them.")
+    parser.add_argument("--moved", action="store_true",
+                        help="print only the digests and drifts that differ from the pins")
+    if parser.parse_args().moved:
+        print("| case | output | pinned | now |\n|---|---|---|---|")
+        for row in moved_rows():
+            print("| " + " | ".join(f"`{cell}`" for cell in row) + " |")
+    else:
+        print_pins()

@@ -420,6 +420,25 @@ class TestFeatureOperators:
         with pytest.raises(IndexError):
             covariance(gauss_ctx, 5)
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, np.False_])
+    def test_index_not_an_integer(self, diagexp_ctx, bad):
+        # section once took True as site 1 and ended a float in numpy's
+        # slice TypeError; every caller of the check refuses both
+        x = section(diagexp_ctx, 0, [1.0, 0.0, 0.0])
+        fam = TransformFamily(diagexp_ctx, np.tile(np.eye(3), (diagexp_ctx.n, 1, 1)))
+        calls = [lambda: section(diagexp_ctx, bad, [1.0, 0.0, 0.0]),
+                 lambda: feature_adjoint(diagexp_ctx, bad, x),
+                 lambda: covariance(diagexp_ctx, bad),
+                 lambda: transformed_embed(fam, bad, [1.0, 0.0, 0.0]),
+                 lambda: chain_apply(fam, [0, bad], x)]
+        for call in calls:
+            with pytest.raises(TypeError, match=r"^site index .* is not an integer$"):
+                call()
+
+    def test_numpy_integer_index(self, diagexp_ctx):
+        a = [1.0, 2.0, 3.0]
+        assert np.array_equal(section(diagexp_ctx, np.int32(1), a).coeffs, section(diagexp_ctx, 1, a).coeffs)
+
 
 class TestFrameProjection:
     def test_fixes_own_range_under_normalization(self, norm_ctx):
@@ -618,9 +637,9 @@ class TestOnbExpansion:
 
     def test_channel_path_decompositions(self, monkeypatch):
         # make_context -> factorize -> onb_expansion: psd_check's one
-        # stacked (d, n, n) eigh serves the certificate and the basis, one
-        # stacked (d, n, n) Cholesky the factor, and no nd x nd
-        # decomposition runs
+        # (1, n, n) eigh of the channels' one proportional class serves the
+        # certificate and the basis, one stacked (d, n, n) Cholesky the
+        # factor, and no nd x nd decomposition runs
         sites = np.linspace(0.0, 6.0, 12)[:, None]
         k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
         calls, shapes = self._count_decompositions(monkeypatch, 24)
@@ -629,7 +648,7 @@ class TestOnbExpansion:
         basis = onb_expansion(ctx, 1e-12)
         assert ctx.gram.jitter_used == 0.0
         assert calls == {}
-        assert shapes == {("eigh", (2, 12, 12)): 1, ("cholesky", (2, 12, 12)): 1}
+        assert shapes == {("eigh", (1, 12, 12)): 1, ("cholesky", (2, 12, 12)): 1}
         assert len(basis) == 24
 
     def test_raw_data_path_decompositions(self, monkeypatch):
