@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import factorize, site_blocks
+from .gram import check_integer, factorize, site_blocks
 from .kernels import read_only
 from .reprcsv import write_csv
 from .rkhs import RkhsContext
@@ -173,11 +173,11 @@ def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
     ``count`` rows.  Allocated afresh for every chunk, the scratch went
     back to the operating system between chunks and was faulted in again.
     """
+    count, seed = check_integer("count", count), check_integer("seed", seed)
     if count < 1:
         raise ValueError("count must be >= 1")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    seed = int(seed)
     gram = ctx.gram
     LT = factorize(gram).factor.T
     nd = gram.size

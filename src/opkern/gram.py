@@ -62,13 +62,13 @@ class SpectrumReport:
     Gram's (c, N, N) channel Grams (c = d, N = n for a kernel Gram; c = 1,
     N = nd for a one-channel Gram): channel m is r_m R for its class's
     reference R and a ratio r_m > 0 up to a bounded residual
-    (``_proportional_classes``; equal channels share a class with r_m = 1),
-    so its eigenvalues are r_m mu(R) and its eigenvectors R's.  ``vectors``
-    is the stack of the references' eigenvectors, each one's in
-    nonincreasing order of its eigenvalues (a reversed view of the one
-    array ``eigh`` returns), and channel m's are ``vectors[index][m]``.
-    ``eigenvectors``, that stack expanded to one per channel, is derived on
-    its first read (a view when every channel is its own class), so a Gram
+    (``_channel_table``; equal channels share a class with r_m = 1), so its
+    eigenvalues are r_m mu(R) and its eigenvectors R's.  ``vectors`` is the
+    stack of the references' eigenvectors, each one's in nonincreasing
+    order of its eigenvalues (a reversed view of the one array ``eigh``
+    returns), and channel m's are ``vectors[index[m]]``.  ``eigenvectors``,
+    that stack expanded to one per channel, is derived on its first read
+    (``vectors`` itself when every channel is its own class), so a Gram
     with proportional channels keeps one copy of each reference's stack.
     ``eigenvalues[k]`` belongs to kron(u, basis[:, m]) with
     u = eigenvectors[m, :, j] and (m, j) = divmod(order[k], N).
@@ -86,37 +86,32 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray  # sorted nonincreasing
     vectors: np.ndarray  # (references, N, N)
-    index: np.ndarray | slice  # vectors[index]: one stack per channel
+    index: np.ndarray  # vectors[index[m]]: channel m's stack
     basis: np.ndarray
     order: np.ndarray
     drift: float
 
     @classmethod
-    def from_channels(cls, classes, basis, drift: float) -> "SpectrumReport":
+    def from_channels(cls, references, index, ratio, basis, drift: float) -> "SpectrumReport":
         """One stacked eigh of the class references among the (c, N, N)
         channel Grams K_m of a Gram G whose eigenvalues lie within ``drift``
-        of those of sum_m r_m R_m (x) q_m q_m^T, q_m = basis[:, m];
-        ``classes`` is (references, index, ratio), as
-        ``_proportional_classes`` gives it, with R_m = references[index][m]
-        and r_m = ratio[m] (None: every r_m is 1).
+        of those of sum_m r_m R_m (x) q_m q_m^T, q_m = basis[:, m], with
+        R_m = references[index[m]] and r_m = ratio[m] (``_channel_table``).
 
         Channel m's eigenvalues are the products fl(r_m mu) of R_m's.  Each
         errs by at most u |r_m mu| + 2^-1075 (gradual underflow), and
         |r_m mu| <= |fl(r_m mu)| / (1 - u), so the drift gains
         1.01 u max_k |eigenvalues[k]| + 2^-1074 when some r_m is not 1;
         the 1.01 covers 1 / (1 - u) and this evaluation's own rounding."""
-        references, index, ratio = classes
         lam, vecs = np.linalg.eigh(references)  # ascending per channel
-        lam = lam[index][:, ::-1]
-        if ratio is not None:
-            lam = lam * ratio[:, None]  # r_m > 0 keeps each channel's order
+        lam = lam[index][:, ::-1] * ratio[:, None]  # r_m > 0 keeps each channel's order
+        if np.any(ratio != 1.0):
             drift += 1.01 * UNIT_ROUNDOFF * float(np.abs(lam).max()) + 2.0**-1074
         order = np.argsort(-lam.ravel(), kind="stable")
         eig = lam.ravel()[order]
         if not np.isfinite(eig.sum()):  # the PSD margin and the ranks scale with it
             raise GramError("Gram spectrum overflows")
-        return cls(read_only(eig), read_only(vecs[..., ::-1]), index,
-                   *map(read_only, (basis, order)), drift)
+        return cls(*map(read_only, (eig, vecs[..., ::-1], index, basis, order)), drift)
 
     lambda_max = property(lambda self: float(self.eigenvalues[0]))
     min_eig = property(lambda self: float(self.eigenvalues[-1]))
@@ -129,6 +124,8 @@ class SpectrumReport:
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """(c, N, N), read-only: channel m's eigenvectors, nonincreasing."""
+        if len(self.vectors) == len(self.index):  # every channel its own class
+            return self.vectors
         return read_only(self.vectors[self.index])
 
     @cached_property
@@ -142,12 +139,10 @@ class SpectrumReport:
         """(k, nd) rows, one fresh C-order array and the only (k, nd) one
         made: the unit eigenvectors of eigenvalues[:k], gathered from
         ``vectors`` (``eigenvectors`` is not formed)."""
-        c, N = len(self.basis), self.vectors.shape[-1]
-        m, j = np.divmod(self.order[:k], N)
-        place = np.arange(c)[self.index]  # channel m's stack in vectors
-        u = self.vectors[place[m], :, j]  # (k, N)
+        m, j = np.divmod(self.order[:k], self.vectors.shape[-1])
+        u = self.vectors[self.index[m], :, j]  # (k, N)
         q = self.basis.T[m]  # (k, c)
-        return (u[:, :, None] * q[:, None, :]).reshape(k, N * c)
+        return (u[:, :, None] * q[:, None, :]).reshape(k, -1)
 
 
 def _max_abs(data: np.ndarray) -> float:
@@ -157,24 +152,6 @@ def _max_abs(data: np.ndarray) -> float:
     if not math.isfinite(top):
         raise GramError("matrix has non-finite entries")
     return top
-
-
-def _group_channels(channels: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
-    """(stack, index): the distinct matrices of a (c, N, N) stack by exact
-    equality, and each channel's position in that stack (result[index]
-    expands a result per matrix to one per channel); the stack itself and a
-    full slice, a view, when no two are equal.  Unequal diagonals tell most
-    unequal matrices apart at a cost of O(N)."""
-    diag = np.diagonal(channels, axis1=1, axis2=2)
-
-    def equal(j: int, m: int) -> bool:
-        return np.array_equal(diag[j], diag[m]) and np.array_equal(channels[j], channels[m])
-
-    first = [next(j for j in range(m + 1) if j == m or equal(j, m)) for m in range(len(channels))]
-    keep = sorted(set(first))
-    if len(keep) == len(channels):
-        return channels, slice(None)
-    return channels[keep], read_only(np.searchsorted(keep, first))
 
 
 def effective_rank(eigenvalues: np.ndarray, tol: float) -> int:
@@ -189,16 +166,21 @@ def effective_rank(eigenvalues: np.ndarray, tol: float) -> int:
     return len(eig)
 
 
-def check_site_index(owner, i: int) -> None:
-    """Refuse a site index that is not an integer (a bool or an array of
-    one is not; a numpy integer is) or lies outside [0, n) of a Gram or a
-    context."""
+def check_integer(name: str, value) -> int:
+    """``value`` as an int once it is an integer (a numpy integer is; a
+    bool, a float or an array of one is not); a TypeError names ``name``."""
     try:
-        if isinstance(i, (bool, np.bool_)):
+        if isinstance(value, (bool, np.bool_)):
             raise TypeError
-        operator.index(i)
+        return operator.index(value)
     except TypeError:
-        raise TypeError(f"site index {i!r} is not an integer") from None
+        raise TypeError(f"{name} {value!r} is not an integer") from None
+
+
+def check_site_index(owner, i: int) -> None:
+    """Refuse a site index that is not an integer (``check_integer``) or
+    lies outside [0, n) of a Gram or a context."""
+    check_integer("site index", i)
     if not 0 <= i < owner.n:
         raise IndexError(f"site index {i} out of range [0, {owner.n})")
 
@@ -233,22 +215,11 @@ def _dense(channels: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return read_only(data)
 
 
-def _channel_norms(stack: np.ndarray, top: float, scratch: np.ndarray) -> np.ndarray:
-    """|K_j|_F / top of each matrix K_j of a (k, N, N) stack whose largest
-    |entry| is ``top``: the norms are taken of K_j / top, one matrix at a
-    time in ``scratch``, an (N, N) buffer, so no square overflows."""
-    norms = np.empty(len(stack))
-    for j, K in enumerate(stack):
-        np.divide(K, top or 1.0, out=scratch)
-        norms[j] = np.einsum("ij,ij->", scratch, scratch)
-    return np.sqrt(norms)
-
-
 def _rounding_bound(norms: np.ndarray, top: float, QQ: np.ndarray, gamma: float) -> float:
     """A bound on |G - sum_m K_m (x) q_m q_m^T| (Frobenius) for the G that
     ``_dense`` forms from c >= 2 channel Grams K_m, from their norms
-    |K_m|_F / top (``_channel_norms``, one per channel), their largest
-    |entry| ``top`` and QQ[a, m] = Q[a, m]^2, in O(c^2).
+    |K_m|_F / top (one per channel, as ``_channel_table`` records them),
+    their largest |entry| ``top`` and QQ[a, m] = Q[a, m]^2, in O(c^2).
 
     Entry ((i,a),(j,b)) of the channel sum S is a c-term dot product of the
     K_m[i,j] with the rounded products Q[a,m] Q[b,m].  In any order of
@@ -305,53 +276,58 @@ def _proportional_residual(K, R, r: float, top: float, norm_R: float, scratch) -
             + N * 2.0**-1073)
 
 
-def _proportional_classes(stack, index, diag, norms, top: float, scratch):
-    """((references, place, ratio), residual): the distinct matrices K_j of
-    a (k, N, N) stack (``_group_channels``) grouped by proportion.  K_j
-    joins the first earlier class whose reference R has K_j = r R up to a
-    residual bound (``_proportional_residual``) of at most
-    PROPORTIONAL_ULPS u |K_j|_F, with r > 0 one division of the two largest
-    diagonal entries; otherwise it is a class of its own.  A matrix whose
-    diagonal has no positive entry, a zero one among them, is always its
-    own class.  Before the O(N^2) bound two O(N) lower bounds on
-    |K_j - r R|_F reject most unequal pairs: the largest |entry| of the
-    difference of the diagonals and of the rows through R's largest
-    diagonal entry.  An overflow on the way (a NaN or an infinity) rejects
-    the pair.
+def _channel_table(channels: np.ndarray, top: float):
+    """(stack, references, table): (c, N, N) channel Grams K_m, whose
+    largest |entry| is ``top``, grouped in one pass; a K_m that is not
+    exactly symmetric is refused.  ``table`` is five read-only arrays with
+    one row per channel m: its slot in ``stack`` (the exactly distinct K_m:
+    the channels themselves, not copied, when no two are equal), its class
+    (the position of its reference R in ``references``: ``stack`` itself
+    when no two distinct matrices share a class), r_m, a residual bound b_m,
+    and |K_m|_F / top (taken of K_m / top, so that no square overflows; 0
+    for one channel, whose drift is 0).
 
-    ``diag`` is the stack's (k, N) diagonals and ``norms`` its
-    ``_channel_norms``.  Per channel m (``index`` as ``_group_channels``
-    gives it), ``references[place][m]`` is its class's reference,
-    ``ratio[m]`` its r (None when every r is 1) and ``residual[m]`` the
-    bound on its distance from r R (0 for a reference).  With no two
-    classes merged it is the stack itself, ``index``, None and zeros."""
-    k = len(stack)
-    dmax = diag.max(axis=1)
-    refs, place = [], np.empty(k, dtype=np.intp)
-    ratio, residual = np.ones(k), np.zeros(k)
+    A channel equal to an earlier one copies that one's row.  Otherwise it
+    takes the next slot and joins the first earlier class whose reference R
+    has K_m = r_m R up to a bound b_m (``_proportional_residual``) of at
+    most PROPORTIONAL_ULPS u |K_m|_F, r_m > 0 one division of the two
+    largest diagonal entries; or else it is a class of its own, r_m = 1 and
+    b_m = 0.  A matrix whose diagonal has no positive entry, a zero one
+    among them, is always its own class, and an overflow on the way (a NaN
+    or an infinity) rejects a pair."""
+    c, N, _ = channels.shape
+    diag = np.diagonal(channels, axis1=1, axis2=2)
+    scratch = np.empty((N, N)) if c > 1 else None
+    rows, keep, refs = [], [], []  # refs: (channel, largest diagonal entry, norm)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(k):
-            limit = PROPORTIONAL_ULPS * UNIT_ROUNDOFF * top * norms[j]
-            for p_at, p in enumerate(refs):
-                if not dmax[p] > 0.0:
-                    continue
-                r, i = float(dmax[j]) / float(dmax[p]), int(np.argmax(diag[p]))
-                if not (0.0 < r < math.inf
-                        and np.abs(diag[j] - r * diag[p]).max() <= limit
-                        and np.abs(stack[j, i] - r * stack[p, i]).max() <= limit):
-                    continue
-                bound = _proportional_residual(stack[j], stack[p], r, top, norms[p], scratch)
-                if bound <= limit:
-                    place[j], ratio[j], residual[j] = p_at, r, bound
-                    break
+        for m, K in enumerate(channels):
+            # unequal diagonals tell most unequal matrices apart in O(N)
+            twin = next((rows[j] for j in keep
+                         if np.array_equal(diag[j], diag[m]) and np.array_equal(channels[j], K)), None)
+            if twin is not None:
+                rows.append(twin)
+                continue
+            if not np.array_equal(K, K.T):
+                raise GramError("channel Grams are not symmetric")
+            norm, dmax = 0.0, float(diag[m].max())
+            if c > 1:
+                np.divide(K, top or 1.0, out=scratch)
+                norm = math.sqrt(np.einsum("ij,ij->", scratch, scratch))
+            row = (len(keep), len(refs), 1.0, 0.0, norm)
+            for at, (p, p_dmax, p_norm) in enumerate(refs):
+                r = dmax / p_dmax if p_dmax > 0.0 else 0.0
+                if 0.0 < r < math.inf:
+                    bound = _proportional_residual(K, channels[p], r, top, p_norm, scratch)
+                    if bound <= PROPORTIONAL_ULPS * UNIT_ROUNDOFF * top * norm:
+                        row = (len(keep), at, r, bound, norm)
+                        break
             else:
-                place[j] = len(refs)
-                refs.append(j)
-    if len(refs) == k:
-        return (stack, index, None), residual[index]
-    ratio = ratio[index]
-    classes = stack[refs], read_only(place[index]), None if np.all(ratio == 1.0) else read_only(ratio)
-    return classes, residual[index]
+                refs.append((m, dmax, norm))
+            keep.append(m)
+            rows.append(row)
+    stack = channels[keep] if len(keep) < c else channels
+    references = channels[[p for p, _, _ in refs]] if len(refs) < len(keep) else stack
+    return stack, references, [read_only(np.array(column)) for column in zip(*rows)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,12 +352,12 @@ class BlockGram:
     the channels may be any strided view, such as ``assemble_gram``'s
     (d, n, n) view of the spec's (n, n, d) array or a broadcast of one
     channel d times, as ``eigh`` and the Cholesky copy each matrix into
-    LAPACK's own buffer.  Equal channel Grams are factored once
-    (``_group_channels``), and proportional ones, K_m = r_m R such as a
-    separable kernel's lam_m K, decomposed once (``_proportional_classes``):
-    only the distinct factors and the references' eigenvectors are kept,
-    and every channel's are derived from them when read.  G, the factor
-    and what reads them do not depend on the proportional classes.
+    LAPACK's own buffer.  One pass over the channels (``_channel_table``)
+    finds the exactly equal ones, factored once, and the proportional ones,
+    K_m = r_m R such as a separable kernel's lam_m K, decomposed once: only
+    the distinct factors and the references' eigenvectors are kept, and
+    every channel's are derived from them when read.  G, the factor and
+    what reads them do not depend on the proportional classes.
     """
 
     sites: np.ndarray  # (n, k): row i is site s_i
@@ -393,26 +369,20 @@ class BlockGram:
     scale: float = field(init=False)  # max |G_ii|: max |G_ij| when G is PSD
     spectrum: SpectrumReport = field(init=False)
     _diagonal: np.ndarray = field(init=False, repr=False)  # G's diagonal
-    _distinct: tuple = field(init=False, repr=False)  # see _group_channels
+    _distinct: tuple = field(init=False, repr=False)  # (stack, slot): see _channel_table
 
     def __post_init__(self):
         channels, basis = self.channels, self.basis
-        distinct = stack, index = _group_channels(channels)
-        top, QQ = _max_abs(stack), basis * basis
-        if not np.array_equal(stack, stack.transpose(0, 2, 1)):
-            raise GramError("channel Grams are not symmetric")
+        top, QQ = _max_abs(channels), basis * basis
+        stack, references, (slot, place, ratio, residual, norms) = _channel_table(channels, top)
         gamma = 1.01 * (len(basis) + 2) * UNIT_ROUNDOFF
         diag = np.diagonal(stack, axis1=1, axis2=2)
         # G's diagonal, entry (i, a) at i * c + a, with the bits of G's own
-        diagonal = (np.ascontiguousarray(diag[index].T) @ QQ.T).ravel()
+        diagonal = (np.ascontiguousarray(diag[slot].T) @ QQ.T).ravel()
         scale = _max_abs(diagonal)
-        if len(basis) == 1:  # G is its one channel, its own class
-            drift, classes = 0.0, (stack, index, None)
-        else:
-            scratch = np.empty(stack.shape[1:])
-            norms = _channel_norms(stack, top, scratch)
-            classes, residual = _proportional_classes(stack, index, diag, norms, top, scratch)
-            drift = (_rounding_bound(norms[index], top, QQ, gamma)
+        drift = 0.0  # G is its one channel, its own class
+        if len(basis) > 1:
+            drift = (_rounding_bound(norms, top, QQ, gamma)
                      + (1.0 + gamma) * float(residual @ QQ.sum(axis=0)))
         # each entry of S is at most (1 + gamma) top max_a |Q[a, :]|^2
         # (Cauchy-Schwarz over channels); while twice that is below the
@@ -424,11 +394,11 @@ class BlockGram:
         n, size = len(sites), len(channels) * channels.shape[-1]
         if n == 0 or size % n:
             raise GramError(f"{size} rows do not split into {n} sites")
-        report = SpectrumReport.from_channels(classes, basis, drift)
+        report = SpectrumReport.from_channels(references, place, ratio, basis, drift)
         for array in (sites, channels, basis, diagonal, stack):
             read_only(array)
         derived = dict(sites=sites, n=n, d=size // n, size=size, scale=scale,
-                       spectrum=report, _diagonal=diagonal, _distinct=distinct)
+                       spectrum=report, _diagonal=diagonal, _distinct=(stack, slot))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -445,7 +415,7 @@ class BlockGram:
     def _factorization(self) -> tuple[np.ndarray, float, float] | None:
         """(the stacked factors L of the distinct channel Grams, jitter
         used, accepted bound), or None when the whole ladder fails: see
-        ``factorize``.  Channel m's factor is L[index][m]."""
+        ``factorize``.  Channel m's factor is L[slot[m]]."""
         stack = self._distinct[0]
         target, scratch = np.empty(stack.shape), np.empty(stack.shape[1:])
         for eps in _jitter_ladder(self):
@@ -465,10 +435,14 @@ class BlockGram:
             )
         return self._factorization[k]
 
-    # a square root F of data + jitter_used * I, formed on first read from
-    # the distinct channel factors, and a bound on |F F^T - that|
-    factor = cached_property(
-        lambda self: _channel_factor(self._accepted(0)[self._distinct[1]], self.basis))
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """A square root F of data + jitter_used * I, formed on first read
+        from the distinct channel factors; ``factor_residual`` bounds
+        |F F^T - that|."""
+        L, slot = self._accepted(0), self._distinct[1]
+        return _channel_factor(L if len(L) == len(slot) else L[slot], self.basis)
+
     jitter_used = property(lambda self: self._accepted(1))
     factor_residual = property(lambda self: self._accepted(2))
 

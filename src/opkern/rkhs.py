@@ -17,7 +17,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gram import BlockGram, assemble_gram, check_site_index, raw_gram, rows_per_block, site_blocks
+from .gram import (BlockGram, assemble_gram, check_integer, check_site_index, raw_gram,
+                   rows_per_block, site_blocks)
 from .kernels import OperatorKernel, as_hvec, as_site, continuity_increments, read_only, render_spec
 
 __all__ = [
@@ -103,6 +104,7 @@ class RkhsElement:
         return float(np.sqrt(max(inner_product(self, self), 0.0)))
 
     def g_distance(self, other: "RkhsElement") -> float:
+        _same_context(self, other)
         diff = RkhsElement._trusted(self.context, read_only(self.coeffs - other.coeffs))
         return diff.g_norm()
 
@@ -266,8 +268,10 @@ def onb_expansion(ctx: RkhsContext, trunc_tol: float) -> list[RkhsElement]:
     family reproduce the induced scalar kernel on grid pairs up to the
     truncated tail.  The elements are the rows of one read-only (k, nd)
     array, the one ``leading_vectors`` fills, divided in place: the
-    coefficients are written once.
+    coefficients are written once.  ``trunc_tol`` must be a number >= 0.
     """
+    if not trunc_tol >= 0.0:  # a negative one keeps eigenvalues below 0, NaN none
+        raise ValueError(f"trunc_tol must be >= 0, got {trunc_tol!r}")
     report = ctx.gram.spectrum
     lam = report.eigenvalues  # nonincreasing, so the kept pairs lead
     k = int(np.count_nonzero(lam > trunc_tol * report.lambda_max))
@@ -439,6 +443,7 @@ def verify_identities(
     give every product of G with a section, and one kernel row
     K(s_i, s_j) for all j per trial, from one ``kernel.blocks`` call.
     """
+    trials, seed = check_integer("trials", trials), check_integer("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if fam is not None:

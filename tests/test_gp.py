@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import struct
 import tracemalloc
 
@@ -98,6 +99,23 @@ class TestSamplePaths:
         b1 = sample_paths(two_site_ctx, 50, seed=5)
         b2 = sample_paths(two_site_ctx, 100, seed=5)
         assert np.array_equal(b1.paths, b2.paths[:50])
+
+    @pytest.mark.parametrize("name, count, seed", [
+        ("seed", 3, 1.5),  # once sampled seed 1, bit for bit
+        ("seed", 3, True),
+        ("count", True, 0),  # once failed only after sampling
+        ("count", 3.0, 0),
+        ("count", np.array([3]), 0),
+    ])
+    def test_not_an_integer(self, two_site_ctx, name, count, seed):
+        bad = count if name == "count" else seed
+        with pytest.raises(TypeError, match=rf"^{name} {re.escape(repr(bad))} is not an integer$"):
+            sample_paths(two_site_ctx, count, seed=seed)
+
+    def test_numpy_integers(self, two_site_ctx):
+        batch = sample_paths(two_site_ctx, np.int32(3), seed=np.uint64(2**64 - 1))
+        assert batch.seed == 2**64 - 1 and type(batch.seed) is int
+        assert np.array_equal(batch.paths, sample_paths(two_site_ctx, 3, seed=2**64 - 1).paths)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_range(self, two_site_ctx, seed):

@@ -14,6 +14,11 @@ prints the DRIFTS and PINNED tables to paste over the ones below, and
 
 prints, as a Markdown table of pinned -> now, only the outputs and drifts
 that differ from them.
+
+BENCH_PINNED holds the same kind of pins for the Grams the benchmark itself
+builds at its seed 7 (``perfbench/workloads.py``), so that keeping the
+benchmark's numeric work bit for bit is a test of its own; the printer
+prints that table too.
 """
 
 import argparse
@@ -27,7 +32,9 @@ import pytest
 from opkern.gp import sample_paths
 from opkern.gram import GramError, assemble_gram, factorize, gram_to_csv, raw_gram
 from opkern.kernels import make_kernel
-from opkern.rkhs import RkhsContext, TransformFamily, verify_identities
+from opkern.rkhs import RkhsContext, TransformFamily, make_context, verify_identities
+
+from helpers import load_perfbench
 
 # tests/test_gram.py's SQUARE_KERNELS: every square spec of the zoo
 SQUARE_KERNELS = [
@@ -76,6 +83,10 @@ def _bits(array) -> bytes:
     return np.ascontiguousarray(array).tobytes()
 
 
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def _failure(exc: Exception) -> bytes:
     return f"{type(exc).__name__}: {exc}".encode()
 
@@ -122,7 +133,7 @@ def build(case: str):
 
 def digests(case: str) -> tuple[str, ...]:
     out = outputs(*build(case))
-    return tuple(hashlib.sha256(out[name]).hexdigest()[:16] for name in OUTPUTS)
+    return tuple(_digest(out[name]) for name in OUTPUTS)
 
 
 CASES = [f"{k} n={n}" for k in SQUARE_KERNELS for n in SITE_COUNTS] + list(RAW)
@@ -347,6 +358,58 @@ DRIFTS = {
 }
 
 
+# case: (workload, the attribute holding its (spec, sites, ...)); every one
+# is certified PSD and factored by the benchmark
+BENCH_GRAMS = {
+    "python_bound gauss n=200": ("python_bound", "gauss"),
+    "python_bound diagexp3 n=80": ("python_bound", "diag"),
+    "wide_blocks separable n=130": ("wide_blocks", "separable"),
+    "wide_blocks gauss(dim=8) n=130": ("wide_blocks", "gauss"),
+    "gp_paths library n=100": ("gp_paths", "lib"),
+}
+BENCH_SEED = 7
+BENCH_OUTPUTS = ("G", "factor", "eigenvalues", "vectors", "sample_paths", "jitter_used", "drift")
+
+
+def bench_pins(case: str, out: Path) -> tuple[str, ...]:
+    """BENCH_OUTPUTS of a benchmark Gram: digests of its arrays and of 100
+    paths at seed 3, ``float.hex`` of its jitter and drift.  ``out`` is the
+    workload's output directory, which building a Gram does not write."""
+    name, attr = BENCH_GRAMS[case]
+    workload = load_perfbench("workloads").WORKLOADS[name](seed=BENCH_SEED, smoke=False, out=out)
+    spec, sites = getattr(workload, attr)[:2]
+    ctx = make_context(make_kernel(spec), sites)
+    gram = factorize(ctx.gram)
+    arrays = (gram.data, gram.factor, gram.spectrum.eigenvalues, gram.spectrum.vectors,
+              sample_paths(ctx, 100, seed=3).paths)
+    return (*(_digest(_bits(a)) for a in arrays),
+            float.hex(gram.jitter_used), float.hex(gram.spectrum.drift))
+
+
+BENCH_PINNED = {
+    'python_bound gauss n=200': (
+        'd36ef1acff7e2c74', 'b56576092fdb7a03', '149fb079c9200e9d', 'e5a15d6c1af7fce9',
+        'ae55443c76fdeb05', '0x1.19799812dea11p-40', '0x0.0p+0',
+    ),
+    'python_bound diagexp3 n=80': (
+        'ef2ea930c7ce4f59', '625909992768bccb', '3d40e9eabc77d1f6', 'bd5ce8711f963c9b',
+        'b40ed040479df2bb', '0x1.19799812dea11p-40', '0x1.5d418c76c5374p-44',
+    ),
+    'wide_blocks separable n=130': (
+        '9d60a06503b4b108', '28aeb48a4055e117', 'bc68756eb374ae66', 'cda1fc5d9f2368e7',
+        '6932ff49d44002b5', '0x1.6ce0f5362cc34p-40', '0x1.0849c528b7dabp-41',
+    ),
+    'wide_blocks gauss(dim=8) n=130': (
+        '640bd7b7266ad8d7', 'efae35580a4bd0a8', '7e4b327eab26dfd4', '3c728fe646cff740',
+        '822c1549aa2ad257', '0x1.19799812dea11p-40', '0x1.597c209ffd164p-42',
+    ),
+    'gp_paths library n=100': (
+        '42ffa64bcc79019c', '0e3d14d7bbd583af', 'a278753108519c1a', 'eb35d4f04f582c8d',
+        '8ad9f78ff9aba684', '0x1.19799812dea10p-40', '0x1.f7ea8a9a5a62cp-46',
+    ),
+}
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_outputs_keep_their_bits(case):
     moved = [name for name, got, want in zip(OUTPUTS, digests(case), PINNED[case]) if got != want]
@@ -365,6 +428,18 @@ def test_channel_drift_keeps_its_bound(case):
 
 def test_pins_cover_every_drift_case():
     assert list(DRIFTS) == DRIFT_CASES
+
+
+@pytest.mark.parametrize("case", BENCH_GRAMS)
+def test_benchmark_grams_keep_their_bits(case, tmp_path):
+    moved = [name for name, got, want in zip(BENCH_OUTPUTS, bench_pins(case, tmp_path), BENCH_PINNED[case])
+             if got != want]
+    assert not moved, f"{case}: {moved} changed"
+
+
+def test_pins_cover_every_benchmark_gram():
+    assert list(BENCH_PINNED) == list(BENCH_GRAMS)
+    assert all(len(v) == len(BENCH_OUTPUTS) for v in BENCH_PINNED.values())
 
 
 class TestMovedOutputs:
@@ -408,6 +483,11 @@ def moved_rows():
             got, want = float.hex(build(case)[1].spectrum.drift), DRIFTS[case]
             if got != want:
                 yield case, "drift", f"{want} ({float.fromhex(want):.3e})", f"{got} ({float.fromhex(got):.3e})"
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in BENCH_GRAMS:
+            for name, got, want in zip(BENCH_OUTPUTS, bench_pins(case, Path(tmp)), BENCH_PINNED[case]):
+                if got != want:
+                    yield f"benchmark {case}", name, want, got
 
 
 def print_pins():
@@ -422,6 +502,15 @@ def print_pins():
         for k in range(0, len(d), 4):
             print("        " + " ".join(f"{h!r}," for h in d[k:k + 4]))
         print("    ),")
+    print("}")
+    print("BENCH_PINNED = {")
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in BENCH_GRAMS:
+            pins = bench_pins(case, Path(tmp))
+            print(f"    {case!r}: (")
+            for k in range(0, len(pins), 4):
+                print("        " + " ".join(f"{h!r}," for h in pins[k:k + 4]))
+            print("    ),")
     print("}")
 
 

@@ -3,25 +3,13 @@
 only the benchmark's own self-test.  The benchmark's workloads must also
 keep exercising the paths they were chosen for."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from opkern import gram, rkhs
 from opkern.kernels import OperatorKernel, make_kernel
 
-from helpers import one_channel_gram
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_perfbench as load, one_channel_gram
 
 
 def test_every_traced_binding_exists():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -290,6 +291,17 @@ class TestPublicEntryValidation:
 
 
 class TestInnerProduct:
+    @pytest.mark.parametrize("n", [4, 2])
+    def test_distance_across_contexts_refused(self, n):
+        # on an equal number of sites g_distance was once 0.0 and is_equal
+        # True; on another it ended in numpy's broadcast error
+        kernel = make_kernel(GAUSS1)
+        x = section(make_context(kernel, np.linspace(0, 1, 4)[:, None]), 0, [1])
+        y = section(make_context(kernel, np.linspace(2, 3, n)[:, None]), 0, [1])
+        for call in (x.g_distance, x.is_equal):
+            with pytest.raises(ValueError, match="^elements belong to different contexts$"):
+                call(y)
+
     def test_section_self_product(self, diagexp_ctx):
         x = section(diagexp_ctx, 0, [0, 1, 0])
         assert inner_product(x, x) == pytest.approx(1.0)
@@ -596,6 +608,16 @@ class TestChainApply:
 
 
 class TestOnbExpansion:
+    @pytest.mark.parametrize("tol", [-1e-3, -1e-300, np.nan])
+    def test_negative_or_nan_tolerance(self, tol):
+        # smallest eigenvalue -7.3e-15: -1e-3 once kept all 40 pairs, 15 of
+        # them with NaN coefficients
+        ctx = make_context(make_kernel(GAUSS1), np.linspace(0, 1, 40)[:, None])
+        assert ctx.gram.spectrum.min_eig < 0.0
+        with pytest.raises(ValueError, match=r"^trunc_tol must be >= 0, got "):
+            onb_expansion(ctx, tol)
+        assert len(onb_expansion(ctx, 0.0)) == np.count_nonzero(ctx.gram.spectrum.eigenvalues > 0.0)
+
     def test_rank_one_constant_kernel(self):
         ctx = make_context(make_kernel("gauss(sigma=1,ell=1000000,dim=1)"), [[0], [0.5], [1]])
         basis = onb_expansion(ctx, 1e-8)
@@ -765,6 +787,17 @@ class TestVerifyIdentities:
     def test_trials_validation(self, gauss_ctx):
         with pytest.raises(ValueError):
             verify_identities(gauss_ctx, trials=0)
+
+    @pytest.mark.parametrize("name, trials, seed", [("trials", 2.5, 0), ("trials", True, 0), ("seed", 2, 1.5)])
+    def test_not_an_integer(self, gauss_ctx, name, trials, seed):
+        # trials=2.5 once ended in range's TypeError
+        bad = trials if name == "trials" else seed
+        with pytest.raises(TypeError, match=rf"^{name} {re.escape(repr(bad))} is not an integer$"):
+            verify_identities(gauss_ctx, trials=trials, seed=seed)
+
+    def test_numpy_integer_trials(self, gauss_ctx):
+        got = verify_identities(gauss_ctx, trials=np.int64(3), seed=np.uint8(4))
+        assert got.residuals == verify_identities(gauss_ctx, trials=3, seed=4).residuals
 
     def test_report_serializable(self, norm_ctx):
         import json
