@@ -54,9 +54,10 @@ def seed_arg(text: str) -> int:
         seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-    if not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError(f"seed {seed} outside [0, 2**64)")
-    return seed
+    try:
+        return gram_mod.check_seed(seed)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed {seed} outside [0, 2**64)") from None
 
 
 def parse_sites(text: str) -> np.ndarray:

@@ -12,7 +12,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .kernels import OperatorKernel, as_sites, read_only
+from .kernels import PSD_EIG_TOL, OperatorKernel, as_sites, read_only
 from .reprcsv import write_csv
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 5000
 RECON_TOL = 1e-8
-PSD_EIG_TOL = 1e-10
 EFFECTIVE_RANK_TOLS = (1e-2, 1e-4, 1e-6, 1e-8)
 # entries per row block of a blockwise nd x nd pass: 8 MB of float64 scratch
 ROW_BLOCK_ENTRIES = 1 << 20
@@ -175,6 +174,14 @@ def check_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} {value!r} is not an integer") from None
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int once it is an integer (``check_integer``) in [0, 2**64)."""
+    seed = check_integer("seed", seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def check_site_index(owner, i: int) -> None:
@@ -560,9 +567,9 @@ def factorize(gram: BlockGram) -> BlockGram:
 
 
 def check_site_counts(site_counts) -> list[int]:
-    """The grid sizes of a decay profile as ints, once they are nonempty,
-    positive and strictly increasing."""
-    counts = [int(c) for c in site_counts]
+    """The grid sizes of a decay profile as ints, once they are integers
+    (``check_integer``), nonempty, positive and strictly increasing."""
+    counts = [check_integer("site count", c) for c in site_counts]
     if not counts:
         raise GramError("site_counts must be nonempty")
     if any(c < 1 for c in counts):
@@ -583,7 +590,10 @@ def spectral_decay_profile(
     counts = check_site_counts(site_counts)
     if counts[-1] * kernel.dim_h > DEFAULT_SIZE_CAP:
         raise GramError(f"Gram size exceeds cap {DEFAULT_SIZE_CAP}")
-    a, b = float(domain[0]), float(domain[1])
+    try:
+        a, b = map(float, domain)
+    except (TypeError, ValueError):
+        raise GramError(f"domain must be two numbers, got {domain!r}") from None
     return [
         psd_check(assemble_gram(kernel, np.linspace(a, b, c)[:, None]))
         for c in counts

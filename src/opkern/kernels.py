@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 SYM_TOL = 1e-12
+PSD_EIG_TOL = 1e-10  # PSD: least eigenvalue >= -PSD_EIG_TOL * max(lambda_max, 1)
 Matrix = tuple  # row-major tuple of row tuples, kept hashable
 
 
@@ -104,6 +105,17 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_site_dims(k: int, other: int) -> None:
+    """Refuse two sites, or site arrays, of k and ``other`` coordinates."""
+    if k != other:
+        raise ValueError(f"site dimension mismatch: {k} vs {other}")
+
+
+def clamp_roundoff(v):
+    """Self-products x^T M x of a PSD M, roundoff in [-1e-12, 0) clamped to 0."""
+    return np.where((-1e-12 <= v) & (v < 0.0), 0.0, v)
+
+
 def as_sites(sites) -> np.ndarray:
     """Stack a sequence of sites into an (n, k) array; all must have k coords.
 
@@ -121,10 +133,7 @@ def as_sites(sites) -> np.ndarray:
         return arr.reshape(len(arr), -1)
     rows = [as_site(s) for s in sites]
     for row in rows[1:]:
-        if row.size != rows[0].size:
-            raise ValueError(
-                f"site dimension mismatch: {rows[0].size} vs {row.size}"
-            )
+        check_site_dims(rows[0].size, row.size)
     return np.stack(rows)
 
 
@@ -232,7 +241,7 @@ class SeparableSpec:
         if float(np.abs(B - B.T).max()) > SYM_TOL * scale:
             raise SpecDomainError("separable B must be symmetric")
         eigs = self._eigh[0]
-        if eigs.min() < -1e-10 * max(eigs.max(), 1.0):
+        if eigs.min() < -PSD_EIG_TOL * max(eigs.max(), 1.0):
             raise SpecDomainError("separable B must be positive semi-definite")
         _check_scalar_base(self.base, "separable")
 
@@ -510,10 +519,7 @@ class OperatorKernel:
     def sq_dists(S: np.ndarray, T: np.ndarray) -> np.ndarray:
         """|S[i] - T[j]|^2 for (n, k) and (m, k) site arrays, shape (n, m);
         exactly symmetric when S is T."""
-        if S.shape[1] != T.shape[1]:
-            raise ValueError(
-                f"site dimension mismatch: {S.shape[1]} vs {T.shape[1]}"
-            )
+        check_site_dims(S.shape[1], T.shape[1])
         diff = S[:, None, :] - T[None, :, :]
         return np.einsum("ijk,ijk->ij", diff, diff)
 
@@ -540,10 +546,7 @@ class OperatorKernel:
 
     def pairs(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
         """K(S[m], T[m]) for two (m, k) site arrays, shape (m, dim_out, dim_in)."""
-        if S.shape[1] != T.shape[1]:
-            raise ValueError(
-                f"site dimension mismatch: {S.shape[1]} vs {T.shape[1]}"
-            )
+        check_site_dims(S.shape[1], T.shape[1])
         diff = S - T
         return self.values(np.einsum("mk,mk->m", diff, diff))
 
@@ -589,17 +592,16 @@ def continuity_increments(kernel: OperatorKernel, S, T, A) -> np.ndarray:
     and an (m, d) array of H-vectors, shape (m,).
 
     Computed exactly as a^T (K(s,s) - K(s,t) - K(t,s) + K(t,t)) a, the 4m
-    values from one ``pairs`` evaluation, with roundoff in [-1e-12, 0)
-    clamped to zero.
+    values from one ``pairs`` evaluation, clamped by ``clamp_roundoff``.
     """
     if not kernel.is_square:
         raise ValueError("continuity increment requires a square kernel")
     m, d = len(S), kernel.dim_h
+    if not m == len(T) == len(A):
+        raise ValueError(f"row counts differ: S has {m}, T {len(T)}, A {len(A)}")
     K = kernel.pairs(np.concatenate([S, S, T, T]), np.concatenate([S, T, S, T]))
     Kss, Kst, Kts, Ktt = K.reshape(4, m, d, d)
-    val = np.einsum("ma,mab,mb->m", A, Kss - Kst - Kts + Ktt, A)
-    val[(-1e-12 <= val) & (val < 0.0)] = 0.0
-    return val
+    return clamp_roundoff(np.einsum("ma,mab,mb->m", A, Kss - Kst - Kts + Ktt, A))
 
 
 def two_space_form(kernel: OperatorKernel, s, a, b, t, c, dvec):

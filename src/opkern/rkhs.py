@@ -17,9 +17,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gram import (BlockGram, assemble_gram, check_integer, check_site_index, raw_gram,
-                   rows_per_block, site_blocks)
-from .kernels import OperatorKernel, as_hvec, as_site, continuity_increments, read_only, render_spec
+from .gram import (BlockGram, assemble_gram, check_integer, check_seed, check_site_index,
+                   raw_gram, rows_per_block, site_blocks)
+from .kernels import (OperatorKernel, as_hvec, as_site, clamp_roundoff, continuity_increments,
+                      read_only, render_spec)
 
 __all__ = [
     "RkhsContext",
@@ -63,7 +64,7 @@ class RkhsContext:
         h = hashlib.sha256()
         h.update(render_spec(self.kernel.spec).encode())
         h.update(self.sites.tobytes())  # C order: the rows, one after another
-        h.update(self.gram.data.tobytes())
+        h.update(np.ascontiguousarray(self.gram.data))  # no copy of G
         return h.hexdigest()[:16]
 
 
@@ -187,9 +188,8 @@ def inner_product(x: RkhsElement, y: RkhsElement) -> float:
     """G-inner product x^T G y; tiny negative self-products clamp to 0."""
     _same_context(x, y)
     val = float(x.coeffs @ x.context.gram.data @ y.coeffs)
-    if -1e-12 <= val < 0.0 and (x is y or np.array_equal(x.coeffs, y.coeffs)):
-        return 0.0
-    return val
+    clamped = float(clamp_roundoff(val))  # differs from val only in the clamp's range
+    return clamped if clamped != val and (x is y or np.array_equal(x.coeffs, y.coeffs)) else val
 
 
 def _value_at(x: RkhsElement, t: np.ndarray) -> np.ndarray:
@@ -383,12 +383,6 @@ def _rel(lhs, rhs):
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
-def _self_product(v: np.ndarray) -> np.ndarray:
-    """Self-products x^T G x, with roundoff in [-1e-12, 0) clamped to 0 as
-    ``inner_product`` clamps it."""
-    return np.where((-1e-12 <= v) & (v < 0.0), 0.0, v)
-
-
 def _quad(u: np.ndarray, M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u[t]^T M[t] v[t] for stacks of d-vectors and d x d matrices."""
     return np.einsum("ta,tab,tb->t", u, M, v)
@@ -439,11 +433,11 @@ def verify_identities(
 
     The trials run a block at a time, as many as keep the block's
     (trials, nd, d) arrays within ``ROW_BLOCK_ENTRIES``: per block, one
-    product X G and one Y G of the stacked x's and y's, whose block-i rows
-    give every product of G with a section, and one kernel row
-    K(s_i, s_j) for all j per trial, from one ``kernel.blocks`` call.
+    product X G (and, when K(s,s) = I, one Y G) of the stacked x's and y's,
+    whose block-i rows give every product of G with a section, and one
+    kernel row K(s_i, s_j) for all j per trial, from one ``kernel.blocks`` call.
     """
-    trials, seed = check_integer("trials", trials), check_integer("seed", seed)
+    trials, seed = check_integer("trials", trials), check_seed(seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if fam is not None:
@@ -494,7 +488,7 @@ def verify_identities(
         T = min(step, trials - first)
         I, normals, J, bs, chains = _trial_inputs(rng, n, d, T, fam is not None)
         A, X, Y = normals[:, :d], normals[:, d : d + nd], normals[:, d + nd :]
-        XG, YG = X @ G, Y @ G  # G symmetric: row t is (G x_t)^T
+        XG = X @ G  # G symmetric: row t is (G x_t)^T
         t = np.arange(T)
         u = XG.reshape(T, n, d)[t, I]  # V_i^* x, block i of G c
         Kr = kernel.blocks(ctx.sites[I], ctx.sites)  # (T, n, d, d): K(s_i, s_j)
@@ -510,7 +504,7 @@ def verify_identities(
         # e . x(s_i) from the kernel row vs <V_i e, x>_G, every axis e
         record("reproducing", _rel(kx, u))
         quad = _quad(A, Kii, A)
-        record("feature_norm", abs(_self_product(_quad(A, Gii, A)) - quad) / (1.0 + abs(quad)))
+        record("feature_norm", abs(clamp_roundoff(_quad(A, Gii, A)) - quad) / (1.0 + abs(quad)))
         record("adjoint_relation", _rel(_dot(A, u), _dot(A, kx)))
         # repaired operator-norm bound on V_i V_i^* x; record's running
         # maximum starts at 0, so only an excess counts
@@ -526,7 +520,7 @@ def verify_identities(
             # P_i P_i x = section(i, G_ii u) against P_i x = section(i, u)
             record("projection_idempotent", g_norm(_apply(Gii, u) - u) / floor)
             # <P_i x, y> and <x, P_i y>, each projection from the kernel row
-            v = YG.reshape(T, n, d)[t, I]
+            v = (Y @ G).reshape(T, n, d)[t, I]
             ky = np.einsum("tjab,tjb->ta", Kr, Y.reshape(T, n, d))
             record("projection_selfadjoint", _rel(_dot(kx, v), _dot(u, ky)))
 
@@ -535,7 +529,7 @@ def verify_identities(
             BiT = Bi.transpose(0, 2, 1)
             wa = _apply(Bi, A)
             target = _quad(wa, Kii, wa)
-            record("w_norm", abs(_self_product(_quad(wa, Gii, wa)) - target) / (1.0 + abs(target)))
+            record("w_norm", abs(clamp_roundoff(_quad(wa, Gii, wa)) - target) / (1.0 + abs(target)))
             wb = _apply(Bj, bs)
             lhs = _apply(BiT, _apply(blocks[I, J], wb))
             rhs = _apply(BiT, _apply(Kr[t, J], wb))
@@ -569,7 +563,7 @@ def verify_identities(
         I[r], J[r] = rng.integers(n), rng.integers(n)
         rng.standard_normal(out=A[r])
     M = blocks[I, I] - blocks[I, J] - blocks[J, I] + blocks[J, J]
-    lhs = _self_product(_quad(A, M, A))
+    lhs = clamp_roundoff(_quad(A, M, A))
     rhs = continuity_increments(kernel, ctx.sites[I], ctx.sites[J], A)
     record("continuity_consistency", _rel(lhs, rhs))
 

@@ -24,7 +24,7 @@ from opkern.gp import (
 )
 from opkern import gram as gram_mod
 from opkern.kernels import make_kernel
-from opkern.rkhs import make_context
+from opkern.rkhs import make_context, verify_identities
 
 GAUSS1 = "gauss(sigma=1,ell=1,dim=1)"
 
@@ -118,9 +118,14 @@ class TestSamplePaths:
         assert np.array_equal(batch.paths, sample_paths(two_site_ctx, 3, seed=2**64 - 1).paths)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_seed_range(self, two_site_ctx, seed):
-        with pytest.raises(ValueError, match="seed"):
-            sample_paths(two_site_ctx, 3, seed=seed)
+    @pytest.mark.parametrize("run", [
+        lambda ctx, seed: sample_paths(ctx, 3, seed=seed),
+        # -1 once ended in numpy's "expected non-negative integer", 2**64 ran
+        lambda ctx, seed: verify_identities(ctx, trials=1, seed=seed),
+    ], ids=["sample_paths", "verify_identities"])
+    def test_seed_range(self, two_site_ctx, run, seed):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            run(two_site_ctx, seed)
 
     @pytest.mark.parametrize("n,dim", [(2, 1), (20, 3)])
     def test_prefix_stability_across_chunks(self, n, dim):

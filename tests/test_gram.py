@@ -1154,6 +1154,24 @@ class TestSpectralDecay:
         with pytest.raises(GramError, match="^site counts must be positive$"):
             spectral_decay_profile(make_kernel(GAUSS1), counts)
 
+    @pytest.mark.parametrize("counts", [[2.5, 4], [True, 2], [2, np.float64(3.0)]])
+    def test_counts_must_be_integers(self, counts):
+        # 2.5 once built a grid of 2 sites, True one of 1
+        with pytest.raises(TypeError, match="^site count .* is not an integer$"):
+            spectral_decay_profile(make_kernel(GAUSS1), counts)
+
+    @pytest.mark.parametrize("domain", [(0, 1, 2), (0,), 1.0, (0, "x"), None])
+    def test_domain_must_be_two_numbers(self, domain):
+        # (0, 1, 2) once ran on (0, 1), (0,) ended in an IndexError
+        with pytest.raises(GramError, match=r"^domain must be two numbers, got "):
+            spectral_decay_profile(make_kernel(GAUSS1), [3], domain)
+
+    def test_domain_takes_any_pair(self):
+        want = spectral_decay_profile(make_kernel(GAUSS1), [3], (0.0, 2.0))[0].eigenvalues
+        for domain in ([0, 2], np.array([0.0, 2.0]), (np.float32(0), 2)):
+            got = spectral_decay_profile(make_kernel(GAUSS1), [3], domain)[0].eigenvalues
+            assert np.array_equal(got, want)
+
     def test_counts_within_cap(self):
         kernel = make_kernel("diagexp3")
         with pytest.raises(GramError, match=f"^Gram size exceeds cap {DEFAULT_SIZE_CAP}$"):

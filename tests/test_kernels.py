@@ -546,6 +546,14 @@ class TestContinuityIncrement:
             assert abs(value - want) <= 4 * (d * d + 4) * np.finfo(float).eps * mag
         assert np.all(got[::5] == 0.0)
 
+    @pytest.mark.parametrize("rows", [(2, 3, 2), (3, 3, 2), (2, 2, 3)])
+    def test_row_counts_must_agree(self, rows):
+        # S of 2 rows and T of 3 once ended in numpy's reshape error
+        k = make_kernel("gauss(sigma=1,ell=1,dim=2)")
+        S, T, A = (np.zeros((m, 2)) for m in rows)
+        with pytest.raises(ValueError, match=r"^row counts differ: S has {}, T {}, A {}$".format(*rows)):
+            continuity_increments(k, S, T, A)
+
     def test_pairs_are_the_matching_blocks(self):
         k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
         rng = np.random.default_rng(3)

@@ -368,13 +368,15 @@ BENCH_GRAMS = {
     "gp_paths library n=100": ("gp_paths", "lib"),
 }
 BENCH_SEED = 7
-BENCH_OUTPUTS = ("G", "factor", "eigenvalues", "vectors", "sample_paths", "jitter_used", "drift")
+BENCH_OUTPUTS = ("G", "factor", "eigenvalues", "vectors", "sample_paths", "jitter_used", "drift",
+                 "context_hash")
 
 
 def bench_pins(case: str, out: Path) -> tuple[str, ...]:
     """BENCH_OUTPUTS of a benchmark Gram: digests of its arrays and of 100
-    paths at seed 3, ``float.hex`` of its jitter and drift.  ``out`` is the
-    workload's output directory, which building a Gram does not write."""
+    paths at seed 3, ``float.hex`` of its jitter and drift, and its
+    context's ``context_hash``.  ``out`` is the workload's output directory,
+    which building a Gram does not write."""
     name, attr = BENCH_GRAMS[case]
     workload = load_perfbench("workloads").WORKLOADS[name](seed=BENCH_SEED, smoke=False, out=out)
     spec, sites = getattr(workload, attr)[:2]
@@ -383,29 +385,29 @@ def bench_pins(case: str, out: Path) -> tuple[str, ...]:
     arrays = (gram.data, gram.factor, gram.spectrum.eigenvalues, gram.spectrum.vectors,
               sample_paths(ctx, 100, seed=3).paths)
     return (*(_digest(_bits(a)) for a in arrays),
-            float.hex(gram.jitter_used), float.hex(gram.spectrum.drift))
+            float.hex(gram.jitter_used), float.hex(gram.spectrum.drift), ctx.context_hash())
 
 
 BENCH_PINNED = {
     'python_bound gauss n=200': (
         'd36ef1acff7e2c74', 'b56576092fdb7a03', '149fb079c9200e9d', 'e5a15d6c1af7fce9',
-        'ae55443c76fdeb05', '0x1.19799812dea11p-40', '0x0.0p+0',
+        'ae55443c76fdeb05', '0x1.19799812dea11p-40', '0x0.0p+0', '1a8a94077ae9dcd5',
     ),
     'python_bound diagexp3 n=80': (
         'ef2ea930c7ce4f59', '625909992768bccb', '3d40e9eabc77d1f6', 'bd5ce8711f963c9b',
-        'b40ed040479df2bb', '0x1.19799812dea11p-40', '0x1.5d418c76c5374p-44',
+        'b40ed040479df2bb', '0x1.19799812dea11p-40', '0x1.5d418c76c5374p-44', 'e80d940f13202421',
     ),
     'wide_blocks separable n=130': (
         '9d60a06503b4b108', '28aeb48a4055e117', 'bc68756eb374ae66', 'cda1fc5d9f2368e7',
-        '6932ff49d44002b5', '0x1.6ce0f5362cc34p-40', '0x1.0849c528b7dabp-41',
+        '6932ff49d44002b5', '0x1.6ce0f5362cc34p-40', '0x1.0849c528b7dabp-41', '511f24166012e2fd',
     ),
     'wide_blocks gauss(dim=8) n=130': (
         '640bd7b7266ad8d7', 'efae35580a4bd0a8', '7e4b327eab26dfd4', '3c728fe646cff740',
-        '822c1549aa2ad257', '0x1.19799812dea11p-40', '0x1.597c209ffd164p-42',
+        '822c1549aa2ad257', '0x1.19799812dea11p-40', '0x1.597c209ffd164p-42', 'bb9f66d3e5aa0508',
     ),
     'gp_paths library n=100': (
         '42ffa64bcc79019c', '0e3d14d7bbd583af', 'a278753108519c1a', 'eb35d4f04f582c8d',
-        '8ad9f78ff9aba684', '0x1.19799812dea10p-40', '0x1.f7ea8a9a5a62cp-46',
+        '8ad9f78ff9aba684', '0x1.19799812dea10p-40', '0x1.f7ea8a9a5a62cp-46', 'acf478d54edd244c',
     ),
 }
 
