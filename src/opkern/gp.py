@@ -85,19 +85,16 @@ class CovErrorReport:
     pass_ = property(lambda self: self.max_abs_err <= self.mc_tolerance < math.inf)
 
 
-def _path_words(nd: int) -> int:
-    """Raw words per path: nd rounded up to whole 4-word Philox blocks."""
-    return -(-nd // 4) * 4
-
-
 def _box_muller(z: np.ndarray, scratch: np.ndarray) -> None:
     """Overwrite the uniforms z, word pairs (x, y) in its rows, with their
     Box-Muller normals; ``scratch`` holds two rows of one entry per pair.
 
     The steps and their order are those of stream v2: with r =
     sqrt(-2 ln u), h = tan(pi v) and s = r / (1 + h^2), the pair becomes
-    ((1 - h^2) s, 2h s).  ``log`` and ``tan`` read contiguous arrays, as
-    they always have, since numpy may take other code paths on strided ones.
+    ((1 - h^2) s, 2h s): (r cos 2 pi v, r sin 2 pi v) from one vectorised
+    tan in place of cos and sin.  ``log`` and ``tan`` read contiguous
+    arrays, as they always have, since numpy may take other code paths on
+    strided ones.
     """
     x, y = z[:, 0], z[:, 1]
     u, v = scratch
@@ -117,51 +114,22 @@ def _box_muller(z: np.ndarray, scratch: np.ndarray) -> None:
     y *= u
 
 
-def _buffers(words: int) -> tuple[np.ndarray, np.ndarray]:
-    """The normals and the scratch of ``_draw_normals`` for ``words`` words."""
-    return np.empty(words), np.empty((2, words // 2))
-
-
-def _draw_normals(gen: np.random.Generator, z: np.ndarray, scratch: np.ndarray) -> None:
-    """Fill z with the next len(z) normals of the stream ``gen`` draws from.
-
-    ``gen.random`` gives (x >> 11) * 2**-53 for each raw word x; adding
-    2**-54 gives stream v2's uniform ((x >> 11) + 0.5) * 2**-53 bit for bit,
-    as scaling by a power of two commutes with rounding to nearest.  The
-    uniform is never 0.
-    """
-    gen.random(out=z)
-    z += 2.0**-54
-    _box_muller(z.reshape(-1, 2), scratch)
-
-
-def _normals(seed: int, first: int, count: int, nd: int) -> np.ndarray:
-    """Standard normals of paths first..first+count-1, shape (count, nd).
-
-    Path p owns the raw words [p*w, (p+1)*w) of the stream
-    Philox(key=seed), w = nd rounded up to a multiple of 4, so every path
-    starts on a counter block.  Each word pair (x, y) gives the Box-Muller
-    normals r cos(2 pi v), r sin(2 pi v) with u, v the uniforms of x, y and
-    r = sqrt(-2 ln u).  The cosine and sine come from h = tan(pi v) as
-    (1 - h^2, 2h) / (1 + h^2): one vectorised tan in place of cos and sin.
-    The first nd of the w normals are kept.
-    """
-    w = _path_words(nd)
-    z, scratch = _buffers(count * w)
-    _draw_normals(np.random.Generator(np.random.Philox(key=seed, counter=first * w // 4)), z, scratch)
-    return z.reshape(count, w)[:, :nd]
-
-
 def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
     """Draw ``count`` paths as L z with L L^T = G + eps*I.
 
     Reads the context Gram's factor through ``factorize`` (raising on
     indefinite matrices).  Stream v3: one Philox stream keyed by ``seed`` in
-    [0, 2**64), its own counter blocks per path, Box-Muller normals (see
-    ``_normals``), one ``Z @ L.T`` per chunk of about CHUNK_WORDS normals,
-    with L the channel factor ``factorize`` gives (the Cholesky factor for
-    a one-channel Gram).  Stream v2 drew the same normals but always took
-    the dense Cholesky factor.
+    [0, 2**64), its own counter blocks per path, Box-Muller normals, one
+    ``Z @ L.T`` per chunk of about CHUNK_WORDS normals, with L the channel
+    factor ``factorize`` gives (the Cholesky factor for a one-channel Gram).
+    Stream v2 drew the same normals but always took the dense Cholesky
+    factor.
+
+    Path p owns the raw words [p*w, (p+1)*w) of the stream, w = nd rounded
+    up to a multiple of 4, so every path starts on a counter block.  Each
+    word pair gives two Box-Muller normals (see ``_box_muller``), and the
+    first nd of the w normals are kept.
+
     Every chunk, the last included, has the full row count: BLAS rounding
     can depend on the row count (one row takes the matrix-vector path),
     and a fixed shape keeps path p independent of ``count``, so a longer
@@ -179,14 +147,20 @@ def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
     gram = ctx.gram
     LT = factorize(gram).factor.T
     nd = gram.size
-    w = _path_words(nd)
+    w = -(-nd // 4) * 4
     per_chunk = max(1, CHUNK_WORDS // w)
     gen = np.random.Generator(np.random.Philox(key=seed))
-    z, scratch = _buffers(per_chunk * w)
+    z, scratch = np.empty(per_chunk * w), np.empty((2, per_chunk * w // 2))
     Z = z.reshape(per_chunk, w)[:, :nd]
     paths = np.empty((-(-count // per_chunk) * per_chunk, nd))
     for start in range(0, count, per_chunk):
-        _draw_normals(gen, z, scratch)
+        # gen.random gives (x >> 11) * 2**-53 for each raw word x; adding
+        # 2**-54 gives stream v2's uniform ((x >> 11) + 0.5) * 2**-53 bit for
+        # bit, as scaling by a power of two commutes with rounding to
+        # nearest.  The uniform is never 0.
+        gen.random(out=z)
+        z += 2.0**-54
+        _box_muller(z.reshape(-1, 2), scratch)
         np.matmul(Z, LT, out=paths[start : start + per_chunk])
     return SampleBatch(ctx, seed, read_only(paths[:count].reshape(count, gram.n, gram.d)))
 
@@ -217,7 +191,7 @@ def covariance_error_report(batch: SampleBatch) -> CovErrorReport:
     n, d = batch.context.n, batch.context.d
     gram = batch.context.gram
     emp = empirical_covariance(batch).transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    diag = gram.data.diagonal() + gram.jitter_used
+    diag = gram._diagonal + gram.jitter_used
     # T * 2**-e with 2**e above the largest T_ii (T is PSD, so no |T_ij| is
     # larger): no square overflows, and as the scaling is exact, a tolerance
     # that is finite unscaled comes out bitwise the same

@@ -599,6 +599,9 @@ def continuity_increments(kernel: OperatorKernel, S, T, A) -> np.ndarray:
     m, d = len(S), kernel.dim_h
     if not m == len(T) == len(A):
         raise ValueError(f"row counts differ: S has {m}, T {len(T)}, A {len(A)}")
+    if np.shape(A) != (m, d):
+        raise ValueError(f"H-vectors have shape {np.shape(A)}, expected ({m}, {d})")
+    check_site_dims(np.shape(S)[1], np.shape(T)[1])
     K = kernel.pairs(np.concatenate([S, S, T, T]), np.concatenate([S, T, S, T]))
     Kss, Kst, Kts, Ktt = K.reshape(4, m, d, d)
     return clamp_roundoff(np.einsum("ma,mab,mb->m", A, Kss - Kst - Kts + Ktt, A))

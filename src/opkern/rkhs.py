@@ -234,10 +234,8 @@ def transformed_embed(fam: TransformFamily, i: int, a) -> RkhsElement:
 
 def transformed_adjoint(fam: TransformFamily, i: int, x: RkhsElement) -> np.ndarray:
     """W_i^* x = B_i^T (G c)_i."""
-    ctx = fam.context
-    _same_context(x, ctx)
-    check_site_index(ctx, i)
-    return fam.mats[i].T @ feature_adjoint(ctx, i, x)
+    u = feature_adjoint(fam.context, i, x)  # first: it refuses a bad i or x
+    return fam.mats[i].T @ u
 
 
 def chain_apply(fam: TransformFamily, indices, x: RkhsElement) -> RkhsElement:

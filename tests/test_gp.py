@@ -14,7 +14,6 @@ from opkern.gp import (
     BINARY_MAGIC,
     CHUNK_WORDS,
     SampleBatch,
-    _normals,
     batch_from_binary,
     batch_to_binary,
     batch_to_csv,
@@ -36,6 +35,13 @@ def two_site_ctx():
 
 def path_words(nd):
     return -(-nd // 4) * 4
+
+
+def identity_context(ctx):
+    """ctx's kernel and sites with a raw identity Gram: its factor is
+    exactly I with no jitter, so each path sample_paths draws on it is its
+    normals."""
+    return make_context(ctx.kernel, ctx.sites, raw_data=np.eye(ctx.size))
 
 
 def ref_normals(seed, p, nd):
@@ -159,12 +165,13 @@ class TestStreamV2:
     def test_golden_normals_seed0(self):
         # paths 0 and 1 at nd = 4; a tolerance of a few ulp admits libm
         # differences across platforms, not a changed stream
-        z = _normals(0, 0, 2, 4).ravel()
+        ctx = identity_context(make_context(make_kernel(GAUSS1), [[0], [1], [2], [3]]))
+        z = sample_paths(ctx, 2, seed=0).paths.ravel()
         np.testing.assert_allclose(z, self.GOLDEN_SEED0, rtol=1e-14, atol=0)
 
     def test_raw_normal_moments(self):
         # 1e6 normals; each bound is five standard errors
-        z = _normals(0, 0, 1000, 1000).ravel()
+        z = np.concatenate([ref_normals(0, p, 1000) for p in range(1000)])
         n = z.size
         assert abs(z.mean()) <= 5 / np.sqrt(n)
         assert abs(np.mean(z**2) - 1) <= 5 * np.sqrt(2 / n)
@@ -190,16 +197,16 @@ class TestStreamV2:
         batch = sample_paths(ctx, count, seed=seed)
         L = ctx.gram.factor
         flat = batch.paths.reshape(count, nd)
+        # on an identity Gram the sampler's paths are its normals, bit for bit
+        normals = sample_paths(identity_context(ctx), count, seed=seed).paths.reshape(count, nd)
         # the product rounds differently from a matrix-vector product, so
         # paths meet L @ ref within the float64 dot-product error bound
         eps = np.finfo(np.float64).eps
         for p in {p for p in (0, per_chunk - 1, per_chunk, count - 1) if p < count}:
             z = ref_normals(seed, p, nd)
-            assert np.array_equal(_normals(seed, p, 1, nd)[0], z)
+            assert normals[p].tobytes() == z.tobytes()
             bound = 2 * nd * eps * (np.abs(L) @ np.abs(z))
             assert np.all(np.abs(flat[p] - L @ z) <= bound)
-        chunk = _normals(seed, 0, per_chunk, nd)
-        assert np.array_equal(chunk[per_chunk - 1], ref_normals(seed, per_chunk - 1, nd))
 
 
 class TestStreamV3Chunks:
@@ -243,7 +250,7 @@ class TestStreamV3Chunks:
         L = ctx.gram.factor
         for start in range(0, count, per_chunk):
             stop = min(start + per_chunk, count)
-            block = _normals(11, start, per_chunk, nd) @ L.T
+            block = np.stack([ref_normals(11, p, nd) for p in range(start, start + per_chunk)]) @ L.T
             assert paths[start:stop].tobytes() == block[: stop - start].tobytes()
 
 

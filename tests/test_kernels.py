@@ -554,6 +554,18 @@ class TestContinuityIncrement:
         with pytest.raises(ValueError, match=r"^row counts differ: S has {}, T {}, A {}$".format(*rows)):
             continuity_increments(k, S, T, A)
 
+    @pytest.mark.parametrize("S, T, A, message", [
+        # each once ended in a numpy error: einsum's broadcast, concatenate's
+        # dimensions and einsum's subscripts
+        ((2, 2), (2, 2), (2, 3), r"^H-vectors have shape \(2, 3\), expected \(2, 2\)$"),
+        ((2, 1), (2, 2), (2, 2), "^site dimension mismatch: 1 vs 2$"),
+        ((2, 2), (2, 2), (2,), r"^H-vectors have shape \(2,\), expected \(2, 2\)$"),
+    ])
+    def test_shapes_must_agree(self, S, T, A, message):
+        k = make_kernel("gauss(sigma=1,ell=1,dim=2)")
+        with pytest.raises(ValueError, match=message):
+            continuity_increments(k, np.zeros(S), np.zeros(T), np.zeros(A))
+
     def test_pairs_are_the_matching_blocks(self):
         k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
         rng = np.random.default_rng(3)
