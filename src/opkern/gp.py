@@ -26,11 +26,11 @@ __all__ = [
     "batch_from_binary",
 ]
 
-BINARY_MAGIC = b"OPKGP3"  # stream v3; v1 and v2 files share the layout
-_READABLE_MAGICS = (b"OPKGP1", b"OPKGP2", BINARY_MAGIC)
+BINARY_MAGIC = b"OPKGP4"  # stream v4; v1-v3 files share the layout
+_READABLE_MAGICS = (b"OPKGP1", b"OPKGP2", b"OPKGP3", BINARY_MAGIC)
 MC_SIGMA_FACTOR = 4.0
-# Raw Philox words drawn per chunk of paths: keeps the scratch arrays of
-# sample_paths at a few hundred kB whatever the batch size.
+# Normals per chunk of paths: keeps the scratch of sample_paths at a few
+# hundred kB whatever the batch size.
 CHUNK_WORDS = 1 << 15
 
 
@@ -39,10 +39,10 @@ class SampleBatch:
     """N seeded zero-mean Gaussian paths over the context sites.
 
     ``paths`` has shape (N, n, d); path p is L z_p with L the Gram's factor
-    (see ``factorize``) and z_p drawn from path p's own counter blocks of
-    the Philox stream keyed by ``seed`` (stream v3, see ``sample_paths``).
-    Regeneration is bitwise identical, and a larger ``count`` extends a
-    smaller one.
+    (see ``factorize``) and z_p the normals [p*n*d, (p+1)*n*d) of the SFC64
+    stream seeded by ``seed`` (stream v4, see ``sample_paths``).
+    Regeneration on one machine is bitwise identical, and a larger
+    ``count`` extends a smaller one.
     """
 
     context: RkhsContext
@@ -85,61 +85,28 @@ class CovErrorReport:
     pass_ = property(lambda self: self.max_abs_err <= self.mc_tolerance < math.inf)
 
 
-def _box_muller(z: np.ndarray, scratch: np.ndarray) -> None:
-    """Overwrite the uniforms z, word pairs (x, y) in its rows, with their
-    Box-Muller normals; ``scratch`` holds two rows of one entry per pair.
-
-    The steps and their order are those of stream v2: with r =
-    sqrt(-2 ln u), h = tan(pi v) and s = r / (1 + h^2), the pair becomes
-    ((1 - h^2) s, 2h s): (r cos 2 pi v, r sin 2 pi v) from one vectorised
-    tan in place of cos and sin.  ``log`` and ``tan`` read contiguous
-    arrays, as they always have, since numpy may take other code paths on
-    strided ones.
-    """
-    x, y = z[:, 0], z[:, 1]
-    u, v = scratch
-    np.copyto(u, x)
-    np.copyto(v, y)
-    np.log(u, out=u)
-    u *= -2.0
-    np.sqrt(u, out=u)  # r
-    v *= np.pi
-    np.tan(v, out=v)  # h
-    np.multiply(v, 2.0, out=y)  # 2h
-    v *= v  # h^2
-    np.add(v, 1.0, out=x)
-    u /= x  # s
-    np.subtract(1.0, v, out=v)
-    np.multiply(v, u, out=x)
-    y *= u
-
-
 def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
     """Draw ``count`` paths as L z with L L^T = G + eps*I.
 
     Reads the context Gram's factor through ``factorize`` (raising on
-    indefinite matrices).  Stream v3: one Philox stream keyed by ``seed`` in
-    [0, 2**64), its own counter blocks per path, Box-Muller normals, one
-    ``Z @ L.T`` per chunk of about CHUNK_WORDS normals, with L the channel
-    factor ``factorize`` gives (the Cholesky factor for a one-channel Gram).
-    Stream v2 drew the same normals but always took the dense Cholesky
-    factor.
-
-    Path p owns the raw words [p*w, (p+1)*w) of the stream, w = nd rounded
-    up to a multiple of 4, so every path starts on a counter block.  Each
-    word pair gives two Box-Muller normals (see ``_box_muller``), and the
-    first nd of the w normals are kept.
+    indefinite matrices).  Stream v4: one SFC64 stream seeded by ``seed`` in
+    [0, 2**64) and numpy's ziggurat ``standard_normal`` on it; path p takes
+    the normals [p*nd, (p+1)*nd) of the stream, and one ``Z @ L.T`` runs
+    per chunk of about CHUNK_WORDS normals, with L the channel factor
+    ``factorize`` gives (the Cholesky factor for a one-channel Gram).  The
+    normals are the same on every CPU; the product rounds as the BLAS
+    does.
 
     Every chunk, the last included, has the full row count: BLAS rounding
     can depend on the row count (one row takes the matrix-vector path),
     and a fixed shape keeps path p independent of ``count``, so a longer
     batch extends a shorter one bitwise.
-    The chunks run in buffers allocated once per call: chunks are
-    consecutive runs of the stream, so one generator draws them all, and
-    each chunk's product is written straight into its rows of the paths,
-    which are allocated for whole chunks; the batch is their first
-    ``count`` rows.  Allocated afresh for every chunk, the scratch went
-    back to the operating system between chunks and was faulted in again.
+    The normals of every chunk are drawn into one buffer allocated once
+    per call, and each chunk's product is written straight into its rows
+    of the paths, which are allocated for whole chunks; the batch is their
+    first ``count`` rows.  Allocated afresh for every chunk, the scratch
+    went back to the operating system between chunks and was faulted in
+    again.
     """
     count, seed = check_integer("count", count), check_seed(seed)
     if count < 1:
@@ -147,20 +114,12 @@ def sample_paths(ctx: RkhsContext, count: int, seed: int = 0) -> SampleBatch:
     gram = ctx.gram
     LT = factorize(gram).factor.T
     nd = gram.size
-    w = -(-nd // 4) * 4
-    per_chunk = max(1, CHUNK_WORDS // w)
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    z, scratch = np.empty(per_chunk * w), np.empty((2, per_chunk * w // 2))
-    Z = z.reshape(per_chunk, w)[:, :nd]
+    per_chunk = max(1, CHUNK_WORDS // nd)
+    gen = np.random.Generator(np.random.SFC64(seed))
+    Z = np.empty((per_chunk, nd))
     paths = np.empty((-(-count // per_chunk) * per_chunk, nd))
     for start in range(0, count, per_chunk):
-        # gen.random gives (x >> 11) * 2**-53 for each raw word x; adding
-        # 2**-54 gives stream v2's uniform ((x >> 11) + 0.5) * 2**-53 bit for
-        # bit, as scaling by a power of two commutes with rounding to
-        # nearest.  The uniform is never 0.
-        gen.random(out=z)
-        z += 2.0**-54
-        _box_muller(z.reshape(-1, 2), scratch)
+        gen.standard_normal(out=Z)
         np.matmul(Z, LT, out=paths[start : start + per_chunk])
     return SampleBatch(ctx, seed, read_only(paths[:count].reshape(count, gram.n, gram.d)))
 
@@ -237,7 +196,7 @@ def batch_to_csv(batch: SampleBatch, path) -> None:
 
 
 def batch_to_binary(batch: SampleBatch, path) -> None:
-    """Compact layout: magic OPKGP3 (stream v3), little-endian u64 seed,
+    """Compact layout: magic OPKGP4 (stream v4), little-endian u64 seed,
     u32 N/n/d, then N*n*d float64 values."""
     n, d = batch.context.n, batch.context.d
     with open(path, "wb") as fh:
@@ -249,8 +208,8 @@ def batch_to_binary(batch: SampleBatch, path) -> None:
 def batch_from_binary(path):
     """Read back (seed, paths) from the binary layout; shape (N, n, d).
 
-    Reads OPKGP3 and the identically laid out OPKGP2 (stream v2) and
-    OPKGP1 (stream v1) files.
+    Reads stream v4's files and the identically laid out ones of streams
+    v1-v3 (``_READABLE_MAGICS``).
     """
     with open(path, "rb") as fh:
         magic = fh.read(6)

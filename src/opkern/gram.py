@@ -12,7 +12,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .kernels import PSD_EIG_TOL, OperatorKernel, as_sites, read_only
+from .kernels import PSD_EIG_TOL, OperatorKernel, as_sites, is_orthogonal, read_only
 from .reprcsv import write_csv
 
 __all__ = [
@@ -355,7 +355,9 @@ class BlockGram:
     and the residuals of its proportional classes (the drift, see
     SpectrumReport).  Only a Gram whose entries could reach the largest
     float forms G at once, to refuse it if one does.  n = len(sites) and
-    d = c * N / n.  The arrays are taken, not copied, and made read-only:
+    d = c * N / n; the sites are read by ``as_sites``, and Q must be
+    orthogonal (``is_orthogonal``, the rule of ``TransformFamily.is_unitary``).
+    The channels and basis are taken, not copied, and made read-only:
     the channels may be any strided view, such as ``assemble_gram``'s
     (d, n, n) view of the spec's (n, n, d) array or a broadcast of one
     channel d times, as ``eigh`` and the Cholesky copy each matrix into
@@ -380,15 +382,26 @@ class BlockGram:
 
     def __post_init__(self):
         channels, basis = self.channels, self.basis
+        if channels.ndim != 3 or channels.shape[1] != channels.shape[2]:
+            raise GramError(f"channel Grams have shape {channels.shape}, expected (c, N, N)")
+        c, n = len(channels), len(self.sites)
+        if basis.shape != (c, c):
+            raise GramError(f"basis has shape {basis.shape}, expected ({c}, {c})")
+        if not is_orthogonal(basis):
+            raise GramError("basis is not orthogonal")
+        size = c * channels.shape[-1]
+        if n == 0 or size % n:
+            raise GramError(f"{size} rows do not split into {n} sites")
+        sites = as_sites(self.sites)
         top, QQ = _max_abs(channels), basis * basis
         stack, references, (slot, place, ratio, residual, norms) = _channel_table(channels, top)
-        gamma = 1.01 * (len(basis) + 2) * UNIT_ROUNDOFF
+        gamma = 1.01 * (c + 2) * UNIT_ROUNDOFF
         diag = np.diagonal(stack, axis1=1, axis2=2)
         # G's diagonal, entry (i, a) at i * c + a, with the bits of G's own
         diagonal = (np.ascontiguousarray(diag[slot].T) @ QQ.T).ravel()
         scale = _max_abs(diagonal)
         drift = 0.0  # G is its one channel, its own class
-        if len(basis) > 1:
+        if c > 1:
             drift = (_rounding_bound(norms, top, QQ, gamma)
                      + (1.0 + gamma) * float(residual @ QQ.sum(axis=0)))
         # each entry of S is at most (1 + gamma) top max_a |Q[a, :]|^2
@@ -397,10 +410,6 @@ class BlockGram:
         # now and refused if one does
         if not 2.0 * (1.0 + 2.0 * gamma) * top * QQ.sum(axis=1).max() < np.finfo(float).max:
             _max_abs(self.data)
-        sites = np.asarray(self.sites, dtype=float)
-        n, size = len(sites), len(channels) * channels.shape[-1]
-        if n == 0 or size % n:
-            raise GramError(f"{size} rows do not split into {n} sites")
         report = SpectrumReport.from_channels(references, place, ratio, basis, drift)
         for array in (sites, channels, basis, diagonal, stack):
             read_only(array)

@@ -57,6 +57,7 @@ __all__ = [
 
 SYM_TOL = 1e-12
 PSD_EIG_TOL = 1e-10  # PSD: least eigenvalue >= -PSD_EIG_TOL * max(lambda_max, 1)
+UNITARY_TOL = 1e-10  # max |M^T M - I| of a unitary transform or an orthogonal basis
 Matrix = tuple  # row-major tuple of row tuples, kept hashable
 
 
@@ -111,6 +112,15 @@ def check_site_dims(k: int, other: int) -> None:
         raise ValueError(f"site dimension mismatch: {k} vs {other}")
 
 
+def is_orthogonal(M: np.ndarray) -> bool:
+    """max |M^T M - I| <= UNITARY_TOL, for a square matrix or a stack of
+    them; a NaN fails.  M^T M is the one temporary."""
+    M = np.asarray(M, dtype=float)
+    D, d = np.swapaxes(M, -1, -2) @ M, M.shape[-1]
+    D.reshape(-1, d * d)[:, :: d + 1] -= 1.0
+    return bool(np.abs(D, out=D).max() <= UNITARY_TOL)
+
+
 def clamp_roundoff(v):
     """Self-products x^T M x of a PSD M, roundoff in [-1e-12, 0) clamped to 0."""
     return np.where((-1e-12 <= v) & (v < 0.0), 0.0, v)
@@ -119,18 +129,20 @@ def clamp_roundoff(v):
 def as_sites(sites) -> np.ndarray:
     """Stack a sequence of sites into an (n, k) array; all must have k coords.
 
-    Sites that are all scalars or all equally long coordinate sequences are
-    converted by one numpy call; any other input takes ``as_site`` one site
-    at a time, which raises its error or the dimension mismatch."""
-    sites = list(sites)
+    Sites that are all scalars or all equally long coordinate sequences,
+    an array among them, are converted by one numpy call; any other input
+    takes ``as_site`` one site at a time, which raises its error or the
+    dimension mismatch."""
+    if not isinstance(sites, np.ndarray):
+        sites = list(sites)
     try:
         arr = np.array(sites, dtype=float)
     except (ValueError, TypeError, OverflowError):
         arr = None
-    if arr is not None and len(arr) and (arr.ndim == 1 or (arr.ndim == 2 and arr.shape[1])):
+    if arr is not None and ((arr.ndim == 1 and len(arr)) or (arr.ndim == 2 and arr.shape[1])):
         if not np.isfinite(arr).all():
             raise ValueError("site coordinates must be finite")
-        return arr.reshape(len(arr), -1)
+        return arr if arr.ndim == 2 else arr.reshape(-1, 1)
     rows = [as_site(s) for s in sites]
     for row in rows[1:]:
         check_site_dims(rows[0].size, row.size)
@@ -588,20 +600,23 @@ def continuity_increment(kernel: OperatorKernel, s, t, a) -> float:
 
 
 def continuity_increments(kernel: OperatorKernel, S, T, A) -> np.ndarray:
-    """|V_s a - V_t a|^2 for each row (s, t, a) of two (m, k) site arrays
-    and an (m, d) array of H-vectors, shape (m,).
+    """|V_s a - V_t a|^2 for each row (s, t, a) of two arrays of m sites
+    (``as_sites``: a 1-D array is m one-coordinate sites) and an (m, d)
+    array of finite H-vectors, shape (m,).
 
     Computed exactly as a^T (K(s,s) - K(s,t) - K(t,s) + K(t,t)) a, the 4m
     values from one ``pairs`` evaluation, clamped by ``clamp_roundoff``.
     """
     if not kernel.is_square:
         raise ValueError("continuity increment requires a square kernel")
+    S, T = as_sites(S), as_sites(T)
     m, d = len(S), kernel.dim_h
     if not m == len(T) == len(A):
         raise ValueError(f"row counts differ: S has {m}, T {len(T)}, A {len(A)}")
     if np.shape(A) != (m, d):
         raise ValueError(f"H-vectors have shape {np.shape(A)}, expected ({m}, {d})")
-    check_site_dims(np.shape(S)[1], np.shape(T)[1])
+    as_hvec(np.ravel(A))  # refuses a non-finite entry
+    check_site_dims(S.shape[1], T.shape[1])
     K = kernel.pairs(np.concatenate([S, S, T, T]), np.concatenate([S, T, S, T]))
     Kss, Kst, Kts, Ktt = K.reshape(4, m, d, d)
     return clamp_roundoff(np.einsum("ma,mab,mb->m", A, Kss - Kst - Kts + Ktt, A))

@@ -20,7 +20,7 @@ import numpy as np
 from .gram import (BlockGram, assemble_gram, check_integer, check_seed, check_site_index,
                    raw_gram, rows_per_block, site_blocks)
 from .kernels import (OperatorKernel, as_hvec, as_site, clamp_roundoff, continuity_increments,
-                      read_only, render_spec)
+                      is_orthogonal, read_only, render_spec)
 
 __all__ = [
     "RkhsContext",
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 NULL_TOL = 1e-10
-UNITARY_TOL = 1e-10  # max |M^T M - I| of a unitary transform
 DEFAULT_SEED = 0x5EED
 
 
@@ -137,9 +136,7 @@ class TransformFamily:
         object.__setattr__(self, "mats", read_only(mats))
 
     def is_unitary(self) -> bool:
-        m = self.mats
-        defect = np.abs(m.transpose(0, 2, 1) @ m - np.eye(self.context.d))
-        return float(defect.max()) <= UNITARY_TOL
+        return is_orthogonal(self.mats)
 
 
 def make_context(

@@ -420,7 +420,7 @@ class TestSampleCommand:
                 str(tmp_path),
             ]
         )
-        assert (tmp_path / "batch.bin").read_bytes()[:6] == b"OPKGP3"
+        assert (tmp_path / "batch.bin").read_bytes()[:6] == b"OPKGP4"
 
     def test_unknown_format_usage_error(self, tmp_path):
         args = self.ARGS + ["--count", "10", "--format", "json", "--out", str(tmp_path)]
@@ -877,8 +877,10 @@ class TestJsonOutputs:
         assert payload["norm_bound"] == {"max_residual": None, "tolerance": 1e-10, "pass": False}
 
     def test_infinite_error_written_as_null(self, tmp_path, capsys):
+        # seed 1's one path is about (1.1, 1.7) * sigma, so a second moment
+        # overflows, and four standard errors overflow at N = 1
         argv = ["sample", "--kernel", "gauss(sigma=9e153,ell=1)", "--sites", "[0,0.5]",
-                "-N", "1", "--out", str(tmp_path)]
+                "-N", "1", "--seed", "1", "--out", str(tmp_path)]
         assert main(argv) == 2
         payload = strict_json(tmp_path / "cov_report.json")
         jsonschema.validate(payload, schema("cov_report.json"))

@@ -1,15 +1,20 @@
 import dataclasses
 import hashlib
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opkern
 from opkern.gp import (
     BINARY_MAGIC,
     CHUNK_WORDS,
@@ -33,10 +38,6 @@ def two_site_ctx():
     return make_context(make_kernel(GAUSS1), [[0], [1]])
 
 
-def path_words(nd):
-    return -(-nd // 4) * 4
-
-
 def identity_context(ctx):
     """ctx's kernel and sites with a raw identity Gram: its factor is
     exactly I with no jitter, so each path sample_paths draws on it is its
@@ -44,28 +45,10 @@ def identity_context(ctx):
     return make_context(ctx.kernel, ctx.sites, raw_data=np.eye(ctx.size))
 
 
-def ref_normals(seed, p, nd):
-    """Per-path reference for the normals of streams v2 and v3 (v3 keeps
-    v2's normals and changes only the factor): one Philox keyed by the seed,
-    advanced to path p's first counter block, Box-Muller on its w words
-    with the cosine and sine of 2 pi v taken from h = tan(pi v)."""
-    w = path_words(nd)
-    bits = np.random.Philox(key=seed)
-    bits.advance(p * w // 4)
-    x = bits.random_raw(w)
-    u = ((x[0::2] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    v = ((x[1::2] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    r = np.sqrt(-2.0 * np.log(u))
-    h = np.tan(np.pi * v)
-    s = r / (1.0 + h * h)
-    z = np.empty(w)
-    z[0::2] = (1.0 - h * h) * s
-    z[1::2] = 2.0 * h * s
-    # the half-angle form is Box-Muller: a few ulp of r from cos and sin
-    eps = np.finfo(np.float64).eps
-    assert np.all(np.abs(z[0::2] - r * np.cos(2 * np.pi * v)) <= 16 * eps * r)
-    assert np.all(np.abs(z[1::2] - r * np.sin(2 * np.pi * v)) <= 16 * eps * r)
-    return z[:nd]
+def ref_normals(seed, count, nd):
+    """Stream v4's normals of ``count`` paths at n*d = nd, drawn in one
+    call: row p is path p's."""
+    return np.random.Generator(np.random.SFC64(seed)).standard_normal(count * nd).reshape(count, nd)
 
 
 class TestSamplePaths:
@@ -141,7 +124,7 @@ class TestSamplePaths:
             make_kernel(f"gauss(sigma=1,ell=1,dim={dim})"),
             [[x] for x in np.linspace(0, 3, n)],
         )
-        per_chunk = CHUNK_WORDS // path_words(n * dim)
+        per_chunk = CHUNK_WORDS // (n * dim)
         longest = sample_paths(ctx, 2 * per_chunk + 3, seed=8).paths
         for count in (1, 2, 5, per_chunk - 1, per_chunk + 1):
             batch = sample_paths(ctx, count, seed=8)
@@ -149,17 +132,17 @@ class TestSamplePaths:
 
 
 class TestStreamV2:
-    """The chunked sampler against the per-path scalar reference."""
+    """The chunked sampler against the stream's normals drawn in one call."""
 
     GOLDEN_SEED0 = [
-        0.15853383451844044,
-        2.982879282617075,
-        -1.9256919819171863,
-        -0.8249255452762637,
-        -0.20250327969123177,
-        1.1557642251763287,
-        0.3302045044676293,
-        -0.028982948293703896,
+        -0.5423652285985597,
+        -0.7332765023069422,
+        -0.29930851727893054,
+        0.6866133223417257,
+        0.13997342329966622,
+        -1.805147413216547,
+        -0.7386236164354572,
+        -0.9747702608265898,
     ]
 
     def test_golden_normals_seed0(self):
@@ -169,15 +152,40 @@ class TestStreamV2:
         z = sample_paths(ctx, 2, seed=0).paths.ravel()
         np.testing.assert_allclose(z, self.GOLDEN_SEED0, rtol=1e-14, atol=0)
 
+    # 5,000 paths of stream v4's normals at n*d = 4, seed 3, as a digest
+    IDENTITY_DIGEST = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from opkern.gp import sample_paths\n"
+        "from opkern.kernels import make_kernel\n"
+        "from opkern.rkhs import make_context\n"
+        "ctx = make_context(make_kernel('gauss(sigma=1,ell=1,dim=1)'), [[0], [1], [2], [3]], raw_data=np.eye(4))\n"
+        "digest = hashlib.sha256(sample_paths(ctx, 5000, seed=3).paths.tobytes()).hexdigest()\n"
+    )
+
+    def test_normals_do_not_depend_on_the_cpu_dispatch(self):
+        """The paths of a raw identity Gram, its normals, are the same with
+        numpy's AVX512 loops disabled in a fresh process.  The test has teeth
+        only where numpy dispatches X86_V4: numpy ignores feature names it
+        does not dispatch, and both runs then take the same loops."""
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4,AVX512_ICL,AVX512_SPR",
+                   PYTHONPATH=str(Path(opkern.__file__).resolve().parent.parent))
+        out = subprocess.run([sys.executable, "-c", self.IDENTITY_DIGEST + "print(digest)"], env=env,
+                             capture_output=True, text=True, check=True)
+        scope = {}
+        exec(self.IDENTITY_DIGEST, scope)
+        assert out.stdout.strip() == scope["digest"]
+
     def test_raw_normal_moments(self):
         # 1e6 normals; each bound is five standard errors
-        z = np.concatenate([ref_normals(0, p, 1000) for p in range(1000)])
+        z = ref_normals(0, 1000, 1000).ravel()
         n = z.size
         assert abs(z.mean()) <= 5 / np.sqrt(n)
         assert abs(np.mean(z**2) - 1) <= 5 * np.sqrt(2 / n)
         assert abs(np.mean(z**4) - 3) <= 5 * np.sqrt(96 / n)
-        # the two normals of a Box-Muller pair are independent
-        assert abs(np.mean(z[0::2] * z[1::2])) <= 5 / np.sqrt(n / 2)
+        # consecutive normals, which one path's neighbouring entries take,
+        # are uncorrelated
+        assert abs(np.mean(z[:-1] * z[1:])) <= 5 / np.sqrt(n - 1)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -192,7 +200,7 @@ class TestStreamV2:
             [[x] for x in np.linspace(0, 2, n)],
         )
         nd = n * dim
-        per_chunk = CHUNK_WORDS // path_words(nd)
+        per_chunk = CHUNK_WORDS // nd
         count = per_chunk + offset  # the last chunk is short or one path long
         batch = sample_paths(ctx, count, seed=seed)
         L = ctx.gram.factor
@@ -202,8 +210,9 @@ class TestStreamV2:
         # the product rounds differently from a matrix-vector product, so
         # paths meet L @ ref within the float64 dot-product error bound
         eps = np.finfo(np.float64).eps
+        ref = ref_normals(seed, count, nd)
         for p in {p for p in (0, per_chunk - 1, per_chunk, count - 1) if p < count}:
-            z = ref_normals(seed, p, nd)
+            z = ref[p]
             assert normals[p].tobytes() == z.tobytes()
             bound = 2 * nd * eps * (np.abs(L) @ np.abs(z))
             assert np.all(np.abs(flat[p] - L @ z) <= bound)
@@ -212,45 +221,23 @@ class TestStreamV2:
 class TestStreamV3Chunks:
     """The chunk loop of sample_paths against its parts, bit for bit."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(x=st.integers(0, 2**64 - 1))
-    @example(x=0)
-    @example(x=2**11 - 1)
-    @example(x=2**64 - 2**11)
-    @example(x=(2**52 + 1) * 2**11)
-    def test_shifted_uniform_is_centred_uniform(self, x):
-        # (x >> 11) * 2**-53 + 2**-54, the generator's uniform shifted, is
-        # stream v2's ((x >> 11) + 0.5) * 2**-53: scaling by a power of two
-        # commutes with rounding to nearest
-        top = float(x >> 11)
-        assert (top * 2.0**-53 + 2.0**-54).hex() == ((top + 0.5) * 2.0**-53).hex()
-
-    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
-    def test_generator_uniforms_are_the_raw_words(self, seed):
-        # the generator's uniform of a raw word x is (x >> 11) * 2**-53, and
-        # one generator runs on through consecutive counter blocks
-        words = np.random.Philox(key=seed, counter=5).random_raw(1000)
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=5))
-        got = np.concatenate([gen.random(600), gen.random(400)])
-        assert got.tobytes() == ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53).tobytes()
-
     @pytest.mark.parametrize("n,dim", [(7, 1), (13, 3), (1, 2), (100, 2)])
     def test_every_chunk_is_its_normals_times_the_factor(self, n, dim):
-        # full chunks, written in place, and a short last chunk; nd of 7,
-        # 39 and 2 are not multiples of 4, so each path's row of normals is
-        # strided
+        # full chunks, written in place, and a short last chunk, each the
+        # next per_chunk * nd normals of the stream
         ctx = make_context(
             make_kernel(f"gauss(sigma=1,ell=1,dim={dim})"),
             [[x] for x in np.linspace(0, 3, n)],
         )
         nd = n * dim
-        per_chunk = CHUNK_WORDS // path_words(nd)
+        per_chunk = CHUNK_WORDS // nd
         count = 2 * per_chunk + 5
         paths = sample_paths(ctx, count, seed=11).paths.reshape(count, nd)
         L = ctx.gram.factor
+        normals = ref_normals(11, 3 * per_chunk, nd)
         for start in range(0, count, per_chunk):
             stop = min(start + per_chunk, count)
-            block = np.stack([ref_normals(11, p, nd) for p in range(start, start + per_chunk)]) @ L.T
+            block = normals[start : start + per_chunk] @ L.T
             assert paths[start:stop].tobytes() == block[: stop - start].tobytes()
 
 
@@ -381,11 +368,12 @@ class TestCovarianceErrorReport:
             assert tol == expected, text
 
     def test_non_finite_error_or_tolerance_fails(self):
-        # |K| = 8.1e307: one path's second moments overflow, and so does
+        # |K| = 8.1e307: the one path's second moments overflow, and so does
         # four standard errors at N = 1
         ctx = make_context(make_kernel("gauss(sigma=9e153,ell=1)"), [[0], [0.5]])
+        batch = SampleBatch(ctx, 0, np.array([3.0, -1.0]).reshape(1, 2, 1) * 9e153)
         with np.errstate(over="ignore", invalid="ignore"):
-            report = covariance_error_report(sample_paths(ctx, 1, seed=0))
+            report = covariance_error_report(batch)
         assert report.max_abs_err == report.mc_tolerance == np.inf
         assert not report.pass_
 
@@ -453,7 +441,7 @@ class TestExport:
 
     def test_unknown_version_refused(self, tmp_path):
         bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"OPKGP4" + struct.pack("<QIII", 0, 1, 1, 1) + b"\0" * 8)
+        bad.write_bytes(b"OPKGP5" + struct.pack("<QIII", 0, 1, 1, 1) + b"\0" * 8)
         with pytest.raises(ValueError, match="magic"):
             batch_from_binary(bad)
 
@@ -473,6 +461,14 @@ class TestExport:
         assert seed == 12
         np.testing.assert_array_equal(paths, values.reshape(2, 3, 2))
 
+    def test_reads_v3_file(self, tmp_path):
+        values = np.arange(8, dtype="<f8")
+        path = tmp_path / "v3.bin"
+        path.write_bytes(b"OPKGP3" + struct.pack("<QIII", 13, 4, 1, 2) + values.tobytes())
+        seed, paths = batch_from_binary(path)
+        assert seed == 13
+        np.testing.assert_array_equal(paths, values.reshape(4, 1, 2))
+
     @staticmethod
     def handmade_batch(layout="c"):
         # no sampling, so the bytes are the same on every host
@@ -488,11 +484,11 @@ class TestExport:
 
     def test_binary_bytes_pinned(self, tmp_path):
         # SHA-256 of the file the earlier writer, paths.astype("<f8").tobytes(),
-        # made of this batch
+        # made of this batch, under stream v4's magic (with OPKGP3: ac04119f...)
         path = tmp_path / "batch.bin"
         batch_to_binary(self.handmade_batch(), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "ac04119f14bb4b0965f1a374ce8c3921b27efdbca72033d373f9149c0541a847"
+        assert digest == "b0dd48344eb88ab795a3449eaa2d6265ad0e333713f967e652f73f1817e751ef"
 
     @pytest.mark.parametrize("layout", ["c", "big-endian", "strided"])
     def test_binary_bytes_any_layout(self, tmp_path, layout):

@@ -557,6 +557,25 @@ class TestChannelPath:
         with pytest.raises(GramError, match="^channel Grams are not symmetric$"):
             BlockGram(sites=np.zeros((2, 1)), channels=K, basis=np.eye(1))
 
+    @pytest.mark.parametrize("channels, basis, message", [
+        # once numpy's matmul error, and Python's "not enough values to unpack"
+        (np.eye(3)[None], np.ones((1, 2)), r"^basis has shape \(1, 2\), expected \(1, 1\)$"),
+        (np.eye(3), np.ones((1, 1)), r"^channel Grams have shape \(3, 3\), expected \(c, N, N\)$"),
+        # once G = 4I certified with a spectrum of 1s
+        (np.stack([np.eye(3)] * 2), 2.0 * np.eye(2), "^basis is not orthogonal$"),
+        (np.stack([np.eye(3)] * 2), np.array([[1.0, 0.0], [np.nan, 1.0]]), "^basis is not orthogonal$"),
+    ], ids=["basis-shape", "2-D-channels", "scaled-basis", "nan-basis"])
+    def test_constructor_refuses_bad_shapes_and_bases(self, channels, basis, message):
+        with pytest.raises(GramError, match=message):
+            BlockGram(sites=np.arange(3.0)[:, None], channels=channels, basis=basis)
+
+    def test_constructor_reads_sites_by_the_site_rule(self):
+        # NaN sites were once kept, and a 1-D array kept as it was
+        with pytest.raises(ValueError, match="^site coordinates must be finite$"):
+            BlockGram(sites=np.array([[0.0], [np.nan]]), channels=np.eye(2)[None], basis=np.eye(1))
+        g = BlockGram(sites=np.array([0.0, 1.0]), channels=np.eye(2)[None], basis=np.eye(1))
+        assert g.sites.shape == (2, 1) and not g.sites.flags.writeable
+
     def test_replaced_data_is_certified_itself(self):
         # channel Grams cannot come with data they do not match: data is
         # its own one channel

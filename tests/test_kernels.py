@@ -566,6 +566,24 @@ class TestContinuityIncrement:
         with pytest.raises(ValueError, match=message):
             continuity_increments(k, np.zeros(S), np.zeros(T), np.zeros(A))
 
+    def test_one_dimensional_sites_are_one_coordinate_sites(self):
+        # a 1-D S once ended in "tuple index out of range"
+        k = make_kernel("gauss(sigma=1,ell=1,dim=2)")
+        A = np.array([[1.0, 2.0], [0.5, -1.0]])
+        got = continuity_increments(k, np.array([0.0, 1.0]), [0.5, 3.0], A)
+        assert got.tobytes() == continuity_increments(k, [[0.0], [1.0]], [[0.5], [3.0]], A).tobytes()
+
+    @pytest.mark.parametrize("S, A, message", [
+        # each once returned nan, the site with a numpy RuntimeWarning; the
+        # one-pair form refuses both
+        ([[0.0], [1.0]], [[1.0, np.nan], [0.5, -1.0]], "^H-vector entries must be finite$"),
+        ([[0.0], [np.inf]], [[1.0, 1.0], [1.0, 1.0]], "^site coordinates must be finite$"),
+    ], ids=["h-vector", "site"])
+    def test_non_finite_inputs_refused(self, S, A, message):
+        k = make_kernel("gauss(sigma=1,ell=1,dim=2)")
+        with pytest.raises(ValueError, match=message):
+            continuity_increments(k, np.array(S), np.ones((2, 1)), np.array(A))
+
     def test_pairs_are_the_matching_blocks(self):
         k = make_kernel("separable(B=[[2,1],[1,2]],base=gauss(sigma=1,ell=1))")
         rng = np.random.default_rng(3)
