@@ -1,5 +1,5 @@
 """CSV rows of float64 arrays, each value spelled as ``repr(float(v))``,
-formatted by numpy a chunk of values at a time.
+formatted by numpy a batch of values at a time.
 
 The digits are Schubfach's (R. Giulietti, "The Schubfach way to render
 doubles", 2020): of the decimals that read back as v, the shortest, and of
@@ -24,13 +24,25 @@ come four at a time from a table of ``0000``..``9999``, and the digits
 shown without trailing zeros from the groups' trailing zeros.  The layout
 depends only on decpt and the number of digits, so the words and masks
 come from small tables by (decpt, sign), (decpt, digits) and (decpt, last
-in row).  Zeros, nan and inf have rows of their own past the decpt rows:
-their whole text in the first word, no digits, and the separator.  Unused
-bytes are NUL, and one ``bytearray.translate`` per chunk drops them.
+in row).  Unused bytes are NUL, and one ``bytearray.translate`` per
+window drops them.
+
+Only the finite nonzero values have digits.  The array is written a
+window of CHUNK values at a time, and the values of each window are first
+told apart by their bits.  A window whose values all have digits is
+formatted where it lies.  Otherwise the values with digits of as many
+windows in a row as CHUNK holds are gathered into one batch and formatted
+together; then each of those windows takes the whole slot of each zero
+(of either sign), inf and nan from a table of twelve slots, by kind, sign
+and separator, and the formatted slots fill the rest.  In the Gram of a
+kernel that is diagonal in a fixed basis of H, (d - 1)/d of the values
+are exact zeros, and none of them enters the digit stage.
 
 A write allocates its scratch once (``_Workspace``, sized by the smaller
-of CHUNK and the array) and runs every chunk in it: each step writes into
-an array of the workspace, so the loop allocates nothing but each chunk's
+of CHUNK and the array) and runs every window and batch in it: each step
+writes into an array of the workspace, and the positions of a window's
+values with digits are found in its rows too (ranks by a cumulative sum,
+then one ``np.put``), so the loop allocates nothing but each window's
 text.  Temporaries allocated per chunk were freed at the end of it; under
 a pinned mmap threshold the heap then gave their pages back to the
 operating system, and the next chunk faulted them in again.
@@ -49,17 +61,15 @@ import numpy as np
 
 __all__ = ["write_csv", "write_csv_rows"]
 
-CHUNK = 4096  # values per pass; the workspace of a pass is about 1.2 MB
+CHUNK = 4096  # values per window and per batch; the workspace is about 1.1 MB
 
 _U64 = np.uint64
 _LE64 = np.dtype("<u8")  # words whose bytes are text, first byte first
 _M32 = _U64(2**32 - 1)
 _M63 = _U64(2**63 - 1)
 _INF = _U64(0x7FF0000000000000)  # magnitude bits of inf; above them, nan
-_ONE = _U64(0x3FF0000000000000)  # the bits of 1.0
 _K_MIN, _K_MAX = -324, 292  # decimal exponents k of the float64 range
 _DECPTS = range(-323, 310)  # decpt of every finite nonzero float64
-_SPECIAL = len(_DECPTS)  # the rows of 0.0, inf and nan come after them
 _P10 = np.array([10**i for i in range(18)], dtype=np.int64)
 _NO_POINT = 17  # point position of digits printed without a point
 _DIGIT_AT = 3  # the byte of the first digit, after the "000" of its group
@@ -77,6 +87,8 @@ class _Tables(NamedTuple):
     layouts: np.ndarray  # [row * 18 + digits]: the row of ``masks``
     masks: np.ndarray  # (3, [(point - 1) * 18 + shown], 3 words)
     tails: np.ndarray  # [row * 2 + last]: "e±XX" and separator
+    specials: np.ndarray  # [(kind * 2 + negative) * 2 + last]: the slot of 0.0, inf or nan
+    ramp: np.ndarray  # 0, 1, ..., CHUNK - 1
 
 
 def _flog2pow10(e):
@@ -100,8 +112,9 @@ def _tables() -> _Tables:
     the point itself; digit j is byte j + _DIGIT_AT.  ``shown`` gives the
     digits of a 17-digit decimal without its trailing zeros, by the
     trailing zeros z1..z4 of its four last groups of four.  The other
-    tables have a row per decpt in _DECPTS, then the rows of zeros, inf
-    and nan, whose layout masks out every digit byte.
+    tables have a row per decpt in _DECPTS, but ``specials``: the whole
+    40-byte slots of the values without digits, by kind (0.0, inf, nan),
+    sign and separator.
     """
     g = []
     for k in range(_K_MIN, _K_MAX + 1):
@@ -140,7 +153,7 @@ def _tables() -> _Tables:
         for j in range(24)
     )
     heads, tails = [], []
-    layouts = np.full((_SPECIAL + 3, 18), (_NO_POINT - 1) * 18, dtype=np.intp)
+    layouts = np.full((len(_DECPTS), 18), (_NO_POINT - 1) * 18, dtype=np.intp)
     nd = np.arange(18)
     for row, decpt in enumerate(_DECPTS):
         if decpt < -3 or decpt > 16:  # exponent form
@@ -154,9 +167,10 @@ def _tables() -> _Tables:
                 layouts[row] += nd
         heads += [lead, "-" + lead]
         tails += [exp + ",", exp + "\r\n"]
-    for special in (("0.0", "-0.0"), ("inf", "-inf"), ("nan", "nan")):
-        heads += special  # their layout shows no digit and no point
-        tails += [",", "\r\n"]
+    specials = np.zeros((12, 5), dtype=_U64)  # the whole text in the first word
+    specials[:, 0] = _words(
+        text + end for text in ("0.0", "-0.0", "inf", "-inf", "nan", "nan") for end in (",", "\r\n")
+    )
     return _Tables(
         g1=np.array([v >> 63 for v in g], dtype=_U64),
         g0=np.array([v & (2**63 - 1) for v in g], dtype=_U64),
@@ -167,52 +181,75 @@ def _tables() -> _Tables:
         layouts=layouts.reshape(-1),
         masks=np.frombuffer(masks, _LE64).reshape(3, -1, 3),
         tails=_words(tails),
+        specials=specials.view("V40")[:, 0],
+        ramp=np.arange(CHUNK),
     )
 
 
 _SLOT = np.dtype([("head", _LE64), ("digits", "V24"), ("tail", _LE64)])
 
 
-# Rows of a workspace's ``words``: values, last, two rows of flags, then
-# magnitude, sign, d and k; from _STAGE on, rows that _shortest uses and the
-# digit stage of _chunk_text uses again once _shortest is done with them.
-_STAGE = 8
+# Rows of a batch's (_WORDS, n) scratch: values, last, a row of flags, then
+# sign, d and k; from _STAGE on, rows that _shortest uses and the digit stage
+# of _chunk_text uses again once _shortest is done with them.  The digit
+# stage is done with its groups, rows _TEXT on, before it writes the text,
+# so a batch's text can go there.
+_STAGE = 6
+_TEXT = _STAGE + 8
 _WORDS = _STAGE + 23
+_SORT = _WORDS - 5  # from this row of m words on: a window's values told apart
 
 
 @dataclass(frozen=True, eq=False)
 class _Workspace:
-    """The scratch of one ``write_csv_rows`` call, for chunks of up to m
-    values: every array a chunk's text is made in, reused by every chunk.
+    """The scratch of one ``write_csv_rows`` call, for windows of up to m
+    values: every array a window's text is made in, reused by every window.
 
-    ``text`` holds the m 40-byte slots; ``slot`` views them as (m, 5)
-    words and ``fields`` as head, digits and tail.  Everything else is a
-    view of ``words``, one (_WORDS, m) uint64 block: its rows are named
-    where they are used, and the digit stage reuses the rows of _shortest,
-    so the workspace holds about 290 bytes per value with the text.
+    ``text`` holds the m 40-byte slots of a window; ``slot`` views them as
+    (m, 5) words, ``fields`` as head, digits and tail, and ``slots`` as
+    whole slots.  ``block`` holds _WORDS * m words.  A batch of n values
+    is formatted in its first _WORDS * n, as (_WORDS, n) rows (``rows``),
+    and the rows of _shortest are reused by the digit stage, so the
+    workspace holds about 270 bytes per value with the text.  The views
+    below are the last five of its rows of m words, where a window's
+    values are told apart by their bits; what a batch of n <= m values
+    keeps while they are in use, its values and ``last`` (the first 2 * n
+    words) and its text (from _TEXT * n to (_TEXT + 5) * n), lies before
+    them.
     """
 
     text: bytearray
     slot: np.ndarray
     fields: np.ndarray
-    words: np.ndarray
-    values: np.ndarray  # the padded last chunk
-    last: np.ndarray  # intp: 1 for the last value of a row, else 0
-    flags: np.ndarray  # (16, m) bool
+    slots: np.ndarray
+    block: np.ndarray
+    magnitude: np.ndarray  # the bits less the sign
+    spare: np.ndarray  # uint64
+    index: np.ndarray  # intp
+    pos: np.ndarray  # intp
+    flags: np.ndarray  # (8, m) bool: has digits, then _specials' flags
+
+    def rows(self, n: int) -> np.ndarray:
+        return self.block[: _WORDS * n].reshape(_WORDS, n)
 
 
 def _workspace(m: int) -> _Workspace:
     text = bytearray(40 * m)
-    words = np.zeros((_WORDS, m), dtype=_U64)
+    block = np.zeros(_WORDS * m, dtype=_U64)
+    sort = block[_SORT * m :].reshape(5, m)
     return _Workspace(
         text=text,
         slot=np.frombuffer(text, _LE64).reshape(m, 5),
         fields=np.frombuffer(text, _SLOT),
-        words=words,
-        values=words[0].view(np.float64),
-        last=words[1].view(np.intp),
-        flags=words[2:4].view(bool).reshape(16, m),
+        slots=np.frombuffer(text, "V40"),
+        block=block,
+        magnitude=sort[0],
+        spare=sort[1],
+        index=sort[2].view(np.intp),
+        pos=sort[3].view(np.intp),
+        flags=sort[4].view(bool).reshape(8, m),
     )
+
 
 
 def _mulhi(a_lo, a_hi, b_lo, b_hi, out, t, u):
@@ -350,34 +387,25 @@ def _shortest(bits, tables: _Tables, d, k, words, flags) -> None:
     d += pick
 
 
-def _chunk_text(x: np.ndarray, ws: _Workspace) -> None:
-    """Fill ``ws.text`` with the CSV text of the float64 values x, each
-    followed by "," or, where ``ws.last`` is 1, by "\\r\\n".  Every step
-    writes into ``ws``; the unused bytes are NUL."""
+def _chunk_text(x: np.ndarray, words: np.ndarray, fields: np.ndarray) -> None:
+    """Fill ``fields`` with the CSV text of the finite nonzero float64
+    values x, each followed by "," or, where the ``last`` row of ``words``
+    is 1, by "\\r\\n".  Every step writes into ``words``, the (_WORDS,
+    len(x)) scratch of the batch; the unused bytes are NUL."""
     tables = _tables()
     m = len(x)
     bits = x.view(_U64)
-    words = ws.words
-    magnitude, negative, d, k = words[_STAGE - 4 : _STAGE]
-    other, special, nan, *flags = ws.flags[:9]
-    count = ws.flags[9].view(np.uint8)
-    np.bitwise_and(bits, _M63, out=magnitude)
+    last = words[1].view(np.intp)
+    flags = words[2].view(bool).reshape(8, m)
+    negative, d, k = words[_STAGE - 3 : _STAGE]
+    count = flags[6].view(np.uint8)
     np.right_shift(bits, 63, out=negative)
-    np.greater_equal(magnitude, _INF, out=special)
-    np.greater(magnitude, _INF, out=nan)
-    np.equal(magnitude, 0, out=other)
-    other |= special
-
-    # the digits of the finite nonzero values, and of 1.0 in place of the others
-    plain = words[_STAGE]
-    np.copyto(plain, bits)
-    np.putmask(plain, other, _ONE)
-    _shortest(plain, tables, d, k, words[_STAGE + 1 : _STAGE + 19], flags)
+    _shortest(bits, tables, d, k, words[_STAGE : _STAGE + 18], flags)
 
     # the digit stage: registers, then 2-D arrays over the rows _shortest
     # has finished with ((6, m) words read as (m, 6), and so on)
-    row, lower, index, aligned, hi, nd, layout, word = words[_STAGE : _STAGE + 8].view(np.intp)
-    at = _STAGE + 8
+    row, lower, index, aligned, hi, nd, layout, word = words[_STAGE:_TEXT].view(np.intp)
+    at = _TEXT
     groups = words[at : at + 6].view(np.intp).reshape(m, 6)
     powers = words[at : at + 2].view(bool).reshape(16, m)  # before groups
     zeros = words[at + 6 : at + 12].view(np.intp).reshape(m, 6)  # before digits
@@ -392,10 +420,6 @@ def _chunk_text(x: np.ndarray, ws: _Workspace) -> None:
     np.subtract(16, lower, out=index)
     np.add(ki, lower, out=row)
     row += 1 - _DECPTS.start  # the row of decpt = k + digits
-    np.add(special.view(np.uint8), nan.view(np.uint8), out=count)
-    np.copyto(lower, count)  # 0 for zeros, 1 for inf, 2 for nan
-    lower += _SPECIAL
-    np.putmask(row, other, lower)
 
     # the 17 digits of d * 10**(17 - digits): the first, then four groups
     # of four, as the characters "000d", "dddd", ..., "dddd", NULs
@@ -430,7 +454,6 @@ def _chunk_text(x: np.ndarray, ws: _Workspace) -> None:
     digits |= shifted
     np.take(dot, layout, axis=0, out=mask, mode="clip")
     digits |= mask
-    fields = ws.fields
     np.copyto(fields["digits"], digits.view("V24")[:, 0])
     word = word.view(_U64)
     np.multiply(row, 2, out=index)
@@ -438,19 +461,119 @@ def _chunk_text(x: np.ndarray, ws: _Workspace) -> None:
     np.take(tables.heads, index, out=word, mode="clip")
     np.copyto(fields["head"], word)
     np.multiply(row, 2, out=index)
-    index += ws.last
+    index += last
     np.take(tables.tails, index, out=word, mode="clip")
     np.copyto(fields["tail"], word)
+
+
+def _classify(x: np.ndarray, ws: _Workspace) -> int:
+    """How many of the values x have digits (are finite and nonzero).  They
+    are marked in ``ws.flags[0]``, and ``ws.magnitude`` keeps the bits of
+    every value less the sign."""
+    w = len(x)
+    magnitude, below, digital = ws.magnitude[:w], ws.spare[:w], ws.flags[0, :w]
+    np.bitwise_and(x.view(_U64), _M63, out=magnitude)
+    np.subtract(magnitude, 1, out=below)  # 0 wraps round to 2**64 - 1
+    np.less(below, _INF - 1, out=digital)
+    return int(np.count_nonzero(digital))
+
+
+def _row_ends(start: int, cols: int) -> slice:
+    """The values that end a row, in a window from ``start`` of the
+    flattened array."""
+    return slice((cols - 1 - start) % cols, None, cols)
+
+
+def _gather(x: np.ndarray, ends: slice, ws: _Workspace, values, last) -> None:
+    """Copy the values of x that have digits, as _classify marked them, to
+    ``values``, and to ``last`` 1 for each that ends a row, else 0."""
+    w, held = len(x), len(values)
+    digital, rank, pos = ws.flags[0, :w], ws.index[:w], ws.pos[:w]
+    # the positions of the values with digits, without a temporary: each
+    # puts its own position at its rank among them, and every other value
+    # puts its position at -1, which wraps round to w - 1: the rank of a
+    # value with digits only when every value has them, and then no other
+    # value puts anything there
+    np.copyto(pos, digital)
+    np.cumsum(pos, out=rank)
+    rank *= pos
+    rank -= 1
+    np.put(pos, rank, _tables().ramp[:w], mode="wrap")
+    np.take(x, pos[:held], out=values, mode="clip")
+    ended = ws.spare[:w].view(np.intp)
+    ended.fill(0)
+    ended[ends] = 1
+    np.take(ended, pos[:held], out=last, mode="clip")
+
+
+def _specials(x: np.ndarray, ends: slice, ws: _Workspace) -> None:
+    """Fill the first len(x) slots of ``ws.text`` with the slots of 0.0,
+    inf or nan by each value's kind, sign and separator; the slots of the
+    values with digits are written over after."""
+    w = len(x)
+    magnitude, sign, index = ws.magnitude[:w], ws.spare[:w], ws.index[:w]
+    infinite, nan = ws.flags[1, :w], ws.flags[2, :w]
+    kind = ws.flags[3, :w].view(np.uint8)
+    np.greater_equal(magnitude, _INF, out=infinite)
+    np.greater(magnitude, _INF, out=nan)
+    np.add(infinite.view(np.uint8), nan.view(np.uint8), out=kind)  # 0.0, inf, nan
+    np.copyto(index, kind)
+    np.right_shift(x.view(_U64), 63, out=sign)
+    index <<= 1
+    index += sign.view(np.intp)
+    index <<= 1
+    index[ends] += 1
+    np.take(_tables().specials, index, out=ws.slots[:w], mode="clip")
+
+
+def _write(fh, ws: _Workspace, used: int) -> None:
+    """Write the text of the first ``used`` slots."""
+    ws.slot[used:] = 0
+    fh.write(ws.text.translate(None, b"\0"))
+
+
+def _write_batch(fh, flat: np.ndarray, starts, held: int, cols: int, ws: _Workspace) -> None:
+    """Write the windows of ``flat`` at ``starts``, whose ``held`` values
+    with digits make one batch: gather those values, format them, then
+    give each window the slots of its values without digits and put its
+    formatted ones in their places."""
+    m = len(ws.slots)
+    words = ws.rows(held)
+    values, last = words[0].view(np.float64), words[1].view(np.intp)
+    text = ws.block[_TEXT * held : (_TEXT + 5) * held]
+    done = 0
+    for start in starts:
+        x = flat[start : start + m]
+        count = _classify(x, ws)
+        _gather(x, _row_ends(start, cols), ws, values[done : done + count], last[done : done + count])
+        done += count
+    if held:
+        _chunk_text(values, words, text.view(_SLOT))
+    batch = text.view("V40")
+    done = 0
+    for start in starts:
+        x = flat[start : start + m]
+        count = _classify(x, ws)
+        _specials(x, _row_ends(start, cols), ws)
+        if count:
+            np.place(ws.slots[: len(x)], ws.flags[0, : len(x)], batch[done : done + count])
+        done += count
+        _write(fh, ws, len(x))
 
 
 def write_csv_rows(fh, matrix: np.ndarray) -> None:
     """One CSV line per row of a 2-D float64 array, each value as
     ``repr(float(v))``, joined by "," and ended by "\\r\\n": the bytes
     csv.writer writes for those strings (none needs quoting).  The ASCII
-    text goes to the binary file ``fh`` a chunk of values at a time, so no
-    text of the whole array is held; the chunks run in one workspace,
-    sized by the smaller of CHUNK and the array.  An array that is not
-    C-contiguous is copied once."""
+    text goes to the binary file ``fh`` a window of values at a time, so
+    no text of the whole array is held; the windows run in one workspace,
+    sized by the smaller of CHUNK and the array.  A window whose values
+    all have digits is formatted where it lies.  Otherwise the values with
+    digits of as many windows in a row as fit CHUNK are formatted as one
+    batch, and the zeros, infs and nans of each window take their text
+    from a table.  An array that is not C-contiguous is copied once."""
+    if np.ndim(matrix) != 2:
+        raise ValueError(f"CSV rows need a 2-D array, not one of shape {np.shape(matrix)}")
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.size == 0:
         fh.write(b"\r\n" * len(matrix))
@@ -458,19 +581,28 @@ def write_csv_rows(fh, matrix: np.ndarray) -> None:
     cols = matrix.shape[1]
     flat = matrix.reshape(-1)
     ws = _workspace(min(CHUNK, flat.size))
-    m, last = len(ws.values), ws.last
-    for start in range(0, flat.size, m):
-        x = flat[start : start + m]
-        used = len(x)
-        if used < m:  # the short last chunk, padded with zeros
-            ws.values[:used] = x
-            ws.values[used:] = 0.0
-            x = ws.values
-        last.fill(0)
-        last[(cols - 1 - start) % cols :: cols] = 1
-        _chunk_text(x, ws)
-        ws.slot[used:] = 0  # the padding's slots
-        fh.write(ws.text.translate(None, b"\0"))
+    m = len(ws.slots)
+    starts = range(0, flat.size, m)
+    counts = [_classify(flat[start : start + m], ws) for start in starts]
+    full = [count == min(m, flat.size - start) for count, start in zip(counts, starts)]
+    i = 0
+    while i < len(starts):
+        if full[i]:
+            x = flat[starts[i] : starts[i] + m]
+            words = ws.rows(len(x))
+            last = words[1].view(np.intp)
+            last.fill(0)
+            last[_row_ends(starts[i], cols)] = 1
+            _chunk_text(x, words, ws.fields[: len(x)])
+            _write(fh, ws, len(x))
+            i += 1
+            continue
+        j, held = i + 1, counts[i]
+        while j < len(starts) and not full[j] and held + counts[j] <= m:
+            held += counts[j]
+            j += 1
+        _write_batch(fh, flat, starts[i:j], held, cols, ws)
+        i = j
 
 
 def write_csv(path, header: list, matrix: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import random
 import re
@@ -493,6 +494,38 @@ class TestExpandCommand:
             ]
         )
         assert code == 1
+
+
+class TestCsvOutputs:
+    """The CSV files the CLI writes, byte for byte against csv.writer over
+    ``repr(float(v))``, on outputs that are mostly exact zeros."""
+
+    @staticmethod
+    def body(path):
+        return path.read_bytes().split(b"\r\n", 1)[1]  # after the header row
+
+    @staticmethod
+    def csv_writer_bytes(M):
+        fh = io.StringIO(newline="")
+        writer = csv.writer(fh)
+        for row in M:
+            writer.writerow([repr(float(v)) for v in row])
+        return fh.getvalue().encode()
+
+    def test_gram_csv_of_diagonal_blocks(self, tmp_path):
+        sites = "grid(0,4,100)"
+        assert main(["gram", "--kernel", "diagexp3", "--sites", sites, "--out", str(tmp_path)]) == 0
+        G = assemble_gram(make_kernel("diagexp3"), parse_sites(sites)).data
+        assert np.count_nonzero(G == 0) == G.size * 2 // 3
+        assert self.body(tmp_path / "gram.csv") == self.csv_writer_bytes(G)
+
+    def test_onb_csv_of_diagonal_blocks(self, tmp_path):
+        kernel, sites = "gauss(sigma=1,ell=1,dim=8)", "grid(0,4,20)"
+        assert main(["expand", "--kernel", kernel, "--sites", sites, "--out", str(tmp_path)]) == 0
+        ctx = make_context(make_kernel(kernel), parse_sites(sites))
+        C = np.array([el.coeffs for el in onb_expansion(ctx, 1e-12)])
+        assert np.count_nonzero(C == 0) == C.size * 7 // 8
+        assert self.body(tmp_path / "onb.csv") == self.csv_writer_bytes(C)
 
 
 class TestConfigFile:

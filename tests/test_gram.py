@@ -31,6 +31,7 @@ from opkern.gram import (
     _jitter_ladder,
 )
 from opkern import gram as gram_mod
+from opkern import reprcsv
 from opkern.gp import covariance_error_report, sample_paths
 from opkern.kernels import OperatorKernel, make_kernel
 from opkern.reprcsv import CHUNK, write_csv_rows
@@ -1275,6 +1276,45 @@ class TestExport:
         assert M.shape == (rows, cols)
         assert self.write_csv_text(M) == self.csv_writer_text(M)
 
+    @staticmethod
+    def same_values_in(view, T):
+        # a view of ``view`` kind whose values, read row by row, are T's
+        return {
+            "contiguous": lambda: T,
+            "transposed": lambda: np.ascontiguousarray(T.T).T,
+            "strided": lambda: np.repeat(T, 2, axis=1)[:, ::2],
+            "reversed": lambda: np.ascontiguousarray(T[::-1, ::-1])[::-1, ::-1],
+        }[view]()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        share=st.sampled_from([0, 1 / 8, 1 / 3, 1 / 2, 7 / 8, 1]),
+        rows=st.integers(1, 4),
+        cols=st.sampled_from([1, 3, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]),
+        over=st.sampled_from([None, -1, 0, 1]),
+        view=st.sampled_from(["contiguous", "transposed", "strided", "reversed"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_csv_rows_match_csv_writer_on_zero_dense_values(self, share, rows, cols, over, view, seed):
+        # a share of values without digits (zeros of either sign, some inf
+        # and nan) among values of every size, in shapes whose windows and
+        # batches cross CHUNK; with ``over``, the first two windows hold
+        # CHUNK + over values with digits, so one batch ends on CHUNK exactly
+        rng = np.random.default_rng(seed)
+        size = rows * cols
+        digitless = rng.random(size) < share
+        if over is not None and size >= 2 * CHUNK:
+            digitless[: 2 * CHUNK] = True
+            digitless[rng.choice(2 * CHUNK, CHUNK + over, replace=False)] = False
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+        values[digitless] = rng.choice(
+            [0.0, -0.0, np.inf, -np.inf, np.nan], np.count_nonzero(digitless), p=[0.45, 0.45, 0.04, 0.03, 0.03]
+        )
+        T = values.reshape(rows, cols)
+        M = self.same_values_in(view, T)
+        assert M.shape == T.shape
+        assert self.write_csv_text(M) == self.csv_writer_text(T)
+
     def test_csv_rows_match_csv_writer_on_edge_values(self):
         p2 = np.ldexp(1.0, np.arange(-1074, 1024))
         p10 = np.array([float(f"1e{e}") for e in range(-323, 309)])
@@ -1297,10 +1337,29 @@ class TestExport:
         for M in (bits.reshape(-1, 25), scaled.reshape(-1, 20)):
             assert self.write_csv_text(M) == self.csv_writer_text(M)
 
-    def test_csv_rows_of_chunks_without_digits(self):
-        # chunks holding only zeros, nan and inf skip the digit pass
+    def test_csv_rows_of_chunks_without_digits(self, monkeypatch):
+        # zeros, nan and inf skip the digit pass: only the finite nonzero
+        # values reach _shortest, so windows holding none format nothing
+        formatted = []
+        shortest = reprcsv._shortest
+
+        def counted(bits, *args):
+            formatted.append(len(bits))
+            return shortest(bits, *args)
+
+        monkeypatch.setattr(reprcsv, "_shortest", counted)
         for M in (np.zeros((2, CHUNK + 3)), np.array([[np.nan, -np.inf, -0.0, np.inf]])):
             assert self.write_csv_text(M) == self.csv_writer_text(M)
+        assert formatted == []
+        # diagexp3's pattern: 3 x 3 diagonal blocks, 2/3 of the values zero
+        M = np.kron(np.random.default_rng(3).standard_normal((100, 100)), np.eye(3))
+        assert self.write_csv_text(M) == self.csv_writer_text(M)
+        assert sum(formatted) == np.count_nonzero(np.isfinite(M) & (M != 0)) == M.size // 3
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2, 2)])
+    def test_csv_rows_refuse_other_than_two_axes(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"not one of shape {shape}")):
+            write_csv_rows(io.BytesIO(), np.zeros(shape))
 
     def test_csv_rows_of_empty_rows(self):
         for shape in [(0, 5), (3, 0), (0, 0)]:

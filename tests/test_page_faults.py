@@ -35,6 +35,13 @@ CASES = {
         "reprcsv.write_csv(os.devnull, ['# header'], matrix)",
         "1000",
     ),
+    # 90,000 values in diagexp3's pattern: a 300 x 300 Gram of 3 x 3 diagonal
+    # blocks, 2/3 of it exact zeros, in 22 windows and 8 batches
+    "csv_zeros": (
+        "matrix = np.kron(np.random.default_rng(0).standard_normal((100, 100)), np.eye(3))",
+        "reprcsv.write_csv(os.devnull, ['# header'], matrix)",
+        "1000",
+    ),
     # 10,000 paths at n*d = 200 in 25 chunks; the 16 MB of paths are new
     "sample": (
         "ctx = rkhs.make_context(make_kernel('normalized(inner=separable("
@@ -106,6 +113,11 @@ pytestmark = pytest.mark.skipif(not has_mallopt(), reason="the C library has no 
 
 def test_csv_writer_chunks_fault_no_pages():
     faults, bound = warm_faults("csv")
+    assert faults < bound
+
+
+def test_csv_writer_batches_of_sparse_windows_fault_no_pages():
+    faults, bound = warm_faults("csv_zeros")
     assert faults < bound
 
 
